@@ -80,21 +80,21 @@ def affine_jacobian(embedding: Embedding, simplex: tuple[int, ...]) -> np.ndarra
     return np.stack(cols, axis=1)
 
 
-def _det(sub: np.ndarray) -> float:
-    k = sub.shape[0]
-    if k == 0:
-        return 1.0
+def _det(subs: np.ndarray) -> np.ndarray:
+    """Determinants of a stack (..., k, k) with k >= 1: closed forms for
+    k <= 3, LU (``np.linalg.det``) above."""
+    k = subs.shape[-1]
     if k == 1:
-        return float(sub[0, 0])
+        return subs[..., 0, 0].copy()
     if k == 2:
-        return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
+        return subs[..., 0, 0] * subs[..., 1, 1] - subs[..., 0, 1] * subs[..., 1, 0]
     if k == 3:
-        return float(
-            sub[0, 0] * (sub[1, 1] * sub[2, 2] - sub[1, 2] * sub[2, 1])
-            - sub[0, 1] * (sub[1, 0] * sub[2, 2] - sub[1, 2] * sub[2, 0])
-            + sub[0, 2] * (sub[1, 0] * sub[2, 1] - sub[1, 1] * sub[2, 0])
+        return (
+            subs[..., 0, 0] * (subs[..., 1, 1] * subs[..., 2, 2] - subs[..., 1, 2] * subs[..., 2, 1])
+            - subs[..., 0, 1] * (subs[..., 1, 0] * subs[..., 2, 2] - subs[..., 1, 2] * subs[..., 2, 0])
+            + subs[..., 0, 2] * (subs[..., 1, 0] * subs[..., 2, 1] - subs[..., 1, 1] * subs[..., 2, 0])
         )
-    return float(np.linalg.det(sub))
+    return np.linalg.det(subs)
 
 
 def epsilon_I(jacobian: np.ndarray, index: tuple[int, ...]) -> float:
@@ -112,26 +112,18 @@ def epsilon_I(jacobian: np.ndarray, index: tuple[int, ...]) -> float:
         raise ValueError(f"multi-index {index} out of range for {D.shape[0]} rows")
     if k == 0:
         return 1.0
-    return _det(D[[i - 1 for i in idx], :])
+    return float(_det(D[[i - 1 for i in idx], :]))
 
 
 def epsilon_all(jacobian: np.ndarray, table: MultiIndexTable) -> np.ndarray:
-    """epsilon_I for every multi-index in the table, in table order."""
+    """epsilon_I for every multi-index in the table, in table order.
+
+    ``jacobian`` is one (n, k) Jacobian or a stack (..., n, k); the
+    result is (C,) or (..., C), every entry bit-identical to epsilon_I."""
     D = np.asarray(jacobian, dtype=np.float64)
     if table.k == 0:
-        return np.ones(1)
-    subs = D[table.rows0]  # (C, k, k)
-    if table.k == 1:
-        return subs[:, 0, 0].copy()
-    if table.k == 2:
-        return subs[:, 0, 0] * subs[:, 1, 1] - subs[:, 0, 1] * subs[:, 1, 0]
-    if table.k == 3:
-        return (
-            subs[:, 0, 0] * (subs[:, 1, 1] * subs[:, 2, 2] - subs[:, 1, 2] * subs[:, 2, 1])
-            - subs[:, 0, 1] * (subs[:, 1, 0] * subs[:, 2, 2] - subs[:, 1, 2] * subs[:, 2, 0])
-            + subs[:, 0, 2] * (subs[:, 1, 0] * subs[:, 2, 1] - subs[:, 1, 1] * subs[:, 2, 0])
-        )
-    return np.linalg.det(subs)
+        return np.ones(D.shape[:-2] + (1,))
+    return _det(D[..., table.rows0, :])  # subs: (..., C, k, k)
 
 
 @dataclass(frozen=True)
@@ -207,7 +199,7 @@ def form_header(form: NeuralKForm) -> dict:
 
 
 def form_from_header(header: dict, params: np.ndarray) -> NeuralKForm:
-    psi = mlp_from_header({**header, "kind": "mlp"}, params)
+    psi = mlp_from_header(header, params)
     return NeuralKForm(psi, header["ambient_dim"], header["degree"], header["num_forms"])
 
 

@@ -592,9 +592,7 @@ def load_classifier(path: str | os.PathLike) -> KFormClassifier:
     header, params = read_blob(path)
     if header.get("kind") != "kform-classifier":
         raise ValueError(f"{path}: expected a classifier checkpoint, found {header.get('kind')!r}")
-    form = form_from_header(header["form"], params)
-    offset = form.psi.num_params
-    head = None
-    if header["head"] is not None:
-        head = mlp_from_header(header["head"], params[offset:])
+    split = header["form"]["param_count"] if header["head"] is not None else params.size
+    form = form_from_header(header["form"], params[:split])
+    head = None if header["head"] is None else mlp_from_header(header["head"], params[split:])
     return KFormClassifier(form, head, header["readout"], header["steps"])

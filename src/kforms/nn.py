@@ -284,15 +284,35 @@ def write_blob(path: str | os.PathLike, header: dict, params: np.ndarray) -> Non
         fh.write(blob)
 
 
+class _Header(dict):
+    """Checkpoint header whose missing fields raise ValueError, not KeyError."""
+
+    def __missing__(self, key):
+        raise ValueError(f"checkpoint header has no field {key!r}")
+
+
 def read_blob(path: str | os.PathLike) -> tuple[dict, np.ndarray]:
+    """Header and float64 parameters of a checkpoint.  Anything but the
+    magic, a u32 length, that many bytes of a JSON object and a whole
+    number of float64 values raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BLOB_MAGIC:
-            raise ValueError(f"{path}: not a kforms checkpoint (bad magic {magic!r})")
-        (size,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(size).decode("utf-8"))
-        params = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    return header, params
+        data = fh.read()
+    if data[:4] != _BLOB_MAGIC:
+        raise ValueError(f"{path}: not a kforms checkpoint (bad magic {data[:4]!r})")
+    if len(data) < 8:
+        raise ValueError(f"{path}: checkpoint truncated inside the header length")
+    (size,) = struct.unpack_from("<I", data, 4)
+    if len(data) < 8 + size:
+        raise ValueError(f"{path}: checkpoint truncated inside its {size}-byte header")
+    try:
+        header = json.loads(data[8 : 8 + size].decode("utf-8"), object_hook=_Header)
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ValueError(f"{path}: checkpoint header is not valid JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    if (len(data) - 8 - size) % 8:
+        raise ValueError(f"{path}: checkpoint payload is not a whole number of float64 values")
+    return header, np.frombuffer(data, dtype="<f8", offset=8 + size).astype(np.float64)
 
 
 def mlp_header(mlp: Mlp) -> dict:
@@ -309,7 +329,7 @@ def mlp_from_header(header: dict, params: np.ndarray) -> Mlp:
     mlp = Mlp.init(dims, header["activation"], rng=np.random.default_rng(0))
     if header.get("param_count", mlp.num_params) != mlp.num_params:
         raise ValueError("parameter count does not match header dims")
-    mlp.set_flat(params[: mlp.num_params])
+    mlp.set_flat(params)  # ValueError unless the payload is exactly param_count values
     return mlp
 
 

@@ -9,12 +9,16 @@ integrand is affine on each cell — in particular for constant
 coefficient functions at any resolution — and is second-order accurate
 for smooth integrands.
 
-Integration matrices are evaluated with a single batched MLP call over
-the union of simplices referenced by the chains; per-simplex integrals
-are then combined linearly with the chain coefficients.  The cache
-returned by the forward pass carries everything needed to push a loss
-gradient back onto the MLP parameters (embeddings are fixed data and
-receive no gradient).
+An integration matrix is built in one batched pass over the S
+simplices its chains reference: one gather of their vertex coordinates
+(S, k+1, n) gives every affine Jacobian as vertex differences, one
+``epsilon_all`` call their column volumes (S, C), one broadcast matmul
+the quadrature nodes pushed into ambient space, and one MLP call the
+integrand at all of them.  A contraction with the weights and volumes
+yields the per-simplex integrals, which the chain coefficients combine
+linearly.  The cache returned by the forward pass carries everything
+needed to push a loss gradient back onto the MLP parameters
+(embeddings are fixed data and receive no gradient).
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "IntegrationCache",
     "subdivide_simplex",
     "quadrature_plan",
-    "embed_nodes",
     "evaluate_points",
     "integrate_simplex",
     "integrate_chain",
@@ -153,14 +156,6 @@ def quadrature_plan(k: int, h: int) -> QuadraturePlan:
     return QuadraturePlan(sub, nodes, weights)
 
 
-def embed_nodes(embedding: Embedding, simplex, nodes) -> np.ndarray:
-    """Push (N, k) simplex coordinates through the affine embedding of
-    the given simplex, yielding (N, n) ambient points."""
-    simplex = tuple(simplex)
-    D = affine_jacobian(embedding, simplex)
-    return embedding.coords[simplex[0]] + np.asarray(nodes, dtype=np.float64) @ D.T
-
-
 def evaluate_points(form: NeuralKForm, embedding: Embedding, vertices) -> np.ndarray:
     """Value of a 0-form tuple at embedded vertices: (len(vertices),
     num_forms).  The 0-form counterpart of integration."""
@@ -206,8 +201,9 @@ def integrate_simplex(
     if not 0 <= j < form.num_forms:
         raise ValueError(f"form index {j} out of range for {form.num_forms} forms")
     plan = quadrature_plan(k, h)
-    eps = epsilon_all(affine_jacobian(embedding, simplex), form.table)
-    scal = form.eval_scalings(embed_nodes(embedding, simplex, plan.nodes))  # (N, l, C)
+    D = affine_jacobian(embedding, simplex)
+    eps = epsilon_all(D, form.table)
+    scal = form.eval_scalings(embedding.coords[simplex[0]] + plan.nodes @ D.T)  # (N, l, C)
     return float(np.einsum("t,tr,r->", plan.weights, scal[:, j, :], eps))
 
 
@@ -234,8 +230,6 @@ class IntegrationCache:
     weights: np.ndarray  # (N,) quadrature weights
     eps: np.ndarray  # (S, C) column volumes per simplex
     mlp_cache: tuple | None
-    num_simplices: int
-    nodes_per_simplex: int
 
 
 def _gather(chains) -> list[Chain]:
@@ -278,7 +272,7 @@ def integration_matrix_forward(
         raise ValueError(f"chain references simplex {used[-1]}, complex has {len(sims)}")
     if not used:
         # every chain is empty; the matrix is zero and carries no gradient
-        cache = IntegrationCache(np.zeros((m, 0)), np.zeros(0), np.zeros((0, 0)), None, 0, 0)
+        cache = IntegrationCache(np.zeros((m, 0)), np.zeros(0), np.zeros((0, 0)), None)
         return np.zeros((m, form.num_forms)), cache
 
     slot = {s: i for i, s in enumerate(used)}
@@ -288,34 +282,28 @@ def integration_matrix_forward(
         for idx, coeff in c.terms:
             lam[i, slot[idx]] = coeff
 
-    C = form.num_components
     if k == 0:
-        weights = np.ones(1)
-        eps = np.ones((S, 1))
+        weights, eps = np.ones(1), np.ones((S, 1))
         points = embedding.coords[[sims[idx][0] for idx in used]]
-        N = 1
     else:
         plan = quadrature_plan(k, h)
         weights = plan.weights
-        N = plan.num_nodes
-        eps = np.empty((S, C))
-        points = np.empty((S * N, form.n))
-        for i, idx in enumerate(used):
-            D = affine_jacobian(embedding, sims[idx])
-            eps[i] = epsilon_all(D, form.table)
-            points[i * N : (i + 1) * N] = embedding.coords[sims[idx][0]] + plan.nodes @ D.T
+        V = embedding.coords[[sims[idx] for idx in used]]  # (S, k+1, n)
+        Dt = V[:, 1:] - V[:, :1]  # (S, k, n): transposed Jacobians
+        eps = epsilon_all(Dt.swapaxes(1, 2), form.table)  # (S, C)
+        points = (V[:, :1] + plan.nodes @ Dt).reshape(-1, form.n)  # (S*N, n)
 
     out, mlp_cache = form.psi.forward_cached(points)
     if k == 0:
         per_simplex = out  # (S, l): evaluation, untouched
     else:
-        scal = out.reshape(S, N, form.num_forms, C)
-        per_simplex = np.einsum("t,stjr,sr->sj", weights, scal, eps)  # (S, l)
+        scal = out.reshape(S, len(weights), form.num_forms, -1)  # (S, N, l, C)
+        per_simplex = (np.tensordot(weights, scal, (0, 1)) * eps[:, None, :]).sum(axis=2)  # (S, l)
     if m == S and np.count_nonzero(lam) == S and (lam.diagonal() == 1.0).all():
         X = per_simplex.copy()
     else:
         X = lam @ per_simplex
-    return X, IntegrationCache(lam, weights, eps, mlp_cache, S, N)
+    return X, IntegrationCache(lam, weights, eps, mlp_cache)
 
 
 def integration_matrix(
@@ -342,12 +330,11 @@ def integration_matrix_backward(
     upstream = np.asarray(upstream, dtype=np.float64)
     if cache.mlp_cache is None:
         return GradientBuffer.zeros_for(form.psi)
-    S, N = cache.num_simplices, cache.nodes_per_simplex
     G = cache.lam.T @ upstream  # (S, l)
     if form.k == 0:
         d_flat = G
     else:
-        d_scal = np.einsum("t,sr,sj->stjr", cache.weights, cache.eps, G)
-        d_flat = d_scal.reshape(S * N, -1)
+        d_scal = cache.weights[:, None, None] * (G[:, :, None] * cache.eps[:, None, :])[:, None]
+        d_flat = d_scal.reshape(-1, form.psi.out_dim)  # (S*N, l*C)
     grads, _ = form.psi.backward(cache.mlp_cache, d_flat)
     return grads

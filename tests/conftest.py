@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -63,3 +66,41 @@ def tu_dir(tmp_path):
     target = tmp_path / "TOY"
     write_tu(tu, target)
     return target
+
+
+def _split_blob(blob: bytes) -> tuple[dict, bytes]:
+    size = struct.unpack_from("<I", blob, 4)[0]
+    return json.loads(blob[8 : 8 + size]), blob[8 + size :]
+
+
+def _join_blob(header: bytes, payload: bytes) -> bytes:
+    return b"KFRM" + struct.pack("<I", len(header)) + header + payload
+
+
+def _without(obj, key: str):
+    if isinstance(obj, dict):
+        return {k: _without(v, key) for k, v in obj.items() if k != key}
+    return obj
+
+
+# Ways to damage the bytes of a valid checkpoint; loading any of them
+# must raise ValueError (exit 2 in the CLI), never load or crash.
+CHECKPOINT_DAMAGE = {
+    "cut inside the header length": lambda b: b[:6],
+    "cut inside the header": lambda b: b[:12],
+    "header not UTF-8": lambda b: b[:8] + b"\xff" + b[9:],
+    "header not JSON": lambda b: b[:8] + b"?" + b[9:],
+    "header not an object": lambda b: _join_blob(b"[]", _split_blob(b)[1]),
+    "header field missing": lambda b: _join_blob(
+        json.dumps(_without(_split_blob(b)[0], "dims")).encode(), _split_blob(b)[1]
+    ),
+    "payload not whole float64s": lambda b: b + bytes(3),
+    "payload one value short": lambda b: b[:-8],
+    "16 trailing bytes": lambda b: b + bytes(16),
+}
+
+
+@pytest.fixture(params=list(CHECKPOINT_DAMAGE))
+def damage(request):
+    """One named way of corrupting checkpoint bytes (bytes -> bytes)."""
+    return CHECKPOINT_DAMAGE[request.param]

@@ -219,6 +219,20 @@ class TestExportField:
         )
         assert result.exit_code == 2
 
+    def test_damaged_checkpoint_exits_2_with_one_line(self, runner, tmp_path, damage):
+        from kforms.model import TrainConfig, build_classifier, save_classifier
+
+        ckpt = tmp_path / "clf.kfc"
+        cfg = TrainConfig(num_forms=2, hidden_dim=4)
+        save_classifier(build_classifier(2, 2, cfg, np.random.default_rng(3)), ckpt)
+        ckpt.write_bytes(damage(ckpt.read_bytes()))
+        result = runner.invoke(
+            main, ["export-field", "--checkpoint", str(ckpt), "--out", str(tmp_path / "f.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert not (tmp_path / "f.csv").exists()
+
     def test_values_match_checkpoint_mlp(self, runner, tmp_path, checkpoint):
         from kforms.model import load_classifier
 

@@ -124,9 +124,16 @@ class TestEpsilon:
             assert vec.shape == (len(table),)
             for r, idx in enumerate(table.indices):
                 assert vec[r] == pytest.approx(epsilon_I(D, idx), abs=1e-12)
+            stack = rng.normal(size=(4, 3, n, k))
+            batched = epsilon_all(stack, table)
+            assert batched.shape == (4, 3, len(table))
+            for a, b in np.ndindex(4, 3):
+                assert np.array_equal(batched[a, b], epsilon_all(stack[a, b], table))
+                assert list(batched[a, b]) == [epsilon_I(stack[a, b], idx) for idx in table.indices]
 
     def test_epsilon_all_k_zero(self):
         assert np.array_equal(epsilon_all(np.zeros((3, 0)), multi_indices(3, 0)), [1.0])
+        assert np.array_equal(epsilon_all(np.zeros((5, 3, 0)), multi_indices(3, 0)), np.ones((5, 1)))
 
 
 class TestNeuralKForm:
@@ -201,4 +208,11 @@ class TestFormCheckpoints:
         path = tmp_path / "not_form.kfc"
         write_blob(path, {"kind": "mlp"}, np.zeros(2))
         with pytest.raises(ValueError, match="k-form"):
+            load_form(path)
+
+    def test_damaged_checkpoint_rejected(self, tmp_path, damage):
+        path = tmp_path / "form.kfc"
+        save_form(NeuralKForm.init(3, 2, 2, (4,), "tanh", np.random.default_rng(56)), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError):
             load_form(path)

@@ -439,3 +439,12 @@ class TestClassifierCheckpoints:
         write_blob(path, {"kind": "mlp"}, np.zeros(3))
         with pytest.raises(ValueError, match="classifier"):
             load_classifier(path)
+
+    @pytest.mark.parametrize("use_head", [True, False])
+    def test_damaged_checkpoint_rejected(self, tmp_path, damage, use_head):
+        cfg = TrainConfig(num_forms=2, hidden_dim=4, use_head=use_head)
+        path = tmp_path / "clf.kfc"
+        save_classifier(build_classifier(2, 2, cfg, np.random.default_rng(32)), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError):
+            load_classifier(path)

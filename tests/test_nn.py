@@ -285,3 +285,10 @@ class TestCheckpoints:
         write_blob(path, {"kind": "something-else"}, np.zeros(1))
         with pytest.raises(ValueError, match="mlp"):
             load_mlp(path)
+
+    def test_damaged_checkpoint_rejected(self, tmp_path, damage):
+        path = tmp_path / "mlp.kfc"
+        save_mlp(Mlp.init([3, 5, 2], rng=np.random.default_rng(7)), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError):
+            load_mlp(path)

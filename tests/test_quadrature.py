@@ -204,15 +204,25 @@ class TestIntegrationMatrix:
                 single = integrate_chain(form, j, self.complex, self.embedding, chain, h=3)
                 assert X[i, j] == pytest.approx(single, abs=1e-12)
 
-    def test_entries_match_simplexwise_sum(self):
-        form = NeuralKForm.init(3, 2, 2, (5,), "tanh", self.rng)
-        beta = self.random_chains(2, 3)
-        X = integration_matrix(form, self.complex, self.embedding, beta, h=3)
-        sims = self.complex.simplices(2)
+    @pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (4, 3), (5, 4)])
+    def test_entries_match_simplexwise_sum(self, n, k):
+        # k = 3 takes the closed-form determinant, k = 4 the np.linalg.det fallback
+        complex_ = build_complex([tuple(range(s, s + k + 1)) for s in range(3)], num_vertices=k + 3)
+        embedding = Embedding(self.rng.normal(size=(k + 3, n)))
+        form = NeuralKForm.init(n, k, 2, (5,), "tanh", self.rng)
+        top = complex_.num_simplices(k) - 1
+        beta = [
+            Chain(k, tuple((i, float(self.rng.normal())) for i in range(top + 1))),
+            Chain(k, ((top, float(self.rng.normal())),)),
+            Chain(k, ((0, 1.5), (top, 0.25), (0, -0.5))),  # repeats simplex 0 with opposite signs
+            Chain(k, ((0, -1.0), (top, -0.25))),
+        ]
+        X = integration_matrix(form, complex_, embedding, beta, h=3)
+        sims = complex_.simplices(k)
         for i, chain in enumerate(beta):
             for j in range(2):
                 manual = sum(
-                    coeff * integrate_simplex(form, j, self.complex, self.embedding, sims[idx], h=3)
+                    coeff * integrate_simplex(form, j, complex_, embedding, sims[idx], h=3)
                     for idx, coeff in chain.terms
                 )
                 assert X[i, j] == pytest.approx(manual, abs=1e-10)
