@@ -34,26 +34,27 @@ _BLOB_MAGIC = b"KFRM"
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    """Apply the activation to z in place and return z."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if name == "sigmoid":
         # piecewise form avoids overflow in exp for large |z|
-        out = np.empty_like(z)
         pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        high = 1.0 / (1.0 + np.exp(-z[pos]))
         ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        z[~pos] = ez / (1.0 + ez)
+        z[pos] = high
+        return z
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Derivative of the activation, expressed via pre-activation z and
-    activation a.  The relu subgradient at 0 is 0."""
+def _activate_grad(name: str, a: np.ndarray) -> np.ndarray:
+    """Derivative of the activation, expressed via the activation a.
+    The relu subgradient at 0 is 0."""
     if name == "relu":
-        return (z > 0).astype(np.float64)
+        return a > 0  # multiplies as 0.0/1.0
     if name == "tanh":
         return 1.0 - a * a
     if name == "sigmoid":
@@ -66,6 +67,12 @@ class Mlp:
 
     ``weights[l]`` has shape (out, in), ``biases[l]`` shape (out,).  A
     single-layer Mlp is purely linear.
+
+    ``forward`` writes the hidden activations into scratch buffers owned
+    by the instance, which grow to the largest batch seen and are reused
+    after that; one Mlp must therefore not run ``forward`` from two
+    threads at once.  ``forward_cached`` allocates everything it keeps,
+    and every output is a fresh array.
     """
 
     def __init__(self, weights, biases, activation: str = "relu"):
@@ -83,6 +90,7 @@ class Mlp:
                 raise ValueError(f"layer {l}: input dim {w.shape[1]} does not chain")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {l}: non-finite parameters")
+        self._scratch = [np.empty((0, w.shape[0])) for w in self.weights[:-1]]  # per hidden layer
 
     @classmethod
     def init(cls, dims, activation: str = "relu", rng: np.random.Generator | None = None) -> "Mlp":
@@ -119,15 +127,22 @@ class Mlp:
 
     def forward(self, x) -> np.ndarray:
         """Evaluate at a point (d_in,) or batch (B, d_in)."""
-        out, _ = self.forward_cached(x)
-        return out
+        return self._run(x, None)
 
     def forward_cached(self, x):
         """Forward pass keeping the intermediates the backward pass needs.
 
-        Returns (output, cache); cache holds per-layer inputs and
-        pre-activations for the same (possibly batched) input.
+        Returns (output, cache); cache holds the input of every layer for
+        the same (possibly batched) input.
         """
+        inputs: list[np.ndarray] = []
+        out = self._run(x, inputs)
+        return out, (inputs, np.ndim(x) == 1)
+
+    def _run(self, x, inputs: list | None) -> np.ndarray:
+        """The layer loop behind both forward passes.  With ``inputs`` a
+        list, each layer's input is appended to it and the hidden
+        activations are fresh arrays; with None they go to scratch."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         a = x[None, :] if single else x
@@ -135,33 +150,44 @@ class Mlp:
             raise ValueError(f"input shape {x.shape} does not match in_dim {self.in_dim}")
         if not np.isfinite(a).all():
             raise ValueError("non-finite input")
-        inputs, preacts = [], []
+        last = self.num_layers - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            inputs.append(a)
-            z = a @ w.T + b
-            preacts.append(z)
-            a = _activate(self.activation, z) if l < self.num_layers - 1 else z
-        out = a[0] if single else a
-        return out, (inputs, preacts, single)
+            if inputs is not None:
+                inputs.append(a)
+            if l == last or inputs is not None:
+                z = a @ w.T
+            else:
+                z = np.matmul(a, w.T, out=self._scratch_rows(l, a.shape[0]))
+            z += b
+            a = _activate(self.activation, z) if l < last else z
+        return a[0] if single else a
+
+    def _scratch_rows(self, l: int, rows: int) -> np.ndarray:
+        """The first ``rows`` rows of hidden layer l's scratch buffer,
+        which is replaced by a larger one only when it is too short."""
+        buf = self._scratch[l]
+        if buf.shape[0] < rows:
+            buf = self._scratch[l] = np.empty((rows, buf.shape[1]))
+        return buf[:rows]
 
     def backward(self, cache, upstream):
         """Exact reverse-mode gradients of ``forward`` at the cached input.
 
         ``upstream`` is dLoss/d(output) with the output's shape.  Returns
-        (GradientBuffer, dLoss/d(input)).
+        (GradientBuffer, dLoss/d(input)).  The activation derivatives
+        are taken from the cached activations (the next layer's input).
         """
-        inputs, preacts, single = cache
+        inputs, single = cache
         g = np.asarray(upstream, dtype=np.float64)
         if single:
             g = g[None, :]
-        if g.shape != preacts[-1].shape:
+        if g.shape != (inputs[0].shape[0], self.out_dim):
             raise ValueError(f"upstream shape {upstream.shape} does not match output")
         grads = GradientBuffer.zeros_for(self)
         dz = g
         for l in range(self.num_layers - 1, -1, -1):
             if l < self.num_layers - 1:
-                a = _activate(self.activation, preacts[l])
-                dz = dz * _activate_grad(self.activation, preacts[l], a)
+                dz *= _activate_grad(self.activation, inputs[l + 1])  # dz is ours: from dz @ w
             grads.weights[l] += dz.T @ inputs[l]
             grads.biases[l] += dz.sum(axis=0)
             dz = dz @ self.weights[l]

@@ -16,8 +16,14 @@ simplices its chains reference: one gather of their vertex coordinates
 the quadrature nodes pushed into ambient space, and one MLP call the
 integrand at all of them.  A contraction with the weights and volumes
 yields the per-simplex integrals, which the chain coefficients combine
-linearly.  The cache returned by the forward pass carries everything
-needed to push a loss gradient back onto the MLP parameters
+linearly.  Which simplices are used, their coefficient matrix, and the
+vertex indices of the complex's simplices are read from the data
+objects, which build them on first use and keep them.
+
+``integration_matrix`` and ``integration_matrix_forward`` share one
+body.  The first runs the MLP's forward-only pass and returns X alone.
+The second keeps the MLP's layer inputs and returns a cache carrying
+everything needed to push a loss gradient back onto the MLP parameters
 (embeddings are fixed data and receive no gradient).
 """
 
@@ -226,19 +232,10 @@ class IntegrationCache:
     """Intermediate state of one integration-matrix evaluation, enough
     to push a loss gradient back onto the form's MLP parameters."""
 
-    lam: np.ndarray  # (m, S) chain coefficients over the used simplices
+    lam: np.ndarray | None  # (m, S) chain coefficients over the used simplices; None: identity
     weights: np.ndarray  # (N,) quadrature weights
     eps: np.ndarray  # (S, C) column volumes per simplex
     mlp_cache: tuple | None
-
-
-def _gather(chains) -> list[Chain]:
-    if isinstance(chains, ChainTuple):
-        return list(chains.chains)
-    out = list(chains)
-    if not out:
-        raise ValueError("need at least one chain")
-    return out
 
 
 def integration_matrix_forward(
@@ -254,56 +251,11 @@ def integration_matrix_forward(
     Every simplex referenced by any chain is integrated exactly once on
     one batched MLP evaluation; X is the chain-coefficient matrix times
     the per-simplex integrals.  When the chains are exactly the standard
-    basis the coefficient matrix is the identity and X *is* the table of
-    per-simplex integrals (for k = 0: the MLP values at the vertices,
-    unchanged bit for bit).
+    basis of the simplices they use, X *is* the table of per-simplex
+    integrals (for k = 0: the MLP values at the vertices, unchanged bit
+    for bit).
     """
-    chain_list = _gather(chains)
-    k = form.k
-    for c in chain_list:
-        if c.dim != k:
-            raise ValueError(f"chain of dimension {c.dim} fed to a form with k={k}")
-    _check_setting(form, complex_, embedding)
-
-    sims = complex_.simplices(k)
-    used = sorted({idx for c in chain_list for idx, _ in c.terms})
-    m = len(chain_list)
-    if used and used[-1] >= len(sims):
-        raise ValueError(f"chain references simplex {used[-1]}, complex has {len(sims)}")
-    if not used:
-        # every chain is empty; the matrix is zero and carries no gradient
-        cache = IntegrationCache(np.zeros((m, 0)), np.zeros(0), np.zeros((0, 0)), None)
-        return np.zeros((m, form.num_forms)), cache
-
-    slot = {s: i for i, s in enumerate(used)}
-    S = len(used)
-    lam = np.zeros((m, S))
-    for i, c in enumerate(chain_list):
-        for idx, coeff in c.terms:
-            lam[i, slot[idx]] = coeff
-
-    if k == 0:
-        weights, eps = np.ones(1), np.ones((S, 1))
-        points = embedding.coords[[sims[idx][0] for idx in used]]
-    else:
-        plan = quadrature_plan(k, h)
-        weights = plan.weights
-        V = embedding.coords[[sims[idx] for idx in used]]  # (S, k+1, n)
-        Dt = V[:, 1:] - V[:, :1]  # (S, k, n): transposed Jacobians
-        eps = epsilon_all(Dt.swapaxes(1, 2), form.table)  # (S, C)
-        points = (V[:, :1] + plan.nodes @ Dt).reshape(-1, form.n)  # (S*N, n)
-
-    out, mlp_cache = form.psi.forward_cached(points)
-    if k == 0:
-        per_simplex = out  # (S, l): evaluation, untouched
-    else:
-        scal = out.reshape(S, len(weights), form.num_forms, -1)  # (S, N, l, C)
-        per_simplex = (np.tensordot(weights, scal, (0, 1)) * eps[:, None, :]).sum(axis=2)  # (S, l)
-    if m == S and np.count_nonzero(lam) == S and (lam.diagonal() == 1.0).all():
-        X = per_simplex.copy()
-    else:
-        X = lam @ per_simplex
-    return X, IntegrationCache(lam, weights, eps, mlp_cache)
+    return _integrate(form, complex_, embedding, chains, h, keep_cache=True)
 
 
 def integration_matrix(
@@ -313,9 +265,60 @@ def integration_matrix(
     chains,
     h: int = DEFAULT_STEPS,
 ) -> np.ndarray:
-    """X[i, j] = integral of form j over chain i, shape (m, num_forms)."""
-    X, _ = integration_matrix_forward(form, complex_, embedding, chains, h)
+    """X[i, j] = integral of form j over chain i, shape (m, num_forms).
+    Same values as ``integration_matrix_forward``, with no cache."""
+    X, _ = _integrate(form, complex_, embedding, chains, h, keep_cache=False)
     return X
+
+
+def _integrate(form, complex_, embedding, chains, h, keep_cache: bool):
+    """The body of both integration-matrix functions; with ``keep_cache``
+    False the MLP runs its forward-only pass and no cache is returned.
+
+    The parameter-free part of the work is read from the data: the chain
+    support (used simplices and coefficient matrix) from the chain
+    tuple, and the simplex vertex indices from the complex, both built
+    on first use and kept by those objects.
+    """
+    if not isinstance(chains, ChainTuple):
+        chains = ChainTuple(tuple(chains))
+    k = form.k
+    if chains.dim != k:
+        raise ValueError(f"chain of dimension {chains.dim} fed to a form with k={k}")
+    _check_setting(form, complex_, embedding)
+
+    used, lam = chains.support
+    m, S = len(chains), used.size
+    num_simplices = complex_.num_simplices(k)
+    if S and used[-1] >= num_simplices:
+        raise ValueError(f"chain references simplex {used[-1]}, complex has {num_simplices}")
+    if not S:
+        # every chain is empty; the matrix is zero and carries no gradient
+        cache = IntegrationCache(lam, np.zeros(0), np.zeros((0, 0)), None)
+        return np.zeros((m, form.num_forms)), cache if keep_cache else None
+
+    V = embedding.coords[complex_.vertex_array(k)[used]]  # (S, k+1, n)
+    if k == 0:
+        weights, eps = np.ones(1), np.ones((S, 1))
+        points = V[:, 0]
+    else:
+        plan = quadrature_plan(k, h)
+        weights = plan.weights
+        Dt = V[:, 1:] - V[:, :1]  # (S, k, n): transposed Jacobians
+        eps = epsilon_all(Dt.swapaxes(1, 2), form.table)  # (S, C)
+        points = (V[:, :1] + plan.nodes @ Dt).reshape(-1, form.n)  # (S*N, n)
+
+    if keep_cache:
+        out, mlp_cache = form.psi.forward_cached(points)
+    else:
+        out, mlp_cache = form.psi.forward(points), None
+    if k == 0:
+        per_simplex = out  # (S, l): evaluation, untouched
+    else:
+        scal = out.reshape(S, len(weights), form.num_forms, -1)  # (S, N, l, C)
+        per_simplex = (np.tensordot(weights, scal, (0, 1)) * eps[:, None, :]).sum(axis=2)  # (S, l)
+    X = per_simplex if lam is None else lam @ per_simplex
+    return X, IntegrationCache(lam, weights, eps, mlp_cache) if keep_cache else None
 
 
 def integration_matrix_backward(
@@ -330,7 +333,7 @@ def integration_matrix_backward(
     upstream = np.asarray(upstream, dtype=np.float64)
     if cache.mlp_cache is None:
         return GradientBuffer.zeros_for(form.psi)
-    G = cache.lam.T @ upstream  # (S, l)
+    G = upstream if cache.lam is None else cache.lam.T @ upstream  # (S, l)
     if form.k == 0:
         d_flat = G
     else:

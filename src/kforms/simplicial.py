@@ -4,7 +4,11 @@ A complex stores, per dimension, a lexicographically sorted list of
 strictly increasing vertex tuples.  The increasing tuple defines the
 positive orientation of each simplex; orientation flips live in chain
 coefficients, never in tuple order.  All types are immutable after
-construction and safe to share between threads.
+construction and safe to share between threads.  A complex and a chain
+tuple also build a derived plan for integration on first use (the
+vertex array of each dimension, the chain support) and keep it; that
+plan is read-only and a function of the immutable fields, so a second
+thread that builds it concurrently builds the same one.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ class SimplicialComplex:
     num_vertices: int
     simplices_by_dim: tuple[tuple[tuple[int, ...], ...], ...]
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _vertices: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_vertices < 0:
@@ -71,6 +76,18 @@ class SimplicialComplex:
 
     def index_of(self, k: int, simplex: tuple[int, ...]) -> int:
         return self._index[k][simplex]
+
+    def vertex_array(self, k: int) -> np.ndarray:
+        """Read-only (N_k, k+1) intp array of the k-simplices' vertices,
+        row i being simplex i; built on first use and kept."""
+        verts = self._vertices.get(k)
+        if verts is None:
+            flat = itertools.chain.from_iterable(self.simplices(k))
+            count = self.num_simplices(k) * (k + 1)
+            verts = np.fromiter(flat, np.intp, count).reshape(-1, k + 1).copy()  # no base array kept
+            verts.flags.writeable = False
+            self._vertices[k] = verts
+        return verts
 
 
 @dataclass(frozen=True)
@@ -144,6 +161,7 @@ class ChainTuple:
     """Ordered tuple of chains sharing one dimension (and host complex)."""
 
     chains: tuple[Chain, ...]
+    _support: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.chains:
@@ -165,6 +183,42 @@ class ChainTuple:
 
     def __getitem__(self, i: int) -> Chain:
         return self.chains[i]
+
+    @property
+    def support(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(used, lam): the sorted indices of the simplices the chains
+        reference, as a read-only intp array, and the (m, S) matrix of
+        chain coefficients over them -- or None when chain i is exactly
+        +1 times simplex used[i] for every i.  Built on first use."""
+        if self._support is None:
+            object.__setattr__(self, "_support", self._build_support())
+        return self._support
+
+    def _build_support(self):
+        m = len(self.chains)
+        counts = [len(c.terms) for c in self.chains]
+        idx = np.fromiter((i for c in self.chains for i, _ in c.terms), np.intp, sum(counts))
+        coeff = np.fromiter((v for c in self.chains for _, v in c.terms), np.float64, idx.size)
+        used = idx
+        # A canonical chain lists distinct indices in increasing order, so
+        # one chain, or chains whose runs follow each other, use each
+        # simplex in exactly one term and need no np.unique.
+        if m == 1 or (idx[1:] > idx[:-1]).all():
+            if counts.count(1) == m and (coeff == 1.0).all():
+                lam = None
+            elif m == 1:
+                lam = coeff[None, :].copy()  # no base array kept
+            else:
+                lam = np.zeros((m, idx.size))
+                lam[np.repeat(np.arange(m), counts), np.arange(idx.size)] = coeff
+        else:
+            used, cols = np.unique(idx, return_inverse=True)
+            lam = np.zeros((m, used.size))
+            lam[np.repeat(np.arange(m), counts), cols] = coeff
+        for arr in (used, lam):
+            if arr is not None:
+                arr.flags.writeable = False
+        return used, lam
 
 
 def build_complex(simplex_lists, num_vertices: int) -> SimplicialComplex:

@@ -216,6 +216,17 @@ class TestClassifier:
         item = small_item(rng, label=1)
         assert np.array_equal(clf.forward(item), clf.features(item))
 
+    @pytest.mark.parametrize("readout", ["column_sum", "column_l1", "column_l2"])
+    @pytest.mark.parametrize("use_head", [True, False])
+    def test_forward_matches_cached_forward_bit_for_bit(self, readout, use_head):
+        rng = np.random.default_rng(12)
+        cfg = TrainConfig(num_forms=3, readout=readout, use_head=use_head, activation="tanh")
+        clf = build_classifier(2, 3, cfg, rng)
+        data = tiny_paths(samples=2, points=7, seed=3)
+        basis = rechain_dataset(data, 1)
+        for item in data.items + basis.items:
+            assert np.array_equal(clf.forward(item), clf.forward_cached(item)[0])
+
     def test_predict_is_argmax(self):
         rng = np.random.default_rng(8)
         cfg = TrainConfig(num_forms=2, hidden_dim=4)

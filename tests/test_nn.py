@@ -94,6 +94,58 @@ class TestForward:
         assert all(np.all(b == 0.0) for b in mlp.biases)
 
 
+class TestForwardOnly:
+    """``forward`` runs on reused scratch; ``forward_cached`` keeps fresh arrays."""
+
+    @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
+    def test_matches_cached_forward_bit_for_bit(self, act):
+        rng = np.random.default_rng(40)
+        mlp = Mlp.init([3, 16, 8, 5], act, rng)
+        for rows in (4, 300, 2, 300, 57, 1):  # grow, shrink, regrow
+            x = 20.0 * rng.normal(size=(rows, 3))  # large |z| reaches both sigmoid branches
+            assert np.array_equal(mlp.forward(x), mlp.forward_cached(x)[0])
+        point = rng.normal(size=3)
+        out = mlp.forward(point)
+        assert out.shape == (5,)
+        assert np.array_equal(out, mlp.forward_cached(point)[0])
+
+    def test_second_call_leaves_first_result_alone(self):
+        rng = np.random.default_rng(41)
+        mlp = Mlp.init([2, 6, 3], "tanh", rng)
+        x1, x2 = rng.normal(size=(10, 2)), rng.normal(size=(10, 2))
+        first = mlp.forward(x1)
+        kept = first.copy()
+        mlp.forward(x2)
+        assert np.array_equal(first, kept)
+
+    def test_scratch_is_reused_after_warm_up(self):
+        rng = np.random.default_rng(42)
+        mlp = Mlp.init([2, 6, 4, 3], "relu", rng)
+        mlp.forward(rng.normal(size=(50, 2)))
+        buffers = list(mlp._scratch)
+        assert len(buffers) == 2
+        for rows in (50, 7, 1, 49):
+            mlp.forward(rng.normal(size=(rows, 2)))
+        assert all(now is then for now, then in zip(mlp._scratch, buffers))
+        mlp.forward(rng.normal(size=(51, 2)))  # a larger batch grows every buffer
+        assert all(now is not then for now, then in zip(mlp._scratch, buffers))
+
+    def test_copy_does_not_share_scratch(self):
+        rng = np.random.default_rng(43)
+        mlp = Mlp.init([2, 5, 3], "tanh", rng)
+        x = rng.normal(size=(8, 2))
+        expected = mlp.forward(x)
+        twin = mlp.copy()
+        assert np.array_equal(twin.forward(x), expected)
+        assert not any(np.shares_memory(a, b) for a in mlp._scratch for b in twin._scratch)
+
+    def test_output_is_not_scratch(self):
+        rng = np.random.default_rng(44)
+        mlp = Mlp.init([2, 5, 3], "relu", rng)
+        out = mlp.forward(rng.normal(size=(8, 2)))
+        assert not any(np.shares_memory(out, b) for b in mlp._scratch)
+
+
 class TestBackward:
     def test_param_grads_match_finite_differences(self):
         for trial in range(12):
@@ -135,6 +187,20 @@ class TestBackward:
         g12, _ = mlp.backward(cache, 2.0 * u1 - 3.0 * u2)
         expected = g1.get_flat() * 2.0 - g2.get_flat() * 3.0
         assert np.allclose(g12.get_flat(), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
+    def test_inputs_only_cache_gives_finite_difference_grads(self, act):
+        rng = np.random.default_rng(210)
+        mlp = Mlp.init([2, 5, 4, 3], act, rng)
+        x = rng.normal(size=(6, 2))
+        weighting = rng.normal(size=(6, 3))
+        _, cache = mlp.forward_cached(x)
+        inputs, single = cache
+        assert len(inputs) == mlp.num_layers and not single
+        assert np.array_equal(inputs[0], x)
+        grads, _ = mlp.backward(cache, weighting)
+        numeric = numeric_param_grads(mlp, x, weighting)
+        assert np.allclose(grads.get_flat(), numeric, atol=1e-7)
 
     def test_relu_subgradient_at_zero_is_zero(self):
         mlp = Mlp(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -262,6 +263,50 @@ class TestIntegrationMatrix:
         assert np.array_equal(X, np.zeros((2, 2)))
         grads = integration_matrix_backward(form, cache, np.ones((2, 2)))
         assert np.all(grads.get_flat() == 0.0)
+
+    @pytest.mark.parametrize(
+        "k, terms",
+        [
+            (1, [((0, 1.0),), ((0, -1.0), (2, 0.5)), ((2, 0.25),)]),  # repeated simplex, opposite signs
+            (1, [((0, 1.5), (0, -1.5)), ((3, 1.0),)]),  # cancels inside one chain
+            (1, [(), ()]),  # all empty
+            (2, [((2, 1.0),), ((0, 1.0),), ((1, 1.0),)]),  # permuted basis
+            (0, [((4, 1.0),), ((1, -2.0),)]),
+        ],
+    )
+    def test_plain_list_matches_chain_tuple(self, k, terms):
+        form = NeuralKForm.init(3, k, 2, (5,), "tanh", self.rng)
+        chains = [Chain(k, t) for t in terms]
+        as_tuple = integration_matrix(form, self.complex, self.embedding, ChainTuple(tuple(chains)), h=3)
+        as_list = integration_matrix(form, self.complex, self.embedding, chains, h=3)
+        assert np.array_equal(as_list, as_tuple)
+        X, _ = integration_matrix_forward(form, self.complex, self.embedding, chains, h=3)
+        assert np.array_equal(X, as_tuple)
+        sims = self.complex.simplices(k)
+        for i, chain in enumerate(chains):
+            for j in range(2):
+                if k == 0:
+                    manual = sum(
+                        c * form.psi.forward(self.embedding.coords[sims[idx][0]])[j]
+                        for idx, c in chain.terms
+                    )
+                else:
+                    manual = sum(
+                        c * integrate_simplex(form, j, self.complex, self.embedding, sims[idx], h=3)
+                        for idx, c in chain.terms
+                    )
+                assert X[i, j] == pytest.approx(manual, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_identity_support_backward_matches_explicit_matrix(self, k):
+        form = NeuralKForm.init(3, k, 2, (5,), "tanh", self.rng)
+        beta = standard_basis_chains(self.complex, k)
+        X, cache = integration_matrix_forward(form, self.complex, self.embedding, beta, h=2)
+        assert cache.lam is None
+        U = self.rng.normal(size=X.shape)
+        explicit = dataclasses.replace(cache, lam=np.eye(len(beta)))
+        got = integration_matrix_backward(form, cache, U).get_flat()
+        assert np.array_equal(got, integration_matrix_backward(form, explicit, U).get_flat())
 
     def test_k_zero_standard_basis_is_plain_evaluation(self):
         form = NeuralKForm.init(3, 0, 4, (7,), "relu", self.rng)

@@ -51,6 +51,18 @@ class TestSimplicialComplex:
         assert c.num_simplices(7) == 0
 
 
+class TestVertexArray:
+    def test_rows_are_the_stored_simplices(self):
+        c = build_complex([(0, 1, 2), (1, 2, 3)], num_vertices=5)
+        for k in range(3):
+            verts = c.vertex_array(k)
+            assert verts.dtype == np.intp and verts.shape == (c.num_simplices(k), k + 1)
+            assert [tuple(row) for row in verts.tolist()] == list(c.simplices(k))
+            assert not verts.flags.writeable
+            assert c.vertex_array(k) is verts
+        assert c.vertex_array(3).shape == (0, 4)
+
+
 class TestEmbedding:
     def test_coords_are_frozen(self):
         emb = Embedding(np.zeros((3, 2)))
@@ -121,6 +133,63 @@ class TestChainTuple:
         assert ct.dim == 1
         assert ct[2] is chains[2]
         assert list(ct) == list(chains)
+
+
+class TestChainSupport:
+    def test_standard_basis_support_is_identity(self):
+        c = build_complex([(0, 1, 2), (1, 2, 3)], num_vertices=4)
+        used, lam = standard_basis_chains(c, 1).support
+        assert lam is None
+        assert used.dtype == np.intp and not used.flags.writeable
+        assert np.array_equal(used, np.arange(c.num_simplices(1)))
+
+    def test_support_is_built_once(self):
+        ct = ChainTuple((Chain(1, ((4, 2.0), (1, -1.0))), Chain(1, ((1, 0.5),))))
+        first = ct.support
+        assert ct.support is first
+        used, lam = first
+        assert np.array_equal(used, [1, 4])
+        assert np.array_equal(lam, [[-1.0, 2.0], [0.5, 0.0]])
+        assert not lam.flags.writeable
+
+    def test_opposite_signs_across_chains_keep_one_column(self):
+        ct = ChainTuple((Chain(1, ((3, 1.0),)), Chain(1, ((3, -1.0), (0, 1.0)))))
+        used, lam = ct.support
+        assert np.array_equal(used, [0, 3])
+        assert np.array_equal(lam, [[0.0, 1.0], [1.0, -1.0]])
+
+    def test_identity_needs_order_and_unit_coefficients(self):
+        for chains in (
+            (Chain(1, ((1, 1.0),)), Chain(1, ((0, 1.0),))),  # permuted
+            (Chain(1, ((0, 1.0),)), Chain(1, ((1, -1.0),))),  # sign flip
+            (Chain(1, ((0, 1.0), (1, 1.0))), Chain(1, ())),  # one row holds both
+        ):
+            used, lam = ChainTuple(chains).support
+            assert np.array_equal(used, [0, 1])
+            assert lam is not None
+        used, lam = ChainTuple((Chain(1, ((2, 1.0),)), Chain(1, ((5, 1.0),)))).support
+        assert np.array_equal(used, [2, 5]) and lam is None
+
+    def test_empty_chains_have_empty_support(self):
+        used, lam = ChainTuple((Chain(2, ()), Chain(2, ()))).support
+        assert used.shape == (0,)
+        assert lam.shape == (2, 0)
+
+    def test_equality_ignores_the_built_support(self):
+        a = ChainTuple((Chain(1, ((0, 1.0),)),))
+        b = ChainTuple((Chain(1, ((0, 1.0),)),))
+        a.support
+        assert a == b and hash(a) == hash(b)
+
+    def test_gen_surfaces_items_share_one_plan(self):
+        from kforms.data import SurfaceDatasetSpec, gen_surfaces
+
+        data = gen_surfaces(SurfaceDatasetSpec(samples_per_class=2, grid_size=4, seed=0))
+        first, last = data.items[0], data.items[-1]
+        assert first.chains is last.chains and first.complex is last.complex
+        assert first.chains.support is last.chains.support
+        assert first.chains.support[1] is None
+        assert first.complex.vertex_array(2) is last.complex.vertex_array(2)
 
 
 class TestStandardBasis:
