@@ -184,8 +184,8 @@ def mix_forms(form: NeuralKForm, matrix) -> NeuralKForm:
         raise ValueError(f"matrix shape {R.shape} does not match {form.num_forms} forms")
     C = form.num_components
     mixer = np.kron(R.T, np.eye(C))  # flat slot (j, r) -> j*C + r
-    weights = [w.copy() for w in form.psi.weights]
-    biases = [b.copy() for b in form.psi.biases]
+    weights = list(form.psi.weights)  # Mlp copies them
+    biases = list(form.psi.biases)
     weights[-1] = mixer @ weights[-1]
     biases[-1] = mixer @ biases[-1]
     psi = Mlp(weights, biases, form.psi.activation)
@@ -204,7 +204,7 @@ def form_from_header(header: dict, params: np.ndarray) -> NeuralKForm:
 
 
 def save_form(form: NeuralKForm, path: str | os.PathLike) -> None:
-    write_blob(path, form_header(form), form.psi.get_flat())
+    write_blob(path, form_header(form), form.psi.params)
 
 
 def load_form(path: str | os.PathLike) -> NeuralKForm:

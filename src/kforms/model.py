@@ -12,20 +12,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .forms import NeuralKForm, form_from_header, form_header
-from .nn import (
-    GradientBuffer,
-    Mlp,
-    make_optimizer,
-    mlp_from_header,
-    mlp_header,
-    read_blob,
-    write_blob,
-)
+from .nn import Mlp, make_optimizer, mlp_from_header, mlp_header, read_blob, write_blob
 from .quadrature import (
     DEFAULT_STEPS,
     integration_matrix,
@@ -210,12 +202,20 @@ class KFormClassifier:
     """Learnable k-form tuple plus readout and (optional) MLP head.
 
     With ``head=None`` the readout vector itself is the logit vector
-    (softmax directly over the l integrals)."""
+    (softmax directly over the l integrals).
+
+    ``params`` is everything the model learns, in the checkpoint layout:
+    the form MLP's ``params``, then the head's.  The classifier adopts
+    the MLPs it is given: their values move into its ``params`` and each
+    MLP is re-bound to a view of it.  So an optimizer built on one of
+    them before that steps an array the model no longer uses, and one
+    Mlp must not be shared between classifiers."""
 
     form: NeuralKForm
     head: Mlp | None
     readout: str
     steps: int = DEFAULT_STEPS
+    params: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.readout not in READOUTS:
@@ -224,6 +224,12 @@ class KFormClassifier:
             raise ValueError(
                 f"head expects {self.head.in_dim} features, form yields {self.form.num_forms}"
             )
+        head = () if self.head is None else (self.head.params,)
+        self.params = np.concatenate([self.form.psi.params, *head])
+        split = self.form.psi.num_params
+        self.form.psi.bind(self.params[:split])
+        if self.head is not None:
+            self.head.bind(self.params[split:])
 
     @property
     def num_classes(self) -> int:
@@ -248,16 +254,16 @@ class KFormClassifier:
         logits, head_cache = self.head.forward_cached(feats)
         return logits, (int_cache, X, feats, head_cache)
 
-    def backward(self, cache, d_logits: np.ndarray):
-        """Gradients of the cached forward pass for (form MLP, head)."""
+    def backward(self, cache, d_logits: np.ndarray) -> np.ndarray:
+        """Gradient of the cached forward pass, laid out like ``params``."""
         int_cache, X, feats, head_cache = cache
         if self.head is None:
-            head_grads, d_feats = None, d_logits
+            d_feats = d_logits
         else:
-            head_grads, d_feats = self.head.backward(head_cache, d_logits)
+            head_grad, d_feats = self.head.backward(head_cache, d_logits)
         dX = readout_backward(self.readout, X, feats, d_feats)
-        form_grads = integration_matrix_backward(self.form, int_cache, dX)
-        return form_grads, head_grads
+        form_grad = integration_matrix_backward(self.form, int_cache, dX)
+        return form_grad if self.head is None else np.concatenate([form_grad, head_grad])
 
     def predict(self, item: Item) -> int:
         return int(np.argmax(self.forward(item)))  # ties -> lowest class index
@@ -361,18 +367,6 @@ class TrainResult:
     val_indices: np.ndarray
 
 
-def _snapshot(classifier: KFormClassifier):
-    psi = classifier.form.psi.get_flat()
-    head = classifier.head.get_flat() if classifier.head is not None else None
-    return psi, head
-
-
-def _restore(classifier: KFormClassifier, state) -> None:
-    classifier.form.psi.set_flat(state[0])
-    if classifier.head is not None:
-        classifier.head.set_flat(state[1])
-
-
 def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
     """Minibatch training with per-epoch train/val metrics (epoch 0 is
     the untrained model), lr halving on validation plateau, early
@@ -399,9 +393,7 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
         raise ValueError("empty train or validation split")
 
     classifier = build_classifier(data.ambient_dim, data.num_classes, cfg, rng)
-    opts = [make_optimizer(cfg.optimizer, classifier.form.psi, cfg.lr)]
-    if classifier.head is not None:
-        opts.append(make_optimizer(cfg.optimizer, classifier.head, cfg.lr))
+    opt = make_optimizer(cfg.optimizer, classifier, cfg.lr)
 
     history: list[dict] = []
 
@@ -422,7 +414,7 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
     val_report = record(0)
     best_val_loss, best_val_acc = val_report.loss, val_report.accuracy
     best_epoch = 0
-    best_state = _snapshot(classifier)
+    best_params = classifier.params.copy()
     stale_plateau = 0
     stale_stop = 0
 
@@ -431,24 +423,16 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
         for start in range(0, order.size, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             share = 1.0 / batch.size
-            form_grads = GradientBuffer.zeros_for(classifier.form.psi)
-            head_grads = (
-                GradientBuffer.zeros_for(classifier.head) if classifier.head is not None else None
-            )
+            grad = np.zeros_like(classifier.params)
             for i in batch:
                 item = data.items[int(i)]
                 logits, cache = classifier.forward_cached(item)
                 loss, d_logits = cross_entropy(logits, item.label)
                 if not math.isfinite(loss):
                     raise TrainingDivergence(f"non-finite loss at epoch {epoch}")
-                fg, hg = classifier.backward(cache, d_logits)
-                form_grads.add(fg, share)
-                if head_grads is not None:
-                    head_grads.add(hg, share)
+                grad += share * classifier.backward(cache, d_logits)
             try:
-                opts[0].step(form_grads)
-                if head_grads is not None:
-                    opts[1].step(head_grads)
+                opt.step(grad)
             except FloatingPointError as exc:
                 raise TrainingDivergence(str(exc)) from exc
 
@@ -456,20 +440,19 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
         if val_report.loss < best_val_loss:
             best_val_loss, best_val_acc = val_report.loss, val_report.accuracy
             best_epoch = epoch
-            best_state = _snapshot(classifier)
+            best_params = classifier.params.copy()
             stale_plateau = 0
             stale_stop = 0
         else:
             stale_plateau += 1
             stale_stop += 1
         if stale_plateau >= cfg.plateau_patience:
-            for opt in opts:
-                opt.lr *= cfg.plateau_factor
+            opt.lr *= cfg.plateau_factor
             stale_plateau = 0
         if stale_stop >= cfg.early_stop_patience:
             break
 
-    _restore(classifier, best_state)
+    classifier.params[:] = best_params
     return TrainResult(
         classifier=classifier,
         history=history,
@@ -533,13 +516,7 @@ def finite_difference_error(
     """
     logits, cache = classifier.forward_cached(item)
     _, d_logits = cross_entropy(logits, item.label)
-    form_grads, head_grads = classifier.backward(cache, d_logits)
-    analytic = [form_grads.get_flat()]
-    mlps = [classifier.form.psi]
-    if classifier.head is not None:
-        analytic.append(head_grads.get_flat())
-        mlps.append(classifier.head)
-    analytic = np.concatenate(analytic)
+    analytic = classifier.backward(cache, d_logits)
     if corrupt:
         analytic[0] += 0.05
 
@@ -547,31 +524,24 @@ def finite_difference_error(
         loss, _ = cross_entropy(classifier.forward(item), item.label)
         return loss
 
+    theta = classifier.params
     worst = 0.0
-    pos = 0
-    for mlp in mlps:
-        flat = mlp.get_flat()
-        for p in range(flat.size):
-            saved = flat[p]
-            flat[p] = saved + eps
-            mlp.set_flat(flat)
-            up = loss_now()
-            flat[p] = saved - eps
-            mlp.set_flat(flat)
-            down = loss_now()
-            flat[p] = saved
-            mlp.set_flat(flat)
-            fd = (up - down) / (2.0 * eps)
-            a = analytic[pos]
-            pos += 1
-            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
-            worst = max(worst, rel)
+    for p in range(theta.size):
+        saved = theta[p]
+        theta[p] = saved + eps
+        up = loss_now()
+        theta[p] = saved - eps
+        down = loss_now()
+        theta[p] = saved
+        fd = (up - down) / (2.0 * eps)
+        rel = abs(analytic[p] - fd) / max(abs(analytic[p]), abs(fd), 1e-6)
+        worst = max(worst, rel)
     return worst
 
 
 # ---------------------------------------------------------------------------
-# classifier checkpoints: one parameter blob (form MLP, then head) with a
-# combined JSON header
+# classifier checkpoints: the classifier's ``params`` (form MLP, then head)
+# with a combined JSON header
 # ---------------------------------------------------------------------------
 
 
@@ -583,10 +553,7 @@ def save_classifier(classifier: KFormClassifier, path: str | os.PathLike) -> Non
         "form": form_header(classifier.form),
         "head": mlp_header(classifier.head) if classifier.head is not None else None,
     }
-    parts = [classifier.form.psi.get_flat()]
-    if classifier.head is not None:
-        parts.append(classifier.head.get_flat())
-    write_blob(path, header, np.concatenate(parts))
+    write_blob(path, header, classifier.params)
 
 
 def load_classifier(path: str | os.PathLike) -> KFormClassifier:

@@ -13,13 +13,11 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Mlp",
-    "GradientBuffer",
     "Sgd",
     "Adam",
     "write_blob",
@@ -62,10 +60,26 @@ def _activate_grad(name: str, a: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
+def _layer_views(vector: np.ndarray, dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Weight (out, in) and bias (out,) views into a flat parameter vector
+    laid out for an Mlp with layer sizes ``dims``."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(vector[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+        biases.append(vector[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
+
+
 class Mlp:
     """Affine layers with a pointwise activation after all but the last.
 
-    ``weights[l]`` has shape (out, in), ``biases[l]`` shape (out,).  A
+    All parameters live in one contiguous float64 vector ``params`` in the
+    checkpoint layout: layer 0's weights row-major, then its bias, then
+    layer 1's, and so on.  ``weights[l]`` (out, in) and ``biases[l]``
+    (out,) are views into it, so a write through either is a write to
+    the other.  The constructor copies the arrays it is given.  A
     single-layer Mlp is purely linear.
 
     ``forward`` writes the hidden activations into scratch buffers owned
@@ -80,16 +94,18 @@ class Mlp:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if len(weights) != len(biases) or not weights:
             raise ValueError("need one bias vector per weight matrix")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        self.activation = activation
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        for l, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {l}: weight {w.shape} / bias {b.shape} mismatch")
-            if l > 0 and w.shape[1] != self.weights[l - 1].shape[0]:
+            if l > 0 and w.shape[1] != weights[l - 1].shape[0]:
                 raise ValueError(f"layer {l}: input dim {w.shape[1]} does not chain")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {l}: non-finite parameters")
+        self.activation = activation
+        self.weights = weights  # bind reads the layer shapes from here
+        self.bind(np.concatenate([p.ravel() for pair in zip(weights, biases) for p in pair]))
         self._scratch = [np.empty((0, w.shape[0])) for w in self.weights[:-1]]  # per hidden layer
 
     @classmethod
@@ -106,6 +122,22 @@ class Mlp:
             biases.append(np.zeros(fan_out))
         return cls(weights, biases, activation)
 
+    def bind(self, vector: np.ndarray) -> None:
+        """Make ``vector`` this Mlp's ``params`` and re-seat ``weights``
+        and ``biases`` as views into it.  ``vector`` must be a contiguous
+        float64 vector (a slice of a larger model's vector, say) that
+        already holds this Mlp's values in the ``params`` layout."""
+        count = sum(w.size + w.shape[0] for w in self.weights)
+        if vector.dtype != np.float64 or vector.shape != (count,) or not vector.flags.c_contiguous:
+            raise ValueError(f"expected a contiguous float64 vector of {count} values")
+        self.params = vector
+        self.weights, self.biases = _layer_views(vector, self.dims)
+
+    @property
+    def dims(self) -> list[int]:
+        """Layer sizes: input, then each layer's output."""
+        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+
     @property
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
@@ -120,10 +152,10 @@ class Mlp:
 
     @property
     def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases], self.activation)
+        return Mlp(self.weights, self.biases, self.activation)
 
     def forward(self, x) -> np.ndarray:
         """Evaluate at a point (d_in,) or batch (B, d_in)."""
@@ -174,8 +206,9 @@ class Mlp:
         """Exact reverse-mode gradients of ``forward`` at the cached input.
 
         ``upstream`` is dLoss/d(output) with the output's shape.  Returns
-        (GradientBuffer, dLoss/d(input)).  The activation derivatives
-        are taken from the cached activations (the next layer's input).
+        (dLoss/d(params), dLoss/d(input)); the first is a fresh vector
+        laid out like ``params``.  The activation derivatives are taken
+        from the cached activations (the next layer's input).
         """
         inputs, single = cache
         g = np.asarray(upstream, dtype=np.float64)
@@ -183,120 +216,73 @@ class Mlp:
             g = g[None, :]
         if g.shape != (inputs[0].shape[0], self.out_dim):
             raise ValueError(f"upstream shape {upstream.shape} does not match output")
-        grads = GradientBuffer.zeros_for(self)
+        grad = np.zeros_like(self.params)
+        grad_w, grad_b = _layer_views(grad, self.dims)
         dz = g
         for l in range(self.num_layers - 1, -1, -1):
             if l < self.num_layers - 1:
                 dz *= _activate_grad(self.activation, inputs[l + 1])  # dz is ours: from dz @ w
-            grads.weights[l] += dz.T @ inputs[l]
-            grads.biases[l] += dz.sum(axis=0)
+            grad_w[l] += dz.T @ inputs[l]
+            grad_b[l] += dz.sum(axis=0)
             dz = dz @ self.weights[l]
         dx = dz[0] if single else dz
-        return grads, dx
-
-    # flat parameter view, used by checkpoints and finite-difference tests
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for pair in zip(self.weights, self.biases) for p in pair])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.num_params,):
-            raise ValueError(f"expected {self.num_params} parameters, got {flat.shape}")
-        pos = 0
-        for l in range(self.num_layers):
-            for p in (self.weights[l], self.biases[l]):
-                p[...] = flat[pos : pos + p.size].reshape(p.shape)
-                pos += p.size
-
-
-@dataclass
-class GradientBuffer:
-    """Parameter-shaped accumulator for dLoss/dtheta of one Mlp."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    @classmethod
-    def zeros_for(cls, mlp: Mlp) -> "GradientBuffer":
-        return cls([np.zeros_like(w) for w in mlp.weights], [np.zeros_like(b) for b in mlp.biases])
-
-    def add(self, other: "GradientBuffer", scale: float = 1.0) -> "GradientBuffer":
-        for mine, theirs in zip(self.weights, other.weights):
-            mine += scale * theirs
-        for mine, theirs in zip(self.biases, other.biases):
-            mine += scale * theirs
-        return self
-
-    def scale(self, factor: float) -> "GradientBuffer":
-        for arr in self.weights + self.biases:
-            arr *= factor
-        return self
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(a).all() for a in self.weights + self.biases)
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for pair in zip(self.weights, self.biases) for p in pair])
+        return grad, dx
 
 
 class Sgd:
-    """Plain gradient descent on one Mlp's parameters, in place."""
+    """Plain gradient descent, in place, on the ``params`` vector of a
+    model: an Mlp or a KFormClassifier."""
 
-    def __init__(self, mlp: Mlp, lr: float):
-        self.mlp = mlp
+    def __init__(self, model, lr: float):
+        self.params = model.params
         self.lr = float(lr)
 
-    def step(self, grads: GradientBuffer) -> None:
-        if not grads.all_finite():
+    def step(self, grad: np.ndarray) -> None:
+        if not np.isfinite(grad).all():
             raise FloatingPointError("non-finite gradients: training diverged")
-        for w, gw in zip(self.mlp.weights, grads.weights):
-            w -= self.lr * gw
-        for b, gb in zip(self.mlp.biases, grads.biases):
-            b -= self.lr * gb
+        self.params -= self.lr * grad
 
 
 class Adam:
-    """Adam with bias correction; state lives with the optimizer."""
+    """Adam with bias correction, in place, on the ``params`` vector of a
+    model: an Mlp or a KFormClassifier.  State lives with the optimizer."""
 
-    def __init__(self, mlp: Mlp, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.mlp = mlp
+    def __init__(self, model, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.params = model.params
         self.lr = float(lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        params = mlp.weights + mlp.biases
-        self._m = [np.zeros_like(p) for p in params]
-        self._v = [np.zeros_like(p) for p in params]
+        self._m = np.zeros_like(self.params)
+        self._v = np.zeros_like(self.params)
 
-    def step(self, grads: GradientBuffer) -> None:
-        if not grads.all_finite():
+    def step(self, grad: np.ndarray) -> None:
+        if not np.isfinite(grad).all():
             raise FloatingPointError("non-finite gradients: training diverged")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        params = self.mlp.weights + self.mlp.biases
-        gs = grads.weights + grads.biases
-        for p, g, m, v in zip(params, gs, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        self.params -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def make_optimizer(name: str, mlp: Mlp, lr: float):
+def make_optimizer(name: str, model, lr: float):
     if name == "adam":
-        return Adam(mlp, lr)
+        return Adam(model, lr)
     if name == "sgd":
-        return Sgd(mlp, lr)
+        return Sgd(model, lr)
     raise ValueError(f"unknown optimizer {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # checkpoint container: magic, u32 header length, JSON header, little-endian
-# float64 parameter blob (layer 0 weights row-major, layer 0 bias, layer 1 ...)
+# float64 payload; for a model that payload is its ``params`` vector (per
+# Mlp: layer 0 weights row-major, layer 0 bias, layer 1 ...)
 # ---------------------------------------------------------------------------
 
 
@@ -344,23 +330,29 @@ def read_blob(path: str | os.PathLike) -> tuple[dict, np.ndarray]:
 def mlp_header(mlp: Mlp) -> dict:
     return {
         "kind": "mlp",
-        "dims": [mlp.in_dim] + [w.shape[0] for w in mlp.weights],
+        "dims": mlp.dims,
         "activation": mlp.activation,
         "param_count": mlp.num_params,
     }
 
 
 def mlp_from_header(header: dict, params: np.ndarray) -> Mlp:
+    """The Mlp a header describes, holding ``params``.  The dims and the
+    parameter count they imply are checked before anything is allocated."""
     dims = header["dims"]
-    mlp = Mlp.init(dims, header["activation"], rng=np.random.default_rng(0))
-    if header.get("param_count", mlp.num_params) != mlp.num_params:
+    if not (isinstance(dims, list) and len(dims) >= 2
+            and all(type(d) is int and d > 0 for d in dims)):
+        raise ValueError(f"checkpoint dims {dims!r} are not a list of at least two positive ints")
+    count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    if header.get("param_count", count) != count:
         raise ValueError("parameter count does not match header dims")
-    mlp.set_flat(params)  # ValueError unless the payload is exactly param_count values
-    return mlp
+    if params.shape != (count,):
+        raise ValueError(f"expected {count} parameters, got {params.size}")
+    return Mlp(*_layer_views(params, dims), header["activation"])
 
 
 def save_mlp(mlp: Mlp, path: str | os.PathLike) -> None:
-    write_blob(path, mlp_header(mlp), mlp.get_flat())
+    write_blob(path, mlp_header(mlp), mlp.params)
 
 
 def load_mlp(path: str | os.PathLike) -> Mlp:

@@ -37,7 +37,6 @@ from functools import lru_cache
 import numpy as np
 
 from .forms import NeuralKForm, affine_jacobian, epsilon_all
-from .nn import GradientBuffer
 from .simplicial import Chain, ChainTuple, Embedding, SimplicialComplex
 
 __all__ = [
@@ -323,8 +322,9 @@ def _integrate(form, complex_, embedding, chains, h, keep_cache: bool):
 
 def integration_matrix_backward(
     form: NeuralKForm, cache: IntegrationCache, upstream: np.ndarray
-) -> GradientBuffer:
-    """Gradient of sum(upstream * X) with respect to the MLP parameters.
+) -> np.ndarray:
+    """Gradient of sum(upstream * X) with respect to the MLP parameters,
+    laid out like ``form.psi.params``.
 
     Geometry factors (quadrature weights, column volumes, chain
     coefficients) are constants; the gradient flows through the MLP
@@ -332,12 +332,12 @@ def integration_matrix_backward(
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if cache.mlp_cache is None:
-        return GradientBuffer.zeros_for(form.psi)
+        return np.zeros(form.psi.num_params)
     G = upstream if cache.lam is None else cache.lam.T @ upstream  # (S, l)
     if form.k == 0:
         d_flat = G
     else:
         d_scal = cache.weights[:, None, None] * (G[:, :, None] * cache.eps[:, None, :])[:, None]
         d_flat = d_scal.reshape(-1, form.psi.out_dim)  # (S*N, l*C)
-    grads, _ = form.psi.backward(cache.mlp_cache, d_flat)
-    return grads
+    grad, _ = form.psi.backward(cache.mlp_cache, d_flat)
+    return grad

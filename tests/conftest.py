@@ -83,6 +83,17 @@ def _without(obj, key: str):
     return obj
 
 
+def _huge_dims(obj):
+    """Every ``dims`` [d0, ..., d_last] replaced by [d0, 1e8, 1e8, d_last]:
+    about 1e16 parameters, which must be refused before any allocation."""
+    if isinstance(obj, dict):
+        return {
+            k: [v[0], 10**8, 10**8, v[-1]] if k == "dims" else _huge_dims(v)
+            for k, v in obj.items()
+        }
+    return obj
+
+
 # Ways to damage the bytes of a valid checkpoint; loading any of them
 # must raise ValueError (exit 2 in the CLI), never load or crash.
 CHECKPOINT_DAMAGE = {
@@ -97,6 +108,9 @@ CHECKPOINT_DAMAGE = {
     "payload not whole float64s": lambda b: b + bytes(3),
     "payload one value short": lambda b: b[:-8],
     "16 trailing bytes": lambda b: b + bytes(16),
+    "dims imply more parameters than the payload": lambda b: _join_blob(
+        json.dumps(_huge_dims(_split_blob(b)[0])).encode(), _split_blob(b)[1]
+    ),
 }
 
 

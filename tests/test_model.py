@@ -24,7 +24,7 @@ from kforms.model import (
     stratified_split,
     train,
 )
-from kforms.nn import Mlp
+from kforms.nn import Adam, Mlp, Sgd, read_blob
 from kforms.simplicial import Chain, ChainTuple, Embedding, build_complex, standard_basis_chains
 
 
@@ -250,6 +250,70 @@ class TestClassifier:
             a = clf.features(Item(complex_, emb, basis, 0))
             b = clf.features(Item(complex_, emb, flipped, 0))
             assert np.allclose(a, b, atol=1e-14)
+
+
+class TestParameterVector:
+    """One ``params`` vector per classifier: the form MLP's, then the head's."""
+
+    @pytest.mark.parametrize("use_head", [True, False])
+    def test_params_concatenate_and_are_shared(self, use_head):
+        cfg = TrainConfig(num_forms=3, hidden_dim=4, use_head=use_head)
+        clf = build_classifier(2, 3, cfg, np.random.default_rng(60))
+        mlps = [clf.form.psi] + ([clf.head] if use_head else [])
+        assert np.array_equal(clf.params, np.concatenate([m.params for m in mlps]))
+        for mlp in mlps:
+            assert np.shares_memory(mlp.params, clf.params)
+            assert all(np.shares_memory(p, clf.params) for p in mlp.weights + mlp.biases)
+        item = small_item(np.random.default_rng(61))
+        before = clf.forward(item)
+        clf.params[-1] += 1.0  # last bias of the head, or of the form MLP
+        assert not np.array_equal(clf.forward(item), before)
+
+    @pytest.mark.parametrize("use_head", [True, False])
+    def test_backward_is_laid_out_like_params(self, use_head):
+        rng = np.random.default_rng(62)
+        cfg = TrainConfig(num_forms=3, hidden_dim=4, use_head=use_head, activation="tanh")
+        clf = build_classifier(2, 3, cfg, rng)
+        logits, cache = clf.forward_cached(small_item(rng))
+        _, d_logits = cross_entropy(logits, 1)
+        grad = clf.backward(cache, d_logits)
+        assert grad.shape == clf.params.shape
+        split = clf.form.psi.num_params
+        assert np.any(grad[:split] != 0.0)
+        if use_head:
+            assert np.any(grad[split:] != 0.0)
+
+    def test_checkpoint_payload_is_params(self, tmp_path):
+        cfg = TrainConfig(num_forms=2, hidden_dim=4, readout="column_l2")
+        clf = build_classifier(2, 3, cfg, np.random.default_rng(63))
+        path = tmp_path / "clf.kfc"
+        save_classifier(clf, path)
+        assert path.read_bytes().endswith(clf.params.tobytes())
+        assert np.array_equal(read_blob(path)[1], clf.params)
+
+    def test_one_optimizer_steps_form_and_head(self):
+        rng = np.random.default_rng(64)
+        cfg = TrainConfig(num_forms=2, hidden_dim=4, activation="tanh")
+        clf = build_classifier(2, 3, cfg, rng)
+        psi, head = clf.form.psi.params.copy(), clf.head.params.copy()
+        logits, cache = clf.forward_cached(small_item(rng))
+        Adam(clf, lr=0.01).step(clf.backward(cache, cross_entropy(logits, 2)[1]))
+        assert np.any(clf.form.psi.params != psi)
+        assert np.any(clf.head.params != head)
+
+    def test_classifier_adopts_its_mlps(self):
+        from kforms.forms import NeuralKForm
+        from kforms.model import KFormClassifier
+
+        rng = np.random.default_rng(65)
+        form = NeuralKForm.init(2, 1, 2, (3,), "tanh", rng)
+        early = Sgd(form.psi, lr=1.0)  # built before the classifier adopts psi
+        clf = KFormClassifier(form, None, "column_sum")
+        assert form.psi.params is not early.params
+        item = small_item(rng)
+        before = clf.forward(item)
+        early.step(np.ones(form.psi.num_params))
+        assert np.array_equal(clf.forward(item), before)
 
 
 class TestEvaluate:

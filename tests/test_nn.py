@@ -3,11 +3,12 @@ import pytest
 
 from kforms.nn import (
     Adam,
-    GradientBuffer,
     Mlp,
     Sgd,
     load_mlp,
     make_optimizer,
+    mlp_from_header,
+    mlp_header,
     read_blob,
     save_mlp,
     write_blob,
@@ -31,16 +32,15 @@ def reference_forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 def numeric_param_grads(mlp: Mlp, x: np.ndarray, weighting: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Central differences of sum(weighting * forward(x)) in the flat layout."""
-    base = mlp.get_flat()
-    out = np.zeros_like(base)
-    for i in range(base.size):
+    """Central differences of sum(weighting * forward(x)) in the ``params``
+    layout, perturbing ``params`` in place."""
+    out = np.zeros_like(mlp.params)
+    for i in range(mlp.params.size):
+        saved = mlp.params[i]
         for sign in (1.0, -1.0):
-            shifted = base.copy()
-            shifted[i] += sign * eps
-            mlp.set_flat(shifted)
+            mlp.params[i] = saved + sign * eps
             out[i] += sign * float(np.sum(weighting * mlp.forward(x)))
-    mlp.set_flat(base)
+        mlp.params[i] = saved
     return out / (2.0 * eps)
 
 
@@ -158,7 +158,8 @@ class TestBackward:
             _, cache = mlp.forward_cached(x)
             grads, _ = mlp.backward(cache, weighting)
             numeric = numeric_param_grads(mlp, x, weighting)
-            assert np.allclose(grads.get_flat(), numeric, atol=1e-7)
+            assert grads.shape == mlp.params.shape
+            assert np.allclose(grads, numeric, atol=1e-7)
 
     def test_input_grads_match_finite_differences(self):
         rng = np.random.default_rng(77)
@@ -185,8 +186,7 @@ class TestBackward:
         g1, _ = mlp.backward(cache, u1)
         g2, _ = mlp.backward(cache, u2)
         g12, _ = mlp.backward(cache, 2.0 * u1 - 3.0 * u2)
-        expected = g1.get_flat() * 2.0 - g2.get_flat() * 3.0
-        assert np.allclose(g12.get_flat(), expected, atol=1e-12)
+        assert np.allclose(g12, g1 * 2.0 - g2 * 3.0, atol=1e-12)
 
     @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
     def test_inputs_only_cache_gives_finite_difference_grads(self, act):
@@ -200,7 +200,7 @@ class TestBackward:
         assert np.array_equal(inputs[0], x)
         grads, _ = mlp.backward(cache, weighting)
         numeric = numeric_param_grads(mlp, x, weighting)
-        assert np.allclose(grads.get_flat(), numeric, atol=1e-7)
+        assert np.allclose(grads, numeric, atol=1e-7)
 
     def test_relu_subgradient_at_zero_is_zero(self):
         mlp = Mlp(
@@ -211,7 +211,7 @@ class TestBackward:
         _, cache = mlp.forward_cached(np.array([0.0]))
         grads, dx = mlp.backward(cache, np.array([1.0]))
         assert dx[0] == 0.0
-        assert grads.weights[0][0, 0] == 0.0
+        assert grads[0] == 0.0  # weights[0][0, 0]
 
     def test_upstream_shape_checked(self):
         mlp = Mlp.init([2, 3], rng=np.random.default_rng(0))
@@ -221,20 +221,23 @@ class TestBackward:
 
 
 class TestFlatParams:
+    """``params`` is the one parameter vector; weights and biases view it."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(31)
         mlp = Mlp.init([4, 7, 3], "relu", rng)
-        flat = mlp.get_flat()
-        assert flat.shape == (mlp.num_params,)
+        layout = np.concatenate([p.ravel() for pair in zip(mlp.weights, mlp.biases) for p in pair])
+        assert mlp.params.shape == (mlp.num_params,)
+        assert np.array_equal(mlp.params, layout)
         other = Mlp.init([4, 7, 3], "relu", np.random.default_rng(99))
-        other.set_flat(flat)
+        other.params[:] = mlp.params
         x = rng.normal(size=(5, 4))
         assert np.array_equal(other.forward(x), mlp.forward(x))
 
     def test_wrong_length_rejected(self):
         mlp = Mlp.init([2, 2], rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            mlp.set_flat(np.zeros(mlp.num_params + 1))
+        with pytest.raises(ValueError, match="expected 6 parameters"):
+            mlp_from_header(mlp_header(mlp), np.zeros(mlp.num_params + 1))
 
     def test_copy_is_independent(self):
         mlp = Mlp.init([2, 3], rng=np.random.default_rng(0))
@@ -242,42 +245,55 @@ class TestFlatParams:
         dup.weights[0][0, 0] += 1.0
         assert mlp.weights[0][0, 0] != dup.weights[0][0, 0]
 
+    def test_weights_and_biases_are_views_of_params(self):
+        rng = np.random.default_rng(32)
+        mlp = Mlp.init([3, 5, 2], "tanh", rng)
+        for p in mlp.weights + mlp.biases:
+            assert np.shares_memory(p, mlp.params)
+        x = rng.normal(size=(4, 3))
+        before = mlp.forward(x)
+        mlp.params[-1] += 1.0  # the last bias entry
+        assert mlp.biases[-1][-1] == mlp.params[-1]
+        assert np.array_equal(mlp.forward(x)[:, -1], before[:, -1] + 1.0)
+        assert np.array_equal(mlp.forward(x)[:, 0], before[:, 0])
 
-class TestGradientBuffer:
-    def test_add_and_scale(self):
-        mlp = Mlp.init([2, 3], rng=np.random.default_rng(1))
-        a = GradientBuffer.zeros_for(mlp)
-        b = GradientBuffer.zeros_for(mlp)
-        b.weights[0][:] = 2.0
-        b.biases[0][:] = -4.0
-        a.add(b, scale=0.5)
-        assert np.all(a.weights[0] == 1.0)
-        assert np.all(a.biases[0] == -2.0)
-        a.scale(3.0)
-        assert np.all(a.weights[0] == 3.0)
+    def test_constructor_copies_its_inputs(self):
+        w, b = np.array([[1.0]]), np.array([1.0])
+        mlp = Mlp(weights=[w], biases=[b])
+        assert mlp.forward(np.array([1.0]))[0] == 2.0
+        w[0, 0] = 9.0
+        assert mlp.forward(np.array([1.0]))[0] == 2.0
+        b[0] = -5.0
+        assert mlp.forward(np.array([1.0]))[0] == 2.0
 
-    def test_all_finite(self):
-        mlp = Mlp.init([2, 2], rng=np.random.default_rng(1))
-        g = GradientBuffer.zeros_for(mlp)
-        assert g.all_finite()
-        g.biases[0][0] = np.nan
-        assert not g.all_finite()
+    def test_bind_reseats_the_views(self):
+        rng = np.random.default_rng(33)
+        mlp = Mlp.init([2, 4, 3], "relu", rng)
+        x = rng.normal(size=(6, 2))
+        expected = mlp.forward(x)
+        outer = np.concatenate([np.ones(3), mlp.params, np.ones(2)])
+        mlp.bind(outer[3:-2])
+        assert np.shares_memory(mlp.params, outer)
+        assert all(np.shares_memory(p, outer) for p in mlp.weights + mlp.biases)
+        assert np.array_equal(mlp.forward(x), expected)
+        outer[3:-2] = 0.0
+        assert np.array_equal(mlp.forward(x), np.zeros((6, 3)))
+
+    def test_bind_rejects_a_vector_of_the_wrong_layout(self):
+        mlp = Mlp.init([2, 3], rng=np.random.default_rng(34))
+        n = mlp.num_params
+        for bad in (np.zeros(n + 1), np.zeros(n, dtype=np.float32), np.zeros(2 * n)[::2]):
+            with pytest.raises(ValueError):
+                mlp.bind(bad)
 
 
 class TestOptimizers:
     def quadratic_loss(self, mlp: Mlp) -> float:
-        # L(theta) = ||theta - 1||^2 expressed through the flat view
-        return float(np.sum((mlp.get_flat() - 1.0) ** 2))
+        # L(theta) = ||theta - 1||^2 over the parameter vector
+        return float(np.sum((mlp.params - 1.0) ** 2))
 
-    def quadratic_grads(self, mlp: Mlp) -> GradientBuffer:
-        g = GradientBuffer.zeros_for(mlp)
-        flat = 2.0 * (mlp.get_flat() - 1.0)
-        pos = 0
-        for l in range(mlp.num_layers):
-            for arr in (g.weights[l], g.biases[l]):
-                arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
-                pos += arr.size
-        return g
+    def quadratic_grads(self, mlp: Mlp) -> np.ndarray:
+        return 2.0 * (mlp.params - 1.0)
 
     @pytest.mark.parametrize("name", ["sgd", "adam"])
     def test_converges_on_quadratic(self, name):
@@ -289,19 +305,28 @@ class TestOptimizers:
 
     def test_sgd_step_is_exact(self):
         mlp = Mlp.init([2, 2], rng=np.random.default_rng(4))
-        before = mlp.get_flat()
+        before = mlp.params.copy()
         g = self.quadratic_grads(mlp)
-        gflat = g.get_flat()
         Sgd(mlp, lr=0.1).step(g)
-        assert np.allclose(mlp.get_flat(), before - 0.1 * gflat, atol=1e-15)
+        assert np.allclose(mlp.params, before - 0.1 * g, atol=1e-15)
 
     def test_non_finite_gradients_raise(self):
         mlp = Mlp.init([2, 2], rng=np.random.default_rng(4))
-        g = GradientBuffer.zeros_for(mlp)
-        g.weights[0][0, 0] = np.inf
+        g = np.zeros(mlp.num_params)
+        g[0] = np.inf  # weights[0][0, 0]
         for opt in (Sgd(mlp, 0.1), Adam(mlp, 0.1)):
             with pytest.raises(FloatingPointError):
                 opt.step(g)
+
+    def test_nan_in_a_bias_slot_raises(self):
+        mlp = Mlp.init([2, 3, 2], rng=np.random.default_rng(5))
+        before = mlp.params.copy()
+        g = np.zeros(mlp.num_params)
+        g[mlp.weights[0].size + 1] = np.nan  # biases[0][1]
+        for opt in (Sgd(mlp, 0.1), Adam(mlp, 0.1)):
+            with pytest.raises(FloatingPointError):
+                opt.step(g)
+        assert np.array_equal(mlp.params, before)
 
     def test_unknown_name_rejected(self):
         mlp = Mlp.init([2, 2], rng=np.random.default_rng(4))
@@ -311,12 +336,10 @@ class TestOptimizers:
     def test_adam_first_step_magnitude(self):
         # with fresh state the first Adam update is lr * sign(grad)
         mlp = Mlp.init([1, 1], rng=np.random.default_rng(4))
-        before = mlp.get_flat()
-        g = GradientBuffer.zeros_for(mlp)
-        g.weights[0][0, 0] = 123.0
-        g.biases[0][0] = -0.5
+        before = mlp.params.copy()
+        g = np.array([123.0, -0.5])  # weights[0][0, 0], biases[0][0]
         Adam(mlp, lr=0.01).step(g)
-        delta = mlp.get_flat() - before
+        delta = mlp.params - before
         assert delta[0] == pytest.approx(-0.01, rel=1e-6)
         assert delta[1] == pytest.approx(0.01, rel=1e-6)
 

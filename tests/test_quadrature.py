@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kforms.forms import NeuralKForm, mix_forms
-from kforms.nn import GradientBuffer, Mlp
+from kforms.nn import Mlp
 from kforms.quadrature import (
     evaluate_points,
     integrate_chain,
@@ -262,7 +262,7 @@ class TestIntegrationMatrix:
         X, cache = integration_matrix_forward(form, self.complex, self.embedding, beta)
         assert np.array_equal(X, np.zeros((2, 2)))
         grads = integration_matrix_backward(form, cache, np.ones((2, 2)))
-        assert np.all(grads.get_flat() == 0.0)
+        assert np.array_equal(grads, np.zeros(form.psi.num_params))
 
     @pytest.mark.parametrize(
         "k, terms",
@@ -305,8 +305,8 @@ class TestIntegrationMatrix:
         assert cache.lam is None
         U = self.rng.normal(size=X.shape)
         explicit = dataclasses.replace(cache, lam=np.eye(len(beta)))
-        got = integration_matrix_backward(form, cache, U).get_flat()
-        assert np.array_equal(got, integration_matrix_backward(form, explicit, U).get_flat())
+        got = integration_matrix_backward(form, cache, U)
+        assert np.array_equal(got, integration_matrix_backward(form, explicit, U))
 
     def test_k_zero_standard_basis_is_plain_evaluation(self):
         form = NeuralKForm.init(3, 0, 4, (7,), "relu", self.rng)
@@ -328,19 +328,18 @@ class TestIntegrationMatrix:
         U = self.rng.normal(size=(2, 2))
         X, cache = integration_matrix_forward(form, self.complex, self.embedding, beta, h=2)
         grads = integration_matrix_backward(form, cache, U)
-        flat = form.psi.get_flat()
+        theta = form.psi.params
         eps = 1e-6
-        numeric = np.zeros_like(flat)
-        for p in range(flat.size):
+        numeric = np.zeros_like(theta)
+        for p in range(theta.size):
+            saved = theta[p]
             for sign in (1.0, -1.0):
-                shifted = flat.copy()
-                shifted[p] += sign * eps
-                form.psi.set_flat(shifted)
+                theta[p] = saved + sign * eps
                 Xs = integration_matrix(form, self.complex, self.embedding, beta, h=2)
                 numeric[p] += sign * float(np.sum(U * Xs))
-        form.psi.set_flat(flat)
+            theta[p] = saved
         numeric /= 2 * eps
-        assert np.allclose(grads.get_flat(), numeric, atol=1e-7)
+        assert np.allclose(grads, numeric, atol=1e-7)
 
     def test_backward_k_zero(self):
         form = NeuralKForm.init(3, 0, 2, (4,), "tanh", self.rng)
@@ -348,19 +347,18 @@ class TestIntegrationMatrix:
         U = self.rng.normal(size=(2, 2))
         X, cache = integration_matrix_forward(form, self.complex, self.embedding, beta)
         grads = integration_matrix_backward(form, cache, U)
-        flat = form.psi.get_flat()
+        theta = form.psi.params
         eps = 1e-6
-        numeric = np.zeros_like(flat)
-        for p in range(flat.size):
+        numeric = np.zeros_like(theta)
+        for p in range(theta.size):
+            saved = theta[p]
             for sign in (1.0, -1.0):
-                shifted = flat.copy()
-                shifted[p] += sign * eps
-                form.psi.set_flat(shifted)
+                theta[p] = saved + sign * eps
                 Xs = integration_matrix(form, self.complex, self.embedding, beta)
                 numeric[p] += sign * float(np.sum(U * Xs))
-        form.psi.set_flat(flat)
+            theta[p] = saved
         numeric /= 2 * eps
-        assert np.allclose(grads.get_flat(), numeric, atol=1e-7)
+        assert np.allclose(grads, numeric, atol=1e-7)
 
 
 class TestValidation:
