@@ -9,7 +9,6 @@ optional per-node attribute/label files that become vertex coordinates.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -38,13 +37,11 @@ __all__ = [
     "parse_tu",
     "tu_to_dataset",
     "write_tu",
-    "save_dataset_json",
-    "load_dataset_json",
 ]
 
 
 class DataFormatError(Exception):
-    """A dataset file or bundle violates the expected format."""
+    """A dataset file violates the expected format."""
 
 
 # ---------------------------------------------------------------------------
@@ -184,43 +181,36 @@ class TuDataset:
         return self.graph_labels.shape[0]
 
 
-def _read_int_rows(path: Path, expected_width: int) -> np.ndarray:
-    rows = []
+def _read_rows(path: Path, kind: type, width: int | None = None) -> np.ndarray:
+    """Comma-separated rows of ``kind`` (int or float) values, blank lines
+    skipped, as an int64 or float64 array; every row must have ``width``
+    fields, or the first row's number when ``width`` is None."""
+    rows, line_numbers = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != expected_width:
-                raise DataFormatError(f"{path}, line {ln}: expected {expected_width} fields")
-            try:
-                rows.append([int(p) for p in parts])
-            except ValueError:
-                raise DataFormatError(f"{path}, line {ln}: not an integer: {line!r}") from None
-    return np.asarray(rows, dtype=np.int64).reshape(len(rows), expected_width)
-
-
-def _read_float_rows(path: Path) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
+            parts = line.split(",")
+            width = width or len(parts)
+            if len(parts) != width:
                 raise DataFormatError(
                     f"{path}, line {ln}: ragged row ({len(parts)} fields, expected {width})"
                 )
             try:
-                rows.append([float(p) for p in parts])
+                rows.append([kind(p) for p in parts])
             except ValueError:
-                raise DataFormatError(f"{path}, line {ln}: not a number: {line!r}") from None
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), width or 0)
+                what = "an integer" if kind is int else "a number"
+                raise DataFormatError(f"{path}, line {ln}: not {what}: {line!r}") from None
+            line_numbers.append(ln)
+    try:
+        return np.asarray(rows, dtype=np.int64 if kind is int else np.float64).reshape(
+            len(rows), width or 0
+        )
+    except OverflowError:
+        bad = next(i for i, row in enumerate(rows) if not -(2**63) <= min(row) <= max(row) < 2**63)
+        message = f"{path}, line {line_numbers[bad]}: integer out of int64 range"
+        raise DataFormatError(message) from None
 
 
 def parse_tu(directory: str | os.PathLike, name: str | None = None) -> TuDataset:
@@ -242,14 +232,14 @@ def parse_tu(directory: str | os.PathLike, name: str | None = None) -> TuDataset
             raise DataFormatError(f"missing required file {path}")
         return path
 
-    edges = _read_int_rows(required("_A.txt"), 2)
-    indicator = _read_int_rows(required("_graph_indicator.txt"), 1).reshape(-1)
-    labels = _read_int_rows(required("_graph_labels.txt"), 1).reshape(-1)
+    edges = _read_rows(required("_A.txt"), int, 2)
+    indicator = _read_rows(required("_graph_indicator.txt"), int, 1).reshape(-1)
+    labels = _read_rows(required("_graph_labels.txt"), int, 1).reshape(-1)
 
     attr_path = directory / f"{name}_node_attributes.txt"
-    node_attributes = _read_float_rows(attr_path) if attr_path.is_file() else None
+    node_attributes = _read_rows(attr_path, float) if attr_path.is_file() else None
     nl_path = directory / f"{name}_node_labels.txt"
-    node_labels = _read_int_rows(nl_path, 1).reshape(-1) if nl_path.is_file() else None
+    node_labels = _read_rows(nl_path, int, 1).reshape(-1) if nl_path.is_file() else None
 
     num_nodes = indicator.shape[0]
     if num_nodes == 0:
@@ -296,6 +286,11 @@ def tu_to_dataset(
     if tu.node_attributes is not None:
         attrs = tu.node_attributes
         if attribute_columns is not None:
+            for column in attribute_columns:
+                if not 0 <= column < attrs.shape[1]:
+                    raise DataFormatError(
+                        f"{tu.name}: attribute column {column} outside 0..{attrs.shape[1] - 1}"
+                    )
             attrs = attrs[:, list(attribute_columns)]
         if attrs.shape[1]:
             blocks.append(attrs)
@@ -366,54 +361,3 @@ def write_tu(tu: TuDataset, directory: str | os.PathLike) -> None:
     if tu.node_labels is not None:
         with open(directory / f"{tu.name}_node_labels.txt", "w", encoding="utf-8") as fh:
             fh.writelines(f"{int(v)}\n" for v in tu.node_labels)
-
-
-# ---------------------------------------------------------------------------
-# self-describing JSON bundles (fixtures, reproducibility)
-# ---------------------------------------------------------------------------
-
-
-def save_dataset_json(data: Dataset, path: str | os.PathLike) -> None:
-    doc = {
-        "num_classes": data.num_classes,
-        "splits": {k: [int(i) for i in v] for k, v in data.splits.items()}
-        if data.splits
-        else None,
-        "items": [
-            {
-                "label": it.label,
-                "num_vertices": it.complex.num_vertices,
-                "simplices": [
-                    [list(s) for s in dim_list] for dim_list in it.complex.simplices_by_dim
-                ],
-                "coords": it.embedding.coords.tolist(),
-                "chain_dim": it.chains.dim,
-                "chains": [[[int(i), float(c)] for i, c in ch.terms] for ch in it.chains],
-            }
-            for it in data.items
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_dataset_json(path: str | os.PathLike) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    items = []
-    for rec in doc["items"]:
-        complex_ = SimplicialComplex(
-            rec["num_vertices"],
-            tuple(tuple(tuple(s) for s in dim_list) for dim_list in rec["simplices"]),
-        )
-        chains = ChainTuple(
-            tuple(
-                Chain(rec["chain_dim"], tuple((i, c) for i, c in terms))
-                for terms in rec["chains"]
-            )
-        )
-        items.append(Item(complex_, Embedding(np.asarray(rec["coords"])), chains, rec["label"]))
-    splits = doc.get("splits")
-    if splits is not None:
-        splits = {k: tuple(v) for k, v in splits.items()}
-    return Dataset(tuple(items), doc["num_classes"], splits)

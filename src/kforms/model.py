@@ -108,7 +108,6 @@ class Item:
 class Dataset:
     items: tuple[Item, ...]
     num_classes: int
-    splits: dict | None = None  # optional name -> tuple of item indices
 
     def __post_init__(self):
         if not self.items:
@@ -121,10 +120,6 @@ class Dataset:
                 raise ValueError(f"item {i}: label {it.label} outside 0..{self.num_classes - 1}")
             if it.embedding.ambient_dim != n:
                 raise ValueError(f"item {i}: ambient dim {it.embedding.ambient_dim} != {n}")
-        if self.splits is not None:
-            for name, idx in self.splits.items():
-                if any(not 0 <= i < len(self.items) for i in idx):
-                    raise ValueError(f"split {name!r} has out-of-range indices")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -152,7 +147,7 @@ def rechain_dataset(data: Dataset, k: int) -> Dataset:
         Item(it.complex, it.embedding, standard_basis_chains(it.complex, k), it.label)
         for it in data.items
     )
-    return Dataset(items, data.num_classes, data.splits)
+    return Dataset(items, data.num_classes)
 
 
 @dataclass(frozen=True)
@@ -371,24 +366,11 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
     """Minibatch training with per-epoch train/val metrics (epoch 0 is
     the untrained model), lr halving on validation plateau, early
     stopping, and restoration of the best-validation parameters.
-
-    Train/val indices come from ``data.splits`` ("train"/"val") when
-    present, otherwise from a seeded stratified split.
-    """
+    Train/val indices come from a seeded stratified split."""
     if data.chain_dim != cfg.k:
         raise ValueError(f"dataset chains have dimension {data.chain_dim}, config k={cfg.k}")
     rng = np.random.default_rng(cfg.seed)
-    splits = data.splits or {}
-    if "train" in splits:
-        train_idx = np.asarray(sorted(splits["train"]), dtype=np.intp)
-        if "val" in splits:
-            val_idx = np.asarray(sorted(splits["val"]), dtype=np.intp)
-        else:
-            sub_labels = data.labels()[train_idx]
-            rest, held = stratified_split(sub_labels, cfg.val_fraction, rng)
-            train_idx, val_idx = train_idx[rest], train_idx[held]
-    else:
-        train_idx, val_idx = stratified_split(data.labels(), cfg.val_fraction, rng)
+    train_idx, val_idx = stratified_split(data.labels(), cfg.val_fraction, rng)
     if train_idx.size == 0 or val_idx.size == 0:
         raise ValueError("empty train or validation split")
 

@@ -22,32 +22,33 @@ objects, which build them on first use and keep them.
 
 ``integration_matrix`` and ``integration_matrix_forward`` share one
 body.  The first runs the MLP's forward-only pass and returns X alone.
-The second keeps the MLP's layer inputs and returns a cache carrying
-everything needed to push a loss gradient back onto the MLP parameters
-(embeddings are fixed data and receive no gradient).
+The second keeps the MLP's layer inputs and returns a cache, the tuple
+``(lam, weights, eps, mlp_cache)``: chain coefficients over the used
+simplices (None for the identity), quadrature weights, column volumes
+per simplex and the MLP's cache.  It is all a loss gradient needs to
+reach the MLP parameters (embeddings are fixed data and receive no
+gradient).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .forms import NeuralKForm, affine_jacobian, epsilon_all
-from .simplicial import Chain, ChainTuple, Embedding, SimplicialComplex
+from .simplicial import ChainTuple, Embedding, SimplicialComplex
 
 __all__ = [
     "SimplexSubdivision",
     "QuadraturePlan",
-    "IntegrationCache",
     "subdivide_simplex",
     "quadrature_plan",
-    "evaluate_points",
     "integrate_simplex",
-    "integrate_chain",
     "integration_matrix",
     "integration_matrix_forward",
     "integration_matrix_backward",
@@ -78,10 +79,6 @@ class SimplexSubdivision:
     def cell_volume(self) -> float:
         return 1.0 / (math.factorial(self.k) * self.h**self.k)
 
-    def cell_vertices(self, i: int) -> np.ndarray:
-        """Vertices of cell i in simplex coordinates, shape (k+1, k)."""
-        return _grid_to_simplex(self.cells[i], self.h)
-
 
 def _grid_to_simplex(y: np.ndarray, h: int) -> np.ndarray:
     t = y.astype(np.float64)
@@ -98,8 +95,8 @@ def subdivide_simplex(k: int, h: int) -> SimplexSubdivision:
     """
     if k < 1:
         raise ValueError(f"subdivision needs k >= 1, got {k}")
-    if h < 1:
-        raise ValueError(f"resolution must be a positive integer, got {h}")
+    if not isinstance(h, numbers.Integral) or h < 1:
+        raise ValueError(f"resolution must be a positive integer, got {h!r}")
     axes = [np.arange(h, dtype=np.intp)] * k
     corners = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
     perms = list(itertools.permutations(range(k)))
@@ -161,17 +158,6 @@ def quadrature_plan(k: int, h: int) -> QuadraturePlan:
     return QuadraturePlan(sub, nodes, weights)
 
 
-def evaluate_points(form: NeuralKForm, embedding: Embedding, vertices) -> np.ndarray:
-    """Value of a 0-form tuple at embedded vertices: (len(vertices),
-    num_forms).  The 0-form counterpart of integration."""
-    if form.k != 0:
-        raise ValueError(f"evaluate_points is for 0-forms, got k={form.k}")
-    if embedding.ambient_dim != form.n:
-        raise ValueError(f"embedding lives in R^{embedding.ambient_dim}, form in R^{form.n}")
-    idx = [int(v) for v in vertices]
-    return form.psi.forward(embedding.coords[idx])
-
-
 def _check_setting(form: NeuralKForm, complex_: SimplicialComplex, embedding: Embedding) -> None:
     if embedding.ambient_dim != form.n:
         raise ValueError(f"embedding lives in R^{embedding.ambient_dim}, form in R^{form.n}")
@@ -197,7 +183,8 @@ def integrate_simplex(
     simplex = tuple(simplex)
     k = form.k
     if k == 0:
-        raise ValueError("0-forms are evaluated, not integrated; use evaluate_points")
+        raise ValueError("0-forms are evaluated at vertices, not integrated; "
+                         "pass vertex chains to integration_matrix")
     if len(simplex) - 1 != k:
         raise ValueError(f"simplex {simplex} has dimension {len(simplex) - 1}, form has k={k}")
     _check_setting(form, complex_, embedding)
@@ -210,31 +197,6 @@ def integrate_simplex(
     eps = epsilon_all(D, form.table)
     scal = form.eval_scalings(embedding.coords[simplex[0]] + plan.nodes @ D.T)  # (N, l, C)
     return float(np.einsum("t,tr,r->", plan.weights, scal[:, j, :], eps))
-
-
-def integrate_chain(
-    form: NeuralKForm,
-    j: int,
-    complex_: SimplicialComplex,
-    embedding: Embedding,
-    chain: Chain,
-    h: int = DEFAULT_STEPS,
-) -> float:
-    """Integral of form j over a weighted chain: the coefficient-weighted
-    sum of per-simplex integrals.  An empty chain integrates to 0."""
-    X = integration_matrix(form, complex_, embedding, [chain], h)
-    return float(X[0, j])
-
-
-@dataclass
-class IntegrationCache:
-    """Intermediate state of one integration-matrix evaluation, enough
-    to push a loss gradient back onto the form's MLP parameters."""
-
-    lam: np.ndarray | None  # (m, S) chain coefficients over the used simplices; None: identity
-    weights: np.ndarray  # (N,) quadrature weights
-    eps: np.ndarray  # (S, C) column volumes per simplex
-    mlp_cache: tuple | None
 
 
 def integration_matrix_forward(
@@ -293,7 +255,7 @@ def _integrate(form, complex_, embedding, chains, h, keep_cache: bool):
         raise ValueError(f"chain references simplex {used[-1]}, complex has {num_simplices}")
     if not S:
         # every chain is empty; the matrix is zero and carries no gradient
-        cache = IntegrationCache(lam, np.zeros(0), np.zeros((0, 0)), None)
+        cache = (lam, np.zeros(0), np.zeros((0, 0)), None)
         return np.zeros((m, form.num_forms)), cache if keep_cache else None
 
     V = embedding.coords[complex_.vertex_array(k)[used]]  # (S, k+1, n)
@@ -317,12 +279,10 @@ def _integrate(form, complex_, embedding, chains, h, keep_cache: bool):
         scal = out.reshape(S, len(weights), form.num_forms, -1)  # (S, N, l, C)
         per_simplex = (np.tensordot(weights, scal, (0, 1)) * eps[:, None, :]).sum(axis=2)  # (S, l)
     X = per_simplex if lam is None else lam @ per_simplex
-    return X, IntegrationCache(lam, weights, eps, mlp_cache) if keep_cache else None
+    return X, (lam, weights, eps, mlp_cache) if keep_cache else None
 
 
-def integration_matrix_backward(
-    form: NeuralKForm, cache: IntegrationCache, upstream: np.ndarray
-) -> np.ndarray:
+def integration_matrix_backward(form: NeuralKForm, cache: tuple, upstream: np.ndarray) -> np.ndarray:
     """Gradient of sum(upstream * X) with respect to the MLP parameters,
     laid out like ``form.psi.params``.
 
@@ -330,14 +290,15 @@ def integration_matrix_backward(
     coefficients) are constants; the gradient flows through the MLP
     values only.
     """
+    lam, weights, eps, mlp_cache = cache
     upstream = np.asarray(upstream, dtype=np.float64)
-    if cache.mlp_cache is None:
+    if mlp_cache is None:
         return np.zeros(form.psi.num_params)
-    G = upstream if cache.lam is None else cache.lam.T @ upstream  # (S, l)
+    G = upstream if lam is None else lam.T @ upstream  # (S, l)
     if form.k == 0:
         d_flat = G
     else:
-        d_scal = cache.weights[:, None, None] * (G[:, :, None] * cache.eps[:, None, :])[:, None]
+        d_scal = weights[:, None, None] * (G[:, :, None] * eps[:, None, :])[:, None]
         d_flat = d_scal.reshape(-1, form.psi.out_dim)  # (S*N, l*C)
-    grad, _ = form.psi.backward(cache.mlp_cache, d_flat)
+    grad, _ = form.psi.backward(mlp_cache, d_flat)
     return grad

@@ -114,9 +114,6 @@ class Embedding:
     def ambient_dim(self) -> int:
         return self.coords.shape[1]
 
-    def point(self, vertex: int) -> np.ndarray:
-        return self.coords[vertex]
-
 
 @dataclass(frozen=True)
 class Chain:

@@ -1,10 +1,14 @@
 import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import kforms
 from kforms.cli import main
 
 
@@ -24,6 +28,120 @@ def read_jsonl(path: Path) -> list:
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def assert_one_error_line(result, *fragments):
+    """Exit 2 with a single ``error:`` line containing each fragment."""
+    assert result.exit_code == 2, result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+_SHARED = {
+    "seed": 0, "epochs": 100, "lr": 0.001, "batch_size": 16, "hidden_dim": 16, "steps": 5,
+    "threads": None, "optimizer": "adam", "activation": "relu", "val_fraction": 0.2,
+    "early_stop_patience": 40, "plateau_factor": 0.5, "plateau_patience": 10,
+}
+# Every train command's resolved defaults, as the commands resolved them
+# before their options moved into one table.
+PINNED_DEFAULTS = {
+    "train-paths": {
+        **_SHARED, "out": "runs/paths", "readout": "sum", "num_forms": 3, "k": 1,
+        "use_head": False, "samples_per_class": 100, "points_per_path": 32, "noise": 0.02,
+    },
+    "train-surfaces": {
+        **_SHARED, "out": "runs/surfaces", "readout": "l2", "num_forms": 2, "k": 2,
+        "use_head": False, "samples_per_class": 100, "grid_size": 10, "noise": 0.05,
+        "translation": 0.5,
+    },
+    "train-graphs": {
+        **_SHARED, "dataset_dir": None, "out": "runs/graphs", "readout": "l2", "num_forms": 8,
+        "k": 1, "folds": 5, "use_head": True, "standardize": False, "attribute_columns": None,
+    },
+}
+TRAIN_FLAGS = ["--config", "--seed", "--epochs", "--lr", "--batch-size", "--hidden-dim",
+               "--steps", "--num-forms", "--threads"]
+PINNED_FLAGS = {
+    "train-paths": TRAIN_FLAGS + ["--out", "--readout", "--k", "--help"],
+    "train-surfaces": TRAIN_FLAGS + ["--out", "--readout", "--k", "--help"],
+    "train-graphs": TRAIN_FLAGS + ["--dataset-dir", "--out", "--readout", "--k", "--folds", "--help"],
+}
+NULL_DEFAULT_TYPES = {"threads": int, "dataset_dir": str, "attribute_columns": list}
+WRONG_VALUE = {int: 2.5, float: "0.5", bool: "no", str: 3, list: "ab"}
+
+
+def wrong_typed_keys():
+    for command, defaults in PINNED_DEFAULTS.items():
+        for key, default in defaults.items():
+            kind = NULL_DEFAULT_TYPES[key] if default is None else type(default)
+            yield pytest.param(command, key, WRONG_VALUE[kind], id=f"{command}-{key}")
+
+
+class TestTrainCommandTable:
+    @pytest.mark.parametrize("command", sorted(PINNED_DEFAULTS))
+    def test_resolved_defaults_are_pinned(self, runner, tmp_path, tu_dir, command):
+        out = tmp_path / "run"
+        args = [command, "--epochs", "0", "--out", str(out)]
+        expected = {**PINNED_DEFAULTS[command], "out": str(out), "epochs": 0}
+        if command == "train-graphs":
+            args += ["--dataset-dir", str(tu_dir)]
+            expected["dataset_dir"] = str(tu_dir)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        resolved = json.loads((out / "config.json").read_text())
+        # the dumps compare types too: 0, 0.0 and false differ
+        assert json.dumps(resolved, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("command", sorted(PINNED_FLAGS))
+    def test_help_lists_the_pinned_flags(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert re.findall(r"^  (--[a-z-]+)", result.output, re.M) == PINNED_FLAGS[command]
+
+    @pytest.mark.parametrize("command, key, value", list(wrong_typed_keys()))
+    def test_wrong_config_type_exits_2_with_one_line(self, runner, tmp_path, command, key, value):
+        cfg = write_config(tmp_path, {key: value})
+        extra = ["--dataset-dir", str(tmp_path)] if command == "train-graphs" else []
+        result = runner.invoke(main, [command, "--config", str(cfg), *extra])
+        assert_one_error_line(result, repr(key), json.dumps(value))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"epochs": True}, {"epochs": 1.0}, {"use_head": 1}, {"num_forms": None}, {"noise": None}],
+    )
+    def test_near_miss_types_rejected(self, runner, tmp_path, payload):
+        cfg = write_config(tmp_path, payload)
+        result = runner.invoke(main, ["train-paths", "--config", str(cfg)])
+        assert_one_error_line(result, repr(next(iter(payload))))
+
+    def test_int_for_float_and_null_for_null_default_accepted(self, runner, tmp_path):
+        cfg = write_config(tmp_path, {**TINY_PATHS, "epochs": 0, "lr": 1, "threads": None})
+        out = tmp_path / "run"
+        result = runner.invoke(main, ["train-paths", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        resolved = json.loads((out / "config.json").read_text())
+        assert resolved["lr"] == 1 and resolved["threads"] is None
+
+    def test_threads_applied_before_numpy_loads(self, tmp_path):
+        cfg = write_config(tmp_path, {**TINY_PATHS, "epochs": 0})
+        script = f"""
+import os, sys
+import kforms.cli as cli
+real = cli._set_threads
+def spy(threads):
+    print("numpy loaded:", "numpy" in sys.modules)
+    real(threads)
+cli._set_threads = spy
+cli.main(["train-paths", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "run")!r},
+          "--threads", "1"])
+"""
+        src = str(Path(kforms.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={"PATH": "", "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "numpy loaded: False"
 
 
 class TestTrainPaths:
@@ -143,10 +261,51 @@ class TestTrainGraphs:
             main, ["train-graphs", "--dataset-dir", str(tmp_path / "nope")]
         )
         assert result.exit_code == 2
+        cfg = write_config(tmp_path, {"dataset_dir": str(tmp_path)})
+        result = runner.invoke(main, ["train-graphs", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "Missing option '--dataset-dir'" in result.output
 
     def test_unparseable_dataset_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["train-graphs", "--dataset-dir", str(tmp_path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "payload, fragment",
+        [
+            ({"steps": 2.5}, "'steps'"),
+            ({"use_head": "no"}, "'use_head'"),
+            ({"standardize": "yes"}, "'standardize'"),
+            ({"attribute_columns": "ab"}, "'attribute_columns'"),
+            ({"attribute_columns": [99]}, "attribute column 99"),
+        ],
+    )
+    def test_malformed_config_exits_2_with_one_line(self, runner, tmp_path, tu_dir, payload,
+                                                    fragment):
+        cfg = write_config(tmp_path, {**payload, "epochs": 1})
+        result = runner.invoke(
+            main, ["train-graphs", "--config", str(cfg), "--dataset-dir", str(tu_dir),
+                   "--out", str(tmp_path / "run")],
+        )
+        assert_one_error_line(result, fragment)
+
+    @pytest.mark.parametrize("suffix, row", [("_A.txt", "1, 99999999999999999999"),
+                                             ("_graph_indicator.txt", "99999999999999999999")])
+    def test_id_beyond_int64_exits_2_with_one_line(self, runner, tmp_path, tu_dir, suffix, row):
+        with open(tu_dir / f"TOY{suffix}", "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        result = runner.invoke(main, ["train-graphs", "--dataset-dir", str(tu_dir)])
+        assert_one_error_line(result, f"TOY{suffix}", "int64")
+
+    def test_k_zero_baseline_runs(self, runner, tmp_path, tu_dir):
+        out = tmp_path / "run"
+        result = runner.invoke(
+            main,
+            ["train-graphs", "--dataset-dir", str(tu_dir), "--out", str(out), "--k", "0",
+             "--epochs", "1", "--folds", "2", "--hidden-dim", "4"],
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "config.json").read_text())["k"] == 0
 
     def test_too_many_folds_rejected(self, runner, tmp_path, tu_dir):
         result = runner.invoke(

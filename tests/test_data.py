@@ -1,5 +1,12 @@
+import re
+import tempfile
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_tu
 from kforms.data import (
@@ -9,13 +16,10 @@ from kforms.data import (
     TuDataset,
     gen_paths,
     gen_surfaces,
-    load_dataset_json,
     parse_tu,
-    save_dataset_json,
     tu_to_dataset,
     write_tu,
 )
-from kforms.model import Dataset
 
 
 class TestPathGeneration:
@@ -189,6 +193,16 @@ class TestTuParsing:
         with pytest.raises(DataFormatError, match="integer"):
             parse_tu(tu_dir)
 
+    @pytest.mark.parametrize("suffix, row", [("_A.txt", "1, 99999999999999999999"),
+                                             ("_graph_indicator.txt", "99999999999999999999")])
+    def test_id_beyond_int64_rejected(self, tu_dir, suffix, row):
+        path = tu_dir / f"TOY{suffix}"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [row]) + "\n")
+        message = f"{path}, line {len(lines) + 1}: integer out of int64 range"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            parse_tu(tu_dir)
+
     def test_explicit_name_overrides_inference(self, tu_dir):
         tu = parse_tu(tu_dir, name="TOY")
         assert tu.name == "TOY"
@@ -265,6 +279,11 @@ class TestTuToDataset:
             data.items[0].embedding.coords[:, 0], full.items[0].embedding.coords[:, 1]
         )
 
+    @pytest.mark.parametrize("column", [2, 99, -1])
+    def test_attribute_column_out_of_range(self, tu_dir, column):
+        with pytest.raises(DataFormatError, match=f"attribute column {column} outside 0..1"):
+            tu_to_dataset(parse_tu(tu_dir), attribute_columns=[0, column])
+
     def test_standardize_centers_and_scales(self, tu_dir):
         tu = parse_tu(tu_dir)
         data = tu_to_dataset(tu, standardize=True)
@@ -297,26 +316,53 @@ class TestTuToDataset:
             tu_to_dataset(tu)
 
 
-class TestJsonBundles:
-    def test_round_trip_preserves_everything(self, tmp_path):
-        base = gen_paths(PathDatasetSpec(samples_per_class=2, points_per_path=5, seed=4))
-        data = Dataset(base.items, base.num_classes, {"train": (0, 2, 4), "val": (1, 3)})
-        path = tmp_path / "bundle.json"
-        save_dataset_json(data, path)
-        loaded = load_dataset_json(path)
-        assert loaded.num_classes == data.num_classes
-        assert loaded.splits == {"train": (0, 2, 4), "val": (1, 3)}
-        assert len(loaded) == len(data)
-        for mine, theirs in zip(data.items, loaded.items):
-            assert mine.label == theirs.label
-            assert mine.complex == theirs.complex
-            assert np.array_equal(mine.embedding.coords, theirs.embedding.coords)
-            assert mine.chains.chains == theirs.chains.chains
 
-    def test_round_trip_without_splits(self, tmp_path):
-        data = gen_surfaces(SurfaceDatasetSpec(grid_size=3, samples_per_class=1))
-        path = tmp_path / "bundle.json"
-        save_dataset_json(data, path)
-        loaded = load_dataset_json(path)
-        assert loaded.splits is None
-        assert loaded.items[0].complex == data.items[0].complex
+@lru_cache(maxsize=None)
+def _valid_tu_files() -> tuple:
+    """(suffix, lines) of each file of a small valid TU dataset."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tu = make_tu(np.random.default_rng(5), num_graphs=4, with_node_labels=True, name="FZ")
+        write_tu(tu, tmp)
+        return tuple(
+            (p.name[len("FZ"):], tuple(p.read_text().splitlines()))
+            for p in sorted(Path(tmp).iterdir())
+        )
+
+
+_FIELDS = st.sampled_from(
+    ["1", "2", "3", "0", "-1", " 4", "", "x", "1.5", "nan", "1e999", "99999999999999999999",
+     "9223372036854775807", "-9223372036854775808"]
+)
+# (file, line position, replacement row or None to delete that line)
+_EDITS = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 60),
+              st.none() | st.lists(_FIELDS, min_size=1, max_size=3).map(", ".join)),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestTuFuzz:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(edits=_EDITS, drop_optional=st.sets(st.sampled_from(["_node_attributes.txt",
+                                                                "_node_labels.txt"])))
+    def test_damaged_files_parse_or_fail_cleanly(self, edits, drop_optional):
+        """A valid dataset with lines replaced, deleted or appended either
+        loads or raises DataFormatError or ValueError, nothing else."""
+        files = {suffix: list(lines) for suffix, lines in _valid_tu_files()}
+        suffixes = sorted(files)
+        for which, pos, row in edits:
+            lines = files[suffixes[which % len(suffixes)]]
+            pos %= len(lines) + 1
+            if row is None:
+                del lines[pos:pos + 1]
+            else:
+                lines[pos:pos + 1] = [row]
+        with tempfile.TemporaryDirectory() as tmp:
+            for suffix, lines in files.items():
+                if suffix not in drop_optional:
+                    Path(tmp, f"FZ{suffix}").write_text("\n".join(lines) + "\n")
+            try:
+                tu_to_dataset(parse_tu(tmp))
+            except (DataFormatError, ValueError):
+                pass

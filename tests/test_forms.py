@@ -52,8 +52,8 @@ class TestAffineJacobian:
         emb = Embedding(np.array([[0.0, 0.0, 1.0], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
         D = affine_jacobian(emb, (0, 1, 2))
         assert D.shape == (3, 2)
-        assert np.array_equal(D[:, 0], emb.point(1) - emb.point(0))
-        assert np.array_equal(D[:, 1], emb.point(2) - emb.point(0))
+        assert np.array_equal(D[:, 0], emb.coords[1] - emb.coords[0])
+        assert np.array_equal(D[:, 1], emb.coords[2] - emb.coords[0])
 
     def test_vertex_order_matters(self):
         emb = Embedding(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))

@@ -145,11 +145,6 @@ class TestDataset:
         with pytest.raises(ValueError, match="ambient"):
             Dataset((a, b), num_classes=1)
 
-    def test_split_indices_checked(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="split"):
-            Dataset((small_item(rng),), num_classes=1, splits={"train": (4,)})
-
     def test_subset_and_labels(self):
         data = tiny_paths(samples=3)
         sub = data.subset([0, 4, 8])
@@ -414,16 +409,6 @@ class TestTrain:
         result = train(cfg, data)
         rep = evaluate(result.classifier, data, result.val_indices)
         assert rep.loss == result.best_val_loss
-
-    def test_explicit_splits_are_honored(self):
-        base = tiny_paths()
-        train_idx = tuple(range(0, len(base), 2))
-        val_idx = tuple(range(1, len(base), 2))
-        data = Dataset(base.items, base.num_classes, {"train": train_idx, "val": val_idx})
-        cfg = TrainConfig(max_epochs=1, hidden_dim=4, num_forms=3, use_head=False)
-        result = train(cfg, data)
-        assert np.array_equal(result.train_indices, np.array(train_idx))
-        assert np.array_equal(result.val_indices, np.array(val_idx))
 
     def test_chain_dimension_checked(self):
         data = tiny_paths()

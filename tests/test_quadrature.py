@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +6,6 @@ import pytest
 from kforms.forms import NeuralKForm, mix_forms
 from kforms.nn import Mlp
 from kforms.quadrature import (
-    evaluate_points,
-    integrate_chain,
     integrate_simplex,
     integration_matrix,
     integration_matrix_backward,
@@ -44,6 +41,13 @@ def linear_form(n: int, k: int, row_weights: np.ndarray) -> NeuralKForm:
     return NeuralKForm(psi, n, k, row_weights.shape[0] // C)
 
 
+def cell_vertices(sub, i: int) -> np.ndarray:
+    """Vertices of cell i in simplex coordinates, (k+1, k): grid point y
+    is the simplex point t[j] = (y[j] - y[j+1]) / h with y[k] = 0."""
+    y = np.concatenate([sub.cells[i], np.zeros((sub.k + 1, 1), dtype=sub.cells.dtype)], axis=1)
+    return (y[:, :-1] - y[:, 1:]) / sub.h
+
+
 class TestSubdivision:
     def test_cell_count_is_h_to_the_k(self):
         for k in (1, 2, 3):
@@ -55,7 +59,7 @@ class TestSubdivision:
             for h in (1, 2, 3):
                 sub = subdivide_simplex(k, h)
                 for i in range(sub.num_cells):
-                    verts = sub.cell_vertices(i)
+                    verts = cell_vertices(sub, i)
                     edges = verts[1:] - verts[0]
                     vol = abs(np.linalg.det(edges)) / math.factorial(k)
                     assert vol == pytest.approx(sub.cell_volume, rel=1e-12)
@@ -68,7 +72,7 @@ class TestSubdivision:
                 1.0 / math.factorial(k), rel=1e-12
             )
             for i in range(sub.num_cells):
-                verts = sub.cell_vertices(i)
+                verts = cell_vertices(sub, i)
                 assert np.all(verts >= -1e-12)
                 assert np.all(verts.sum(axis=1) <= 1.0 + 1e-12)
 
@@ -82,6 +86,9 @@ class TestSubdivision:
             subdivide_simplex(0, 3)
         with pytest.raises(ValueError):
             subdivide_simplex(2, 0)
+        for h in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match="positive integer"):
+                subdivide_simplex(2, h)
 
 
 class TestQuadraturePlan:
@@ -150,7 +157,7 @@ class TestExactness:
         for trial in range(15):
             pts = rng.normal(size=(int(rng.integers(2, 10)), 2))
             c, emb, chain = path_to_complex(pts)
-            got = integrate_chain(form, 0, c, emb, chain, h=3)
+            got = integration_matrix(form, c, emb, [chain], h=3)[0, 0]
             assert got == pytest.approx(pts[-1, 0] - pts[0, 0], abs=1e-12)
 
     def test_degenerate_simplex_integrates_to_zero(self):
@@ -202,7 +209,7 @@ class TestIntegrationMatrix:
         assert X.shape == (4, 2)
         for i, chain in enumerate(beta):
             for j in range(2):
-                single = integrate_chain(form, j, self.complex, self.embedding, chain, h=3)
+                single = integration_matrix(form, self.complex, self.embedding, [chain], h=3)[0, j]
                 assert X[i, j] == pytest.approx(single, abs=1e-12)
 
     @pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (4, 3), (5, 4)])
@@ -302,9 +309,10 @@ class TestIntegrationMatrix:
         form = NeuralKForm.init(3, k, 2, (5,), "tanh", self.rng)
         beta = standard_basis_chains(self.complex, k)
         X, cache = integration_matrix_forward(form, self.complex, self.embedding, beta, h=2)
-        assert cache.lam is None
+        lam, *rest = cache
+        assert lam is None
         U = self.rng.normal(size=X.shape)
-        explicit = dataclasses.replace(cache, lam=np.eye(len(beta)))
+        explicit = (np.eye(len(beta)), *rest)
         got = integration_matrix_backward(form, cache, U)
         assert np.array_equal(got, integration_matrix_backward(form, explicit, U))
 
@@ -317,7 +325,8 @@ class TestIntegrationMatrix:
 
     def test_evaluate_points_matches_psi(self):
         form = NeuralKForm.init(3, 0, 2, (4,), "tanh", self.rng)
-        vals = evaluate_points(form, self.embedding, [0, 2, 4])
+        vertices = ChainTuple(tuple(Chain(0, ((v, 1.0),)) for v in (0, 2, 4)))
+        vals = integration_matrix(form, self.complex, self.embedding, vertices)
         assert vals.shape == (3, 2)
         expected = form.psi.forward(self.embedding.coords[[0, 2, 4]])
         assert np.array_equal(vals, expected)
@@ -408,5 +417,5 @@ class TestValidation:
             integration_matrix(self.form, self.complex, self.embedding, [])
 
     def test_evaluate_points_rejects_higher_forms(self):
-        with pytest.raises(ValueError, match="0-form"):
-            evaluate_points(self.form, self.embedding, [0])
+        with pytest.raises(ValueError, match="dimension"):
+            integration_matrix(self.form, self.complex, self.embedding, [Chain(0, ((0, 1.0),))])

@@ -87,7 +87,7 @@ class TestEmbedding:
         emb = Embedding(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert emb.num_vertices == 2
         assert emb.ambient_dim == 2
-        assert np.array_equal(emb.point(1), [3.0, 4.0])
+        assert np.array_equal(emb.coords[1], [3.0, 4.0])
 
 
 class TestChain:
