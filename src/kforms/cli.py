@@ -132,8 +132,7 @@ def _write_representations(path: Path, classifier, data) -> None:
         writer = csv.writer(fh)
         num = classifier.form.num_forms
         writer.writerow([f"readout_{j}" for j in range(num)] + ["label"])
-        for item in data.items:
-            feats = classifier.features(item)
+        for item, feats in zip(data.items, classifier.features_each(data.items)):
             writer.writerow([repr(float(v)) for v in feats] + [item.label])
 
 
@@ -198,7 +197,12 @@ def _graphs_step(resolved: dict) -> None:
     from .data import parse_tu, tu_to_dataset
     from .model import kfold_cv
 
-    raw = parse_tu(resolved["dataset_dir"])
+    dataset_dir = resolved["dataset_dir"]
+    if dataset_dir is None:
+        raise ValueError("dataset_dir is required: pass --dataset-dir or set it in --config")
+    if not os.path.isdir(dataset_dir):
+        raise ValueError(f"dataset_dir {dataset_dir!r} is not a directory")
+    raw = parse_tu(dataset_dir)
     data = tu_to_dataset(raw, resolved["attribute_columns"], resolved["standardize"])
     cfg, data, out_dir = _prepare(resolved, data)
     cv = kfold_cv(cfg, data, resolved["folds"])
@@ -267,14 +271,12 @@ def _add_train_command(name: str, help_text: str, own_defaults: dict, step) -> N
 
     for key in reversed([key for key in _FLAG_HELP if key == "config" or key in defaults]):
         default = defaults.get(key)
-        # click counts an explicit default, None included, as a given value
-        given = {"required": True} if key == "dataset_dir" else {"default": default}
         command = click.option(
             "--" + key.replace("_", "-"),
             type=_FLAG_TYPES.get(key, _NULL_DEFAULT_TYPES.get(key, type(default))),
+            default=default,
             show_default=True,
             help=_FLAG_HELP[key],
-            **given,
         )(command)
     main.command(name, help=help_text)(command)
 

@@ -198,6 +198,8 @@ def _read_rows(path: Path, kind: type, width: int | None = None) -> np.ndarray:
                     f"{path}, line {ln}: ragged row ({len(parts)} fields, expected {width})"
                 )
             try:
+                if "_" in line:  # int() and float() read 1_0 as 10
+                    raise ValueError
                 rows.append([kind(p) for p in parts])
             except ValueError:
                 what = "an integer" if kind is int else "a number"

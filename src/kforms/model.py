@@ -20,6 +20,7 @@ from .forms import NeuralKForm, form_from_header, form_header
 from .nn import Mlp, make_optimizer, mlp_from_header, mlp_header, read_blob, write_blob
 from .quadrature import (
     DEFAULT_STEPS,
+    integration_matrices,
     integration_matrix,
     integration_matrix_backward,
     integration_matrix_forward,
@@ -239,6 +240,18 @@ class KFormClassifier:
         feats = self.features(item)
         return feats if self.head is None else self.head.forward(feats)
 
+    def features_each(self, items):
+        """Yield ``features(item)`` for each item in turn, bit for bit; the
+        integrations run in chunks across items (``integration_matrices``)."""
+        settings = ((it.complex, it.embedding, it.chains) for it in items)
+        for X in integration_matrices(self.form, settings, self.steps):
+            yield readout_forward(self.readout, X)
+
+    def forward_each(self, items):
+        """Yield ``forward(item)`` for each item in turn, bit for bit."""
+        for feats in self.features_each(items):
+            yield feats if self.head is None else self.head.forward(feats)
+
     def forward_cached(self, item: Item):
         X, int_cache = integration_matrix_forward(
             self.form, item.complex, item.embedding, item.chains, self.steps
@@ -295,26 +308,24 @@ class EvalReport:
 
 def evaluate(classifier: KFormClassifier, data: Dataset, indices=None) -> EvalReport:
     """Mean loss, accuracy and per-class tallies; argmax ties go to the
-    lowest class index."""
+    lowest class index.  The items' logits come from
+    ``KFormClassifier.forward_each``."""
     if indices is None:
         indices = range(len(data))
+    items = [data.items[int(i)] for i in indices]
+    if not items:
+        raise ValueError("cannot evaluate on an empty index set")
     total = np.zeros(data.num_classes, dtype=np.intp)
     correct = np.zeros(data.num_classes, dtype=np.intp)
     loss_sum = 0.0
-    count = 0
-    for i in indices:
-        item = data.items[int(i)]
-        logits = classifier.forward(item)
+    for item, logits in zip(items, classifier.forward_each(items)):
         loss, _ = cross_entropy(logits, item.label)
         loss_sum += loss
         total[item.label] += 1
         correct[item.label] += int(np.argmax(logits)) == item.label
-        count += 1
-    if count == 0:
-        raise ValueError("cannot evaluate on an empty index set")
     return EvalReport(
-        loss=loss_sum / count,
-        accuracy=float(correct.sum() / count),
+        loss=loss_sum / len(items),
+        accuracy=float(correct.sum() / len(items)),
         per_class_total=tuple(int(v) for v in total),
         per_class_correct=tuple(int(v) for v in correct),
     )

@@ -9,25 +9,28 @@ integrand is affine on each cell — in particular for constant
 coefficient functions at any resolution — and is second-order accurate
 for smooth integrands.
 
-An integration matrix is built in one batched pass over the S
-simplices its chains reference: one gather of their vertex coordinates
-(S, k+1, n) gives every affine Jacobian as vertex differences, one
-``epsilon_all`` call their column volumes (S, C), one broadcast matmul
-the quadrature nodes pushed into ambient space, and one MLP call the
-integrand at all of them.  A contraction with the weights and volumes
-yields the per-simplex integrals, which the chain coefficients combine
-linearly.  Which simplices are used, their coefficient matrix, and the
-vertex indices of the complex's simplices are read from the data
-objects, which build them on first use and keep them.
+One body computes every integration matrix.  It gathers items
+(complex, embedding, chains) in order into chunks of at most
+``ROW_BUDGET`` MLP rows, and per chunk runs one gather of the vertex
+coordinates (S, k+1, n) of the simplices the chains use, whose vertex
+differences are the affine Jacobians; one ``epsilon_all`` call for
+their column volumes (S, C); one broadcast matmul pushing the
+quadrature nodes into ambient space; and one MLP call.  The output is
+split at the item offsets, and per item a contraction of its own rows
+with the weights and volumes gives the per-simplex integrals, which its
+chain coefficients combine linearly.  Items share nothing, so an item's
+matrix is bit-identical whichever chunk it lands in.  The budget is
+fixed: larger chunks ran slower per item, the MLP being memory-bound.
+The used simplices, their coefficient matrix and the simplex vertex
+indices are read from the data objects, which build them once.
 
-``integration_matrix`` and ``integration_matrix_forward`` share one
-body.  The first runs the MLP's forward-only pass and returns X alone.
-The second keeps the MLP's layer inputs and returns a cache, the tuple
+``integration_matrices`` yields many items' matrices from forward-only
+MLP passes; ``integration_matrix`` and ``integration_matrix_forward``
+are its one-item case.  The second also returns a cache
 ``(lam, weights, eps, mlp_cache)``: chain coefficients over the used
 simplices (None for the identity), quadrature weights, column volumes
-per simplex and the MLP's cache.  It is all a loss gradient needs to
-reach the MLP parameters (embeddings are fixed data and receive no
-gradient).
+per simplex and the MLP's cache, all a loss gradient needs to reach the
+MLP parameters (embeddings are fixed data and receive no gradient).
 """
 
 from __future__ import annotations
@@ -50,11 +53,13 @@ __all__ = [
     "quadrature_plan",
     "integrate_simplex",
     "integration_matrix",
+    "integration_matrices",
     "integration_matrix_forward",
     "integration_matrix_backward",
 ]
 
 DEFAULT_STEPS = 5
+ROW_BUDGET = 2048  # the most MLP rows a chunk of several items runs in one call
 
 
 @dataclass(frozen=True)
@@ -216,7 +221,8 @@ def integration_matrix_forward(
     integrals (for k = 0: the MLP values at the vertices, unchanged bit
     for bit).
     """
-    return _integrate(form, complex_, embedding, chains, h, keep_cache=True)
+    ((X, cache),) = _integrate(form, h, [_entry(form, complex_, embedding, chains)], True)
+    return X, cache
 
 
 def integration_matrix(
@@ -228,58 +234,98 @@ def integration_matrix(
 ) -> np.ndarray:
     """X[i, j] = integral of form j over chain i, shape (m, num_forms).
     Same values as ``integration_matrix_forward``, with no cache."""
-    X, _ = _integrate(form, complex_, embedding, chains, h, keep_cache=False)
+    ((X, _),) = _integrate(form, h, [_entry(form, complex_, embedding, chains)], False)
     return X
 
 
-def _integrate(form, complex_, embedding, chains, h, keep_cache: bool):
-    """The body of both integration-matrix functions; with ``keep_cache``
-    False the MLP runs its forward-only pass and no cache is returned.
+def integration_matrices(form: NeuralKForm, settings, h: int = DEFAULT_STEPS):
+    """Yield ``integration_matrix(form, *setting, h)`` for each
+    (complex, embedding, chains) setting in turn, bit for bit."""
+    for chunk in _chunks(form, settings, h):
+        for X, _ in _integrate(form, h, chunk, False):
+            yield X
 
-    The parameter-free part of the work is read from the data: the chain
-    support (used simplices and coefficient matrix) from the chain
-    tuple, and the simplex vertex indices from the complex, both built
-    on first use and kept by those objects.
-    """
+
+def _entry(form, complex_, embedding, chains):
+    """Check one item; return its vertex coordinates, the vertex indices
+    of the simplices its chains use, ``lam`` and its number of chains."""
     if not isinstance(chains, ChainTuple):
         chains = ChainTuple(tuple(chains))
     k = form.k
     if chains.dim != k:
         raise ValueError(f"chain of dimension {chains.dim} fed to a form with k={k}")
     _check_setting(form, complex_, embedding)
-
     used, lam = chains.support
-    m, S = len(chains), used.size
     num_simplices = complex_.num_simplices(k)
-    if S and used[-1] >= num_simplices:
+    if used.size and used[-1] >= num_simplices:
         raise ValueError(f"chain references simplex {used[-1]}, complex has {num_simplices}")
-    if not S:
-        # every chain is empty; the matrix is zero and carries no gradient
-        cache = (lam, np.zeros(0), np.zeros((0, 0)), None)
-        return np.zeros((m, form.num_forms)), cache if keep_cache else None
+    return embedding.coords, complex_.vertex_array(k)[used], lam, len(chains)
 
-    V = embedding.coords[complex_.vertex_array(k)[used]]  # (S, k+1, n)
-    if k == 0:
-        weights, eps = np.ones(1), np.ones((S, 1))
+
+def _chunks(form, settings, h):
+    """Yield the checked items of ``settings`` in order, in lists of at
+    most ``ROW_BUDGET`` MLP rows.  An item larger than the budget is a
+    chunk of its own; so are a one-row item and every item of an MLP with
+    a width-one layer, because numpy hands such products to BLAS gemv,
+    whose value for a row can depend on the rows around it."""
+    nodes = quadrature_plan(form.k, h).num_nodes if form.k else 1
+    budget = ROW_BUDGET if min(form.psi.dims[1:]) > 1 else 0
+    chunk, rows = [], 0
+    for setting in settings:
+        entry = _entry(form, *setting)
+        size = entry[1].shape[0] * nodes
+        if chunk and (rows + size > budget or 1 in (rows, size)):
+            yield chunk
+            chunk, rows = [], 0
+        chunk.append(entry)
+        rows += size
+    if chunk:
+        yield chunk
+
+
+def _integrate(form, h, chunk, keep_cache: bool) -> list:
+    """(X, cache) per item of a chunk (see the module docstring).  With
+    ``keep_cache`` False the MLP runs its forward-only pass and each cache
+    is None; with it True the chunk holds one item."""
+    gathered = [coords[verts] for coords, verts, _, _ in chunk]
+    V = gathered[0] if len(gathered) == 1 else np.concatenate(gathered)  # (S, k+1, n)
+    if form.k == 0:
+        weights, eps = np.ones(1), np.ones((V.shape[0], 1))
         points = V[:, 0]
     else:
-        plan = quadrature_plan(k, h)
+        plan = quadrature_plan(form.k, h)
         weights = plan.weights
         Dt = V[:, 1:] - V[:, :1]  # (S, k, n): transposed Jacobians
         eps = epsilon_all(Dt.swapaxes(1, 2), form.table)  # (S, C)
         points = (V[:, :1] + plan.nodes @ Dt).reshape(-1, form.n)  # (S*N, n)
 
-    if keep_cache:
+    if not V.shape[0]:
+        out, mlp_cache = None, None  # every chain is empty: no MLP call
+    elif keep_cache:
         out, mlp_cache = form.psi.forward_cached(points)
     else:
         out, mlp_cache = form.psi.forward(points), None
-    if k == 0:
-        per_simplex = out  # (S, l): evaluation, untouched
-    else:
-        scal = out.reshape(S, len(weights), form.num_forms, -1)  # (S, N, l, C)
-        per_simplex = (np.tensordot(weights, scal, (0, 1)) * eps[:, None, :]).sum(axis=2)  # (S, l)
-    X = per_simplex if lam is None else lam @ per_simplex
-    return X, (lam, weights, eps, mlp_cache) if keep_cache else None
+    results, N, start = [], len(weights), 0
+    for _, verts, lam, m in chunk:
+        S = verts.shape[0]
+        stop = start + S
+        if not S:
+            # every chain is empty; the matrix is zero and carries no gradient
+            cache = (lam, np.zeros(0), np.zeros((0, 0)), None)
+            results.append((np.zeros((m, form.num_forms)), cache if keep_cache else None))
+            continue
+        if form.k == 0:
+            per_simplex = out[start:stop]  # (S, l): evaluation, untouched
+        else:
+            # np.tensordot(weights, scal, (0, 1)) for scal (S, N, l, C), as the
+            # one np.dot call it makes, without its per-call Python overhead
+            nodes_first = out[start * N : stop * N].reshape(S, N, -1).swapaxes(0, 1).reshape(N, -1)
+            scaled = np.dot(weights.reshape(1, N), nodes_first).reshape(S, form.num_forms, -1)
+            per_simplex = (scaled * eps[start:stop, None, :]).sum(axis=2)  # (S, l)
+        X = per_simplex if lam is None else lam @ per_simplex
+        results.append((X, (lam, weights, eps[start:stop], mlp_cache) if keep_cache else None))
+        start = stop
+    return results
 
 
 def integration_matrix_backward(form: NeuralKForm, cache: tuple, upstream: np.ndarray) -> np.ndarray:

@@ -261,10 +261,24 @@ class TestTrainGraphs:
             main, ["train-graphs", "--dataset-dir", str(tmp_path / "nope")]
         )
         assert result.exit_code == 2
-        cfg = write_config(tmp_path, {"dataset_dir": str(tmp_path)})
+        result = runner.invoke(main, ["train-graphs"])
+        assert_one_error_line(result, "dataset_dir")
+        cfg = write_config(tmp_path, {"dataset_dir": str(tmp_path / "nope")})
         result = runner.invoke(main, ["train-graphs", "--config", str(cfg)])
-        assert result.exit_code == 2
-        assert "Missing option '--dataset-dir'" in result.output
+        assert_one_error_line(result, "dataset_dir", "nope")
+
+    def test_dataset_dir_from_config(self, runner, tmp_path, tu_dir):
+        cfg = write_config(tmp_path, {"dataset_dir": str(tu_dir), "epochs": 0, "folds": 2})
+        out = tmp_path / "run"
+        result = runner.invoke(main, ["train-graphs", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "config.json").read_text())["dataset_dir"] == str(tu_dir)
+        # the flag overrides the config
+        cfg = write_config(tmp_path, {"dataset_dir": str(tmp_path / "nope"), "epochs": 0,
+                                      "folds": 2})
+        result = runner.invoke(main, ["train-graphs", "--config", str(cfg), "--out", str(out),
+                                      "--dataset-dir", str(tu_dir)])
+        assert result.exit_code == 0, result.output
 
     def test_unparseable_dataset_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["train-graphs", "--dataset-dir", str(tmp_path)])

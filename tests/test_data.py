@@ -193,6 +193,16 @@ class TestTuParsing:
         with pytest.raises(DataFormatError, match="integer"):
             parse_tu(tu_dir)
 
+    @pytest.mark.parametrize("suffix, row, what", [("_A.txt", "1_0, 2", "an integer"),
+                                                   ("_node_attributes.txt", "1_0.5, 0.0", "a number")])
+    def test_underscore_digit_separator_rejected(self, tu_dir, suffix, row, what):
+        path = tu_dir / f"TOY{suffix}"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [row]) + "\n")
+        message = f"{path}, line {len(lines) + 1}: not {what}: {row!r}"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            parse_tu(tu_dir)
+
     @pytest.mark.parametrize("suffix, row", [("_A.txt", "1, 99999999999999999999"),
                                              ("_graph_indicator.txt", "99999999999999999999")])
     def test_id_beyond_int64_rejected(self, tu_dir, suffix, row):

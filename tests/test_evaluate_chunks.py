@@ -1,0 +1,233 @@
+"""Chunked evaluation: items whose MLP rows share one call must get the
+logits of their own per-item forward pass, bit for bit."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kforms.quadrature as quadrature
+from kforms.data import PathDatasetSpec, gen_paths
+from kforms.model import (
+    Dataset,
+    EvalReport,
+    Item,
+    TrainConfig,
+    build_classifier,
+    cross_entropy,
+    evaluate,
+)
+from kforms.nn import Mlp
+from kforms.simplicial import Chain, ChainTuple, Embedding, build_complex, standard_basis_chains
+
+NUM_CLASSES = 3
+
+
+def graph_item(rng, num_vertices: int, k: int, label: int, mixed: bool = False) -> Item:
+    """A ring of ``num_vertices`` vertices in R^3 filled with the triangles
+    (i, i+1, i+2), with the standard k-basis as chains, or with random
+    combinations of it when ``mixed``."""
+    ring = [(i, (i + 1) % num_vertices, (i + 2) % num_vertices) for i in range(num_vertices)]
+    complex_ = build_complex(ring, num_vertices)
+    chains = standard_basis_chains(complex_, k)
+    if mixed:
+        count = complex_.num_simplices(k)
+        chains = ChainTuple(tuple(
+            Chain(k, tuple((int(s), float(rng.normal())) for s in rng.choice(count, 3, False)))
+            for _ in range(2)
+        ))
+    return Item(complex_, Embedding(rng.normal(size=(num_vertices, 3))), chains, label)
+
+
+def empty_item(rng, k: int, label: int) -> Item:
+    item = graph_item(rng, 4, k, label)
+    return Item(item.complex, item.embedding, ChainTuple((Chain(k, ()), Chain(k, ()))), label)
+
+
+def one_simplex_item(rng, k: int, label: int) -> Item:
+    item = graph_item(rng, 5, k, label)
+    return Item(item.complex, item.embedding, ChainTuple((Chain(k, ((2, 1.0),)),)), label)
+
+
+def mixed_items(rng, k: int) -> list:
+    """Graph items of mixed size, with an item whose chains are all empty,
+    an item of one simplex and items whose chains combine simplices."""
+    items = []
+    for pos, num_vertices in enumerate([5, 9, 4, 30, 6, 5, 12, 4, 7, 3, 8]):
+        items.append(graph_item(rng, num_vertices, k, pos % NUM_CLASSES, mixed=pos in (4, 8)))
+    items.insert(3, empty_item(rng, k, 1))
+    items.insert(7, one_simplex_item(rng, k, 2))
+    items.append(empty_item(rng, k, 0))
+    return items
+
+
+def item_rows(item: Item, k: int, h: int = quadrature.DEFAULT_STEPS) -> int:
+    nodes = quadrature.quadrature_plan(k, h).num_nodes if k else 1
+    return item.chains.support[0].size * nodes
+
+
+def classifier_for(k: int, activation: str, readout: str, use_head: bool, hidden_dim: int = 16,
+                   seed: int = 0, n: int = 3, num_forms: int = NUM_CLASSES):
+    cfg = TrainConfig(k=k, num_forms=num_forms, hidden_dim=hidden_dim, activation=activation,
+                      readout=readout, use_head=use_head, seed=seed)
+    return build_classifier(n, NUM_CLASSES, cfg, np.random.default_rng(seed))
+
+
+def reference_report(classifier, data: Dataset, indices) -> EvalReport:
+    """``evaluate`` as a plain per-item loop over ``forward``."""
+    total = np.zeros(data.num_classes, dtype=np.intp)
+    correct = np.zeros(data.num_classes, dtype=np.intp)
+    loss_sum = 0.0
+    for i in indices:
+        item = data.items[int(i)]
+        logits = classifier.forward(item)
+        loss, _ = cross_entropy(logits, item.label)
+        loss_sum += loss
+        total[item.label] += 1
+        correct[item.label] += int(np.argmax(logits)) == item.label
+    return EvalReport(
+        loss=loss_sum / len(indices),
+        accuracy=float(correct.sum() / len(indices)),
+        per_class_total=tuple(int(v) for v in total),
+        per_class_correct=tuple(int(v) for v in correct),
+    )
+
+
+@pytest.fixture
+def form_calls(monkeypatch):
+    """Row counts of the batched ``Mlp.forward`` calls, in call order; the
+    head's calls, on one feature vector each, are left out."""
+    calls = []
+    original = Mlp.forward
+
+    def counted(self, x):
+        if np.ndim(x) == 2:
+            calls.append(np.shape(x)[0])
+        return original(self, x)
+
+    monkeypatch.setattr(Mlp, "forward", counted)
+    return calls
+
+
+def assert_chunked_matches_per_item(classifier, items):
+    chunked = list(classifier.forward_each(items))
+    assert len(chunked) == len(items)
+    for item, logits in zip(items, chunked):
+        assert np.array_equal(logits, classifier.forward(item))
+    for item, feats in zip(items, classifier.features_each(items)):
+        assert np.array_equal(feats, classifier.features(item))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("use_head", [False, True], ids=["headless", "head"])
+@pytest.mark.parametrize("readout", ["column_sum", "column_l1", "column_l2"])
+@pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+def test_chunked_logits_and_report_match_per_item(monkeypatch, form_calls, activation, readout,
+                                                  use_head, k):
+    items = mixed_items(np.random.default_rng(k), k)
+    rows = [item_rows(it, k) for it in items]
+    # the largest item exceeds the budget; the others share chunks with
+    # a boundary between consecutive items
+    budget = sorted(rows)[-2] * 2
+    assert max(rows) > budget
+    monkeypatch.setattr(quadrature, "ROW_BUDGET", budget)
+    classifier = classifier_for(k, activation, readout, use_head)
+    data = Dataset(tuple(items), NUM_CLASSES)
+
+    form_calls.clear()
+    report = evaluate(classifier, data)
+    assert sum(form_calls) == sum(rows)
+    assert 2 < len(form_calls) < sum(r > 0 for r in rows)
+    assert report == reference_report(classifier, data, range(len(items)))
+    indices = np.array([12, 0, 5, 3, 7, 8, 1])
+    assert evaluate(classifier, data, indices) == reference_report(classifier, data, indices)
+    assert_chunked_matches_per_item(classifier, items)
+
+
+def test_default_budget_with_an_oversized_item(form_calls):
+    rng = np.random.default_rng(5)
+    items = mixed_items(rng, 2) + [graph_item(rng, 110, 2, 1)]  # 110 triangles: 2,310 rows
+    assert item_rows(items[-1], 2) > quadrature.ROW_BUDGET
+    classifier = classifier_for(2, "tanh", "column_l2", use_head=True)
+    form_calls.clear()
+    list(classifier.features_each(items))
+    assert form_calls[-1] == item_rows(items[-1], 2)
+    assert len(form_calls) < len(items) - 1
+    assert_chunked_matches_per_item(classifier, items)
+
+
+@pytest.mark.parametrize("hidden_dim, num_forms, k", [(2, 3, 1), (16, 1, 0)])
+def test_width_one_layers_run_each_item_alone(form_calls, hidden_dim, num_forms, k):
+    """A width-one layer makes numpy use BLAS gemv, whose value for a row
+    can depend on the rows around it; each item then runs alone."""
+    items = mixed_items(np.random.default_rng(7), k)
+    classifier = classifier_for(k, "relu", "column_sum", use_head=True, hidden_dim=hidden_dim,
+                                num_forms=num_forms)
+    form_calls.clear()
+    list(classifier.features_each(items))
+    assert form_calls == [r for r in map(item_rows, items, [k] * len(items)) if r]
+    assert_chunked_matches_per_item(classifier, items)
+
+
+def test_one_row_items_run_alone(form_calls):
+    rng = np.random.default_rng(8)
+    items = mixed_items(rng, 0)
+    classifier = classifier_for(0, "sigmoid", "column_l1", use_head=True)
+    form_calls.clear()
+    list(classifier.features_each(items))
+    one_row = [r for r in form_calls if r == 1]
+    assert len(one_row) == 1  # the one-simplex item, not merged with its neighbours
+    assert_chunked_matches_per_item(classifier, items)
+
+
+def test_evaluate_makes_few_mlp_calls(form_calls):
+    """60 paths of 186 rows each share MLP calls; the per-item loop made 60."""
+    data = gen_paths(PathDatasetSpec(samples_per_class=20, seed=0))
+    assert len(data) == 60 and item_rows(data.items[0], 1) == 186
+    classifier = classifier_for(1, "relu", "column_sum", use_head=False, n=2)
+    form_calls.clear()
+    report = evaluate(classifier, data)
+    assert len(form_calls) <= math.ceil(60 * 186 / quadrature.ROW_BUDGET) + 1
+    assert report == reference_report(classifier, data, range(60))
+
+
+def test_evaluate_rejects_an_empty_index_set():
+    data = Dataset(tuple(mixed_items(np.random.default_rng(0), 1)), NUM_CLASSES)
+    with pytest.raises(ValueError, match="empty index set"):
+        evaluate(classifier_for(1, "relu", "column_sum", use_head=False), data, [])
+
+
+@st.composite
+def random_items(draw):
+    """Items on random complexes: random k-simplices over 3 to 8 vertices
+    in R^3, chained as their standard basis."""
+    k = draw(st.sampled_from([0, 1, 2]))
+    items = []
+    for label in range(draw(st.integers(2, 6))):
+        num_vertices = draw(st.integers(k + 1, 8))
+        pool = list(itertools.combinations(range(num_vertices), k + 1))
+        chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+        coords = draw(st.lists(st.floats(-3, 3), min_size=3 * num_vertices,
+                                max_size=3 * num_vertices))
+        complex_ = build_complex(chosen, num_vertices)
+        embedding = Embedding(np.reshape(coords, (num_vertices, 3)))
+        items.append(Item(complex_, embedding, standard_basis_chains(complex_, k),
+                          label % NUM_CLASSES))
+    return k, items
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=random_items(), budget=st.integers(1, 300),
+       activation=st.sampled_from(["relu", "tanh", "sigmoid"]), seed=st.integers(0, 2**16))
+def test_chunked_features_match_per_item_on_random_complexes(case, budget, activation, seed):
+    k, items = case
+    saved = quadrature.ROW_BUDGET
+    quadrature.ROW_BUDGET = budget
+    try:
+        classifier = classifier_for(k, activation, "column_sum", use_head=True, seed=seed)
+        assert_chunked_matches_per_item(classifier, items)
+    finally:
+        quadrature.ROW_BUDGET = saved
