@@ -23,7 +23,7 @@ def build_cases(seed: int):
     cases = []
     for k in (0, 1, 2):
         basis = standard_basis_chains(complex_, k)
-        chains = ChainTuple(basis.chains[: min(2, len(basis))])
+        chains = ChainTuple(list(basis)[:2])
         item = Item(complex_, embedding, chains, label=1)
         for readout in ("column_sum", "column_l2"):
             cfg = TrainConfig(

@@ -220,6 +220,8 @@ def parse_tu(directory: str | os.PathLike, name: str | None = None) -> TuDataset
     `<name>_graph_labels.txt` and the optional node attribute/label
     files; validates id contiguity and cross-references."""
     directory = Path(directory)
+    if not directory.is_dir():
+        raise DataFormatError(f"{directory}: no such directory")
     if name is None:
         stems = sorted(p.name[: -len("_A.txt")] for p in directory.glob("*_A.txt"))
         if len(stems) != 1:

@@ -85,11 +85,16 @@ def readout_backward(kind: str, X: np.ndarray, feats: np.ndarray, d_feats: np.nd
     raise ValueError(f"readout must be one of {READOUTS}, got {kind!r}")
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Stabilized -log softmax(logits)[label] and its logit gradient."""
+def _nll(logits: np.ndarray, label: int):
+    """Stabilized -log softmax(logits)[label], then z and lse for the gradient."""
     z = logits - logits.max()
     lse = math.log(np.exp(z).sum())
-    loss = lse - z[label]
+    return lse - z[label], z, lse
+
+
+def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
+    """Stabilized -log softmax(logits)[label] and its logit gradient."""
+    loss, z, lse = _nll(logits, label)
     p = np.exp(z - lse)
     p[label] -= 1.0
     return loss, p
@@ -319,8 +324,7 @@ def evaluate(classifier: KFormClassifier, data: Dataset, indices=None) -> EvalRe
     correct = np.zeros(data.num_classes, dtype=np.intp)
     loss_sum = 0.0
     for item, logits in zip(items, classifier.forward_each(items)):
-        loss, _ = cross_entropy(logits, item.label)
-        loss_sum += loss
+        loss_sum += _nll(logits, item.label)[0]
         total[item.label] += 1
         correct[item.label] += int(np.argmax(logits)) == item.label
     return EvalReport(
@@ -514,8 +518,7 @@ def finite_difference_error(
         analytic[0] += 0.05
 
     def loss_now() -> float:
-        loss, _ = cross_entropy(classifier.forward(item), item.label)
-        return loss
+        return _nll(classifier.forward(item), item.label)[0]
 
     theta = classifier.params
     worst = 0.0

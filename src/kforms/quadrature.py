@@ -255,11 +255,11 @@ def _entry(form, complex_, embedding, chains):
     if chains.dim != k:
         raise ValueError(f"chain of dimension {chains.dim} fed to a form with k={k}")
     _check_setting(form, complex_, embedding)
-    used, lam = chains.support
+    used = chains.used
     num_simplices = complex_.num_simplices(k)
     if used.size and used[-1] >= num_simplices:
         raise ValueError(f"chain references simplex {used[-1]}, complex has {num_simplices}")
-    return embedding.coords, complex_.vertex_array(k)[used], lam, len(chains)
+    return embedding.coords, complex_.vertex_array(k)[used], chains.lam, len(chains)
 
 
 def _chunks(form, settings, h):

@@ -3,12 +3,13 @@
 A complex stores, per dimension, a lexicographically sorted list of
 strictly increasing vertex tuples.  The increasing tuple defines the
 positive orientation of each simplex; orientation flips live in chain
-coefficients, never in tuple order.  All types are immutable after
-construction and safe to share between threads.  A complex and a chain
-tuple also build a derived plan for integration on first use (the
-vertex array of each dimension, the chain support) and keep it; that
-plan is read-only and a function of the immutable fields, so a second
-thread that builds it concurrently builds the same one.
+coefficients, never in tuple order.  A chain tuple is stored as the
+linear map it defines, the pair (used simplices, coefficient matrix
+Λ), built once on construction; integrating it is Λ times the
+per-simplex integrals, and recombining it by a matrix L is L·Λ.  All
+types are immutable after construction and safe to share between
+threads; a complex keeps the vertex array of each dimension once it is
+first asked for, a read-only function of its immutable fields.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ class Chain:
     """Sparse real linear combination of k-simplices of one dimension.
 
     Terms are canonicalized on construction: indices sorted, repeats
-    merged, zero coefficients dropped.
+    merged, zero coefficients dropped.  Chains are combined linearly by
+    ``apply_matrix_left``.
     """
 
     dim: int
@@ -144,78 +146,66 @@ class Chain:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def scaled(self, factor: float) -> "Chain":
-        return Chain(self.dim, tuple((i, factor * c) for i, c in self.terms))
 
-    def __add__(self, other: "Chain") -> "Chain":
-        if self.dim != other.dim:
-            raise ValueError("cannot add chains of different dimension")
-        return Chain(self.dim, self.terms + other.terms)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ChainTuple:
-    """Ordered tuple of chains sharing one dimension (and host complex)."""
+    """Ordered tuple of m >= 1 chains of one dimension, kept as the linear
+    map they define: chain i = sum_s lam[i, s] * simplex used[s].  ``used``
+    is sorted, read-only intp; ``lam`` is read-only (m, S) float64 with no
+    all-zero column, or None exactly when every chain i is +1 * simplex
+    used[i].  Indexing and iteration rebuild ``Chain`` values from rows."""
 
-    chains: tuple[Chain, ...]
-    _support: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    dim: int
+    used: np.ndarray
+    lam: np.ndarray | None
 
-    def __post_init__(self):
-        if not self.chains:
-            raise ValueError("a chain tuple needs at least one chain")
-        dims = {c.dim for c in self.chains}
-        if len(dims) != 1:
+    def __init__(self, chains):
+        chains = tuple(chains)
+        dims = {c.dim for c in chains}
+        if len(dims) > 1:
             raise ValueError(f"mixed chain dimensions {sorted(dims)}")
-        object.__setattr__(self, "chains", tuple(self.chains))
-
-    @property
-    def dim(self) -> int:
-        return self.chains[0].dim
+        counts = [len(c.terms) for c in chains]
+        idx = np.fromiter((i for c in chains for i, _ in c.terms), np.intp, sum(counts))
+        coeff = np.fromiter((v for c in chains for _, v in c.terms), np.float64, idx.size)
+        used = np.unique(idx)
+        lam = np.zeros((len(chains), used.size))
+        lam[np.repeat(np.arange(len(chains)), counts), np.searchsorted(used, idx)] = coeff
+        _store(self, dims.pop() if dims else 0, used, lam)
 
     def __len__(self) -> int:
-        return len(self.chains)
-
-    def __iter__(self):
-        return iter(self.chains)
+        return self.used.size if self.lam is None else self.lam.shape[0]
 
     def __getitem__(self, i: int) -> Chain:
-        return self.chains[i]
+        if self.lam is None:
+            return Chain(self.dim, ((self.used[i], 1.0),))
+        return Chain(self.dim, tuple(zip(self.used.tolist(), self.lam[i].tolist())))
 
-    @property
-    def support(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(used, lam): the sorted indices of the simplices the chains
-        reference, as a read-only intp array, and the (m, S) matrix of
-        chain coefficients over them -- or None when chain i is exactly
-        +1 times simplex used[i] for every i.  Built on first use."""
-        if self._support is None:
-            object.__setattr__(self, "_support", self._build_support())
-        return self._support
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
-    def _build_support(self):
-        m = len(self.chains)
-        counts = [len(c.terms) for c in self.chains]
-        idx = np.fromiter((i for c in self.chains for i, _ in c.terms), np.intp, sum(counts))
-        coeff = np.fromiter((v for c in self.chains for _, v in c.terms), np.float64, idx.size)
-        used = idx
-        # A canonical chain lists distinct indices in increasing order, so
-        # one chain, or chains whose runs follow each other, use each
-        # simplex in exactly one term and need no np.unique.
-        if m == 1 or (idx[1:] > idx[:-1]).all():
-            if counts.count(1) == m and (coeff == 1.0).all():
-                lam = None
-            elif m == 1:
-                lam = coeff[None, :].copy()  # no base array kept
-            else:
-                lam = np.zeros((m, idx.size))
-                lam[np.repeat(np.arange(m), counts), np.arange(idx.size)] = coeff
-        else:
-            used, cols = np.unique(idx, return_inverse=True)
-            lam = np.zeros((m, used.size))
-            lam[np.repeat(np.arange(m), counts), cols] = coeff
-        for arr in (used, lam):
-            if arr is not None:
-                arr.flags.writeable = False
-        return used, lam
+    def _key(self):
+        lam = None if self.lam is None else (self.lam.shape, self.lam.tobytes())
+        return self.dim, self.used.tobytes(), lam
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ChainTuple) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def _store(ct: ChainTuple, dim: int, used: np.ndarray, lam: np.ndarray | None) -> ChainTuple:
+    """Set the fields of ``ct``, with None for ``lam`` when it is the identity."""
+    if lam is not None:
+        if not lam.shape[0]:
+            raise ValueError("a chain tuple needs at least one chain")
+        if lam.shape[0] == used.size == np.count_nonzero(lam) and (lam.diagonal() == 1.0).all():
+            lam = None
+    for arr in (used, lam):
+        if arr is not None:
+            arr.flags.writeable = False
+    ct.__dict__.update(dim=dim, used=used, lam=lam)
+    return ct
 
 
 def build_complex(simplex_lists, num_vertices: int) -> SimplicialComplex:
@@ -251,24 +241,24 @@ def standard_basis_chains(complex_: SimplicialComplex, k: int) -> ChainTuple:
     n = complex_.num_simplices(k)
     if n == 0:
         raise ValueError(f"complex has no {k}-simplices")
-    return ChainTuple(tuple(Chain(k, ((i, 1.0),)) for i in range(n)))
+    return _store(object.__new__(ChainTuple), k, np.arange(n, dtype=np.intp), None)
 
 
 def apply_matrix_left(matrix, beta: ChainTuple) -> ChainTuple:
-    """Act on a chain tuple by a real matrix: row i of the result is
-    sum_j L[i, j] * beta_j, with coefficient-level merging."""
+    """Act on a chain tuple by a real matrix L: row i of the result is
+    sum_j L[i, j] * beta_j.  Its coefficient matrix is L @ beta.lam (L
+    itself for a standard basis) over beta's simplices, less those whose
+    coefficients all cancel."""
     L = np.asarray(matrix, dtype=np.float64)
     if L.ndim != 2 or L.shape[1] != len(beta):
         raise ValueError(f"matrix shape {L.shape} does not match {len(beta)} chains")
-    out = []
-    for i in range(L.shape[0]):
-        terms: list[tuple[int, float]] = []
-        for j, chain in enumerate(beta):
-            if L[i, j] == 0.0:
-                continue
-            terms.extend((idx, L[i, j] * c) for idx, c in chain.terms)
-        out.append(Chain(beta.dim, tuple(terms)))
-    return ChainTuple(tuple(out))
+    with np.errstate(all="ignore"):  # a non-finite result is refused below
+        lam = L if beta.lam is None else L @ beta.lam
+    if not np.isfinite(lam).all():
+        raise ValueError("non-finite chain coefficient")
+    keep = lam.any(axis=0)
+    # x + 0.0 turns -0.0 into 0.0, so equal chains get equal bytes
+    return _store(object.__new__(ChainTuple), beta.dim, beta.used[keep], lam[:, keep] + 0.0)
 
 
 def path_to_complex(points) -> tuple[SimplicialComplex, Embedding, Chain]:

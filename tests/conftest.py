@@ -3,8 +3,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kforms.data import TuDataset, write_tu
+
+# Property tests draw the same examples on every run and keep no example
+# database; run time depends on the machine, so no deadline.
+settings.register_profile("kforms", derandomize=True, database=None, deadline=None)
+settings.load_profile("kforms")
 
 ACCEPTANCE_RESULTS = []
 

@@ -40,7 +40,7 @@ class TestPathGeneration:
         b = gen_paths(spec)
         for x, y in zip(a.items, b.items):
             assert np.array_equal(x.embedding.coords, y.embedding.coords)
-            assert x.chains.chains == y.chains.chains
+            assert x.chains == y.chains
             assert x.complex == y.complex
 
     def test_different_seeds_differ(self):
@@ -147,6 +147,13 @@ class TestTuParsing:
         (tu_dir / "OTHER_A.txt").write_text("1, 2\n")
         with pytest.raises(DataFormatError, match="exactly one"):
             parse_tu(tu_dir)
+
+    def test_missing_directory_is_named(self, tmp_path):
+        missing = tmp_path / "NOPE"
+        message = f"^{re.escape(str(missing))}: no such directory$"
+        for name in (None, "TOY"):
+            with pytest.raises(DataFormatError, match=message):
+                parse_tu(missing, name)
 
     def test_missing_required_file(self, tu_dir):
         (tu_dir / "TOY_graph_labels.txt").unlink()
@@ -353,7 +360,7 @@ _EDITS = st.lists(
 
 
 class TestTuFuzz:
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(edits=_EDITS, drop_optional=st.sets(st.sampled_from(["_node_attributes.txt",
                                                                 "_node_labels.txt"])))
     def test_damaged_files_parse_or_fail_cleanly(self, edits, drop_optional):

@@ -25,7 +25,7 @@ from kforms.model import (
     train,
 )
 from kforms.nn import Adam, Mlp, Sgd, read_blob
-from kforms.simplicial import Chain, ChainTuple, Embedding, build_complex, standard_basis_chains
+from kforms.simplicial import Embedding, apply_matrix_left, build_complex, standard_basis_chains
 
 
 def tiny_paths(samples=8, points=6, seed=0) -> Dataset:
@@ -238,7 +238,7 @@ class TestClassifier:
         complex_ = build_complex([(0, 1, 2)], num_vertices=3)
         emb = Embedding(rng.normal(size=(3, 2)))
         basis = standard_basis_chains(complex_, 1)
-        flipped = ChainTuple(tuple(c.scaled(-1.0) for c in basis))
+        flipped = apply_matrix_left(-np.eye(len(basis)), basis)
         for kind in ("column_l1", "column_l2"):
             cfg = TrainConfig(num_forms=2, readout=kind, activation="tanh")
             clf = build_classifier(2, 2, cfg, np.random.default_rng(9))

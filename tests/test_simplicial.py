@@ -100,16 +100,6 @@ class TestChain:
         assert c.terms == ((2, 3.0),)
         assert len(c) == 1
 
-    def test_add_and_scale(self):
-        a = Chain(1, ((0, 1.0), (1, 2.0)))
-        b = Chain(1, ((1, -2.0), (2, 1.0)))
-        assert (a + b).terms == ((0, 1.0), (2, 1.0))
-        assert a.scaled(-2.0).terms == ((0, -2.0), (1, -4.0))
-
-    def test_add_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            Chain(1, ()) + Chain(2, ())
-
     def test_rejects_bad_terms(self):
         with pytest.raises(ValueError):
             Chain(1, ((-1, 1.0),))
@@ -127,36 +117,37 @@ class TestChainTuple:
             ChainTuple(())
 
     def test_iteration_and_indexing(self):
-        chains = tuple(Chain(1, ((i, 1.0),)) for i in range(3))
+        chains = (Chain(1, ((3, 2.0), (1, -1.0))), Chain(1, ()), Chain(1, ((1, 0.5),)))
         ct = ChainTuple(chains)
         assert len(ct) == 3
         assert ct.dim == 1
-        assert ct[2] is chains[2]
+        assert ct[2] == chains[2] and ct[-1] == chains[-1]
         assert list(ct) == list(chains)
+        assert all(type(c.terms[0][0]) is int for c in ct if c.terms)
 
 
 class TestChainSupport:
     def test_standard_basis_support_is_identity(self):
         c = build_complex([(0, 1, 2), (1, 2, 3)], num_vertices=4)
-        used, lam = standard_basis_chains(c, 1).support
-        assert lam is None
-        assert used.dtype == np.intp and not used.flags.writeable
-        assert np.array_equal(used, np.arange(c.num_simplices(1)))
+        basis = standard_basis_chains(c, 1)
+        assert basis.lam is None
+        assert basis.used.dtype == np.intp and not basis.used.flags.writeable
+        assert np.array_equal(basis.used, np.arange(c.num_simplices(1)))
 
-    def test_support_is_built_once(self):
+    def test_fields_are_the_whole_state(self):
         ct = ChainTuple((Chain(1, ((4, 2.0), (1, -1.0))), Chain(1, ((1, 0.5),))))
-        first = ct.support
-        assert ct.support is first
-        used, lam = first
-        assert np.array_equal(used, [1, 4])
-        assert np.array_equal(lam, [[-1.0, 2.0], [0.5, 0.0]])
-        assert not lam.flags.writeable
+        assert set(vars(ct)) == {"dim", "used", "lam"}
+        assert np.array_equal(ct.used, [1, 4])
+        assert np.array_equal(ct.lam, [[-1.0, 2.0], [0.5, 0.0]])
+        assert ct.lam.dtype == np.float64 and not ct.lam.flags.writeable
+        assert ct.used.dtype == np.intp and not ct.used.flags.writeable
+        with pytest.raises(AttributeError):
+            ct.lam = None
 
     def test_opposite_signs_across_chains_keep_one_column(self):
         ct = ChainTuple((Chain(1, ((3, 1.0),)), Chain(1, ((3, -1.0), (0, 1.0)))))
-        used, lam = ct.support
-        assert np.array_equal(used, [0, 3])
-        assert np.array_equal(lam, [[0.0, 1.0], [1.0, -1.0]])
+        assert np.array_equal(ct.used, [0, 3])
+        assert np.array_equal(ct.lam, [[0.0, 1.0], [1.0, -1.0]])
 
     def test_identity_needs_order_and_unit_coefficients(self):
         for chains in (
@@ -164,22 +155,25 @@ class TestChainSupport:
             (Chain(1, ((0, 1.0),)), Chain(1, ((1, -1.0),))),  # sign flip
             (Chain(1, ((0, 1.0), (1, 1.0))), Chain(1, ())),  # one row holds both
         ):
-            used, lam = ChainTuple(chains).support
-            assert np.array_equal(used, [0, 1])
-            assert lam is not None
-        used, lam = ChainTuple((Chain(1, ((2, 1.0),)), Chain(1, ((5, 1.0),)))).support
-        assert np.array_equal(used, [2, 5]) and lam is None
+            ct = ChainTuple(chains)
+            assert np.array_equal(ct.used, [0, 1])
+            assert ct.lam is not None
+        ct = ChainTuple((Chain(1, ((2, 1.0),)), Chain(1, ((5, 1.0),))))
+        assert np.array_equal(ct.used, [2, 5]) and ct.lam is None
 
     def test_empty_chains_have_empty_support(self):
-        used, lam = ChainTuple((Chain(2, ()), Chain(2, ()))).support
-        assert used.shape == (0,)
-        assert lam.shape == (2, 0)
+        ct = ChainTuple((Chain(2, ()), Chain(2, ())))
+        assert ct.used.shape == (0,)
+        assert ct.lam.shape == (2, 0)
+        assert list(ct) == [Chain(2, ()), Chain(2, ())]
 
-    def test_equality_ignores_the_built_support(self):
-        a = ChainTuple((Chain(1, ((0, 1.0),)),))
-        b = ChainTuple((Chain(1, ((0, 1.0),)),))
-        a.support
+    def test_equality_and_hash_are_by_value(self):
+        a = ChainTuple((Chain(1, ((2, 1.5), (0, 1.0))), Chain(1, ((0, -1.0),))))
+        b = ChainTuple([Chain(1, ((0, 1.0), (2, 1.0), (2, 0.5))), Chain(1, ((0, -1.0),))])
         assert a == b and hash(a) == hash(b)
+        assert a != ChainTuple((Chain(1, ((0, 1.0),)),))
+        assert ChainTuple((Chain(1, ()),)) != ChainTuple((Chain(1, ()), Chain(1, ())))
+        assert ChainTuple((Chain(1, ((0, 1.0),)),)) != ChainTuple((Chain(2, ((0, 1.0),)),))
 
     def test_gen_surfaces_items_share_one_plan(self):
         from kforms.data import SurfaceDatasetSpec, gen_surfaces
@@ -187,8 +181,8 @@ class TestChainSupport:
         data = gen_surfaces(SurfaceDatasetSpec(samples_per_class=2, grid_size=4, seed=0))
         first, last = data.items[0], data.items[-1]
         assert first.chains is last.chains and first.complex is last.complex
-        assert first.chains.support is last.chains.support
-        assert first.chains.support[1] is None
+        assert first.chains.lam is None
+        assert np.array_equal(first.chains.used, np.arange(first.complex.num_simplices(2)))
         assert first.complex.vertex_array(2) is last.complex.vertex_array(2)
 
 
@@ -204,6 +198,14 @@ class TestStandardBasis:
         c = build_complex([(0, 1)], num_vertices=2)
         with pytest.raises(ValueError):
             standard_basis_chains(c, 2)
+
+    def test_builds_no_chain_objects(self, monkeypatch):
+        import kforms.simplicial as simplicial
+
+        c = build_complex([(0, 1, 2), (1, 2, 3)], num_vertices=4)
+        monkeypatch.setattr(simplicial, "Chain", None)
+        basis = standard_basis_chains(c, 2)
+        assert len(basis) == 2 and basis.dim == 2
 
 
 class TestApplyMatrixLeft:
@@ -222,10 +224,31 @@ class TestApplyMatrixLeft:
                 expected = np.where(L[i] == 0.0, 0.0, L[i])
                 assert np.allclose(dense, expected)
 
+    def test_adds_and_scales_chains(self):
+        a = Chain(1, ((0, 1.0), (1, 2.0)))
+        b = Chain(1, ((1, -2.0), (2, 1.0)))
+        total, scaled = apply_matrix_left([[1.0, 1.0], [-2.0, 0.0]], ChainTuple((a, b)))
+        assert total.terms == ((0, 1.0), (2, 1.0))
+        assert scaled.terms == ((0, -2.0), (1, -4.0))
+
     def test_merges_overlapping_terms(self):
         beta = ChainTuple((Chain(1, ((0, 1.0), (1, 1.0))), Chain(1, ((1, 1.0),))))
-        (out,) = apply_matrix_left([[1.0, -1.0]], beta)
-        assert out.terms == ((0, 1.0),)
+        out = apply_matrix_left([[1.0, -1.0]], beta)
+        assert list(out) == [Chain(1, ((0, 1.0),))]
+        # the cancelled simplex 1 leaves the support; 1 * simplex 0 is a basis
+        assert np.array_equal(out.used, [0]) and out.lam is None
+
+    def test_negative_zeros_are_canonical(self):
+        basis = ChainTuple((Chain(1, ((0, 1.0),)), Chain(1, ((1, 1.0),))))
+        negated = apply_matrix_left(-np.eye(2), basis)
+        expected = ChainTuple((Chain(1, ((0, -1.0),)), Chain(1, ((1, -1.0),))))
+        assert negated == expected and hash(negated) == hash(expected)
+
+    def test_non_finite_or_empty_result_rejected(self):
+        beta = ChainTuple((Chain(1, ((0, 1.0),)), Chain(1, ((1, 2.0),))))
+        for L in ([[np.nan, 0.0]], [[0.0, 1e308]], np.zeros((0, 2))):
+            with pytest.raises(ValueError):
+                apply_matrix_left(L, beta)
 
     def test_shape_mismatch_rejected(self):
         beta = ChainTuple((Chain(1, ((0, 1.0),)),))
