@@ -82,11 +82,14 @@ class Mlp:
     the other.  The constructor copies the arrays it is given.  A
     single-layer Mlp is purely linear.
 
-    ``forward`` writes the hidden activations into scratch buffers owned
-    by the instance, which grow to the largest batch seen and are reused
-    after that; one Mlp must therefore not run ``forward`` from two
-    threads at once.  ``forward_cached`` allocates everything it keeps,
-    and every output is a fresh array.
+    Both forward passes write the hidden activations into scratch
+    buffers owned by the instance, one per hidden layer, and ``backward``
+    writes each layer's input gradient into a second set, one per layer.
+    Every buffer grows to the largest batch seen and is reused after
+    that.  The outputs of both forward passes and the parameter gradient
+    are fresh arrays.  One Mlp must not run from two threads at once,
+    and a cache is spent by the next forward pass (see
+    ``forward_cached``).
     """
 
     def __init__(self, weights, biases, activation: str = "relu"):
@@ -107,6 +110,8 @@ class Mlp:
         self.weights = weights  # bind reads the layer shapes from here
         self.bind(np.concatenate([p.ravel() for pair in zip(weights, biases) for p in pair]))
         self._scratch = [np.empty((0, w.shape[0])) for w in self.weights[:-1]]  # per hidden layer
+        self._grad_scratch = [np.empty((0, w.shape[1])) for w in self.weights]  # per layer input
+        self._runs = 0  # forward passes so far; a cache records the count it was made at
 
     @classmethod
     def init(cls, dims, activation: str = "relu", rng: np.random.Generator | None = None) -> "Mlp":
@@ -165,16 +170,19 @@ class Mlp:
         """Forward pass keeping the intermediates the backward pass needs.
 
         Returns (output, cache); cache holds the input of every layer for
-        the same (possibly batched) input.
+        the same (possibly batched) input.  The hidden activations in it
+        are views of this Mlp's scratch buffers, so the cache stays valid
+        only until the next ``forward`` or ``forward_cached`` call on this
+        Mlp; ``backward`` refuses it after that.
         """
         inputs: list[np.ndarray] = []
         out = self._run(x, inputs)
-        return out, (inputs, np.ndim(x) == 1)
+        return out, (inputs, np.ndim(x) == 1, self._runs)
 
     def _run(self, x, inputs: list | None) -> np.ndarray:
-        """The layer loop behind both forward passes.  With ``inputs`` a
-        list, each layer's input is appended to it and the hidden
-        activations are fresh arrays; with None they go to scratch."""
+        """The layer loop behind both forward passes.  The hidden
+        activations go to scratch; with ``inputs`` a list, each layer's
+        input is also appended to it."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         a = x[None, :] if single else x
@@ -182,35 +190,34 @@ class Mlp:
             raise ValueError(f"input shape {x.shape} does not match in_dim {self.in_dim}")
         if not np.isfinite(a).all():
             raise ValueError("non-finite input")
+        self._runs += 1
         last = self.num_layers - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if inputs is not None:
                 inputs.append(a)
-            if l == last or inputs is not None:
+            if l == last:
                 z = a @ w.T
             else:
-                z = np.matmul(a, w.T, out=self._scratch_rows(l, a.shape[0]))
+                z = np.matmul(a, w.T, out=_rows(self._scratch, l, a.shape[0]))
             z += b
             a = _activate(self.activation, z) if l < last else z
         return a[0] if single else a
-
-    def _scratch_rows(self, l: int, rows: int) -> np.ndarray:
-        """The first ``rows`` rows of hidden layer l's scratch buffer,
-        which is replaced by a larger one only when it is too short."""
-        buf = self._scratch[l]
-        if buf.shape[0] < rows:
-            buf = self._scratch[l] = np.empty((rows, buf.shape[1]))
-        return buf[:rows]
 
     def backward(self, cache, upstream):
         """Exact reverse-mode gradients of ``forward`` at the cached input.
 
         ``upstream`` is dLoss/d(output) with the output's shape.  Returns
         (dLoss/d(params), dLoss/d(input)); the first is a fresh vector
-        laid out like ``params``.  The activation derivatives are taken
-        from the cached activations (the next layer's input).
+        laid out like ``params``.  The second is a view of a scratch
+        buffer of this Mlp, valid until the next ``backward`` call on it.
+        The activation derivatives are taken from the cached activations
+        (the next layer's input).  A cache may be used any number of
+        times until the next forward pass on this Mlp; after that it
+        raises ValueError.
         """
-        inputs, single = cache
+        inputs, single, runs = cache
+        if runs != self._runs:
+            raise ValueError("stale cache: a later forward pass on this Mlp has overwritten it")
         g = np.asarray(upstream, dtype=np.float64)
         if single:
             g = g[None, :]
@@ -224,9 +231,18 @@ class Mlp:
                 dz *= _activate_grad(self.activation, inputs[l + 1])  # dz is ours: from dz @ w
             grad_w[l] += dz.T @ inputs[l]
             grad_b[l] += dz.sum(axis=0)
-            dz = dz @ self.weights[l]
+            dz = np.matmul(dz, self.weights[l], out=_rows(self._grad_scratch, l, dz.shape[0]))
         dx = dz[0] if single else dz
         return grad, dx
+
+
+def _rows(buffers: list, l: int, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of ``buffers[l]``, which is replaced by a
+    larger buffer only when it is too short."""
+    buf = buffers[l]
+    if buf.shape[0] < rows:
+        buf = buffers[l] = np.empty((rows, buf.shape[1]))
+    return buf[:rows]
 
 
 class Sgd:

@@ -284,6 +284,21 @@ class TestTrainGraphs:
         result = runner.invoke(main, ["train-graphs", "--dataset-dir", str(tmp_path)])
         assert result.exit_code == 2
 
+    def test_truncated_dataset_exits_2_without_traceback(self, tmp_path, tu_dir):
+        edges = tu_dir / "TOY_A.txt"
+        text = edges.read_text()
+        edges.write_text(text[: text.index(",", len(text) // 2) + 1])  # ends after a comma
+        src = str(Path(kforms.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "kforms.cli", "train-graphs", "--dataset-dir", str(tu_dir),
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env={"PATH": "", "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "TOY_A.txt" in lines[0] and "Traceback" not in proc.stderr + proc.stdout
+
     @pytest.mark.parametrize(
         "payload, fragment",
         [

@@ -383,3 +383,82 @@ class TestTuFuzz:
                 tu_to_dataset(parse_tu(tmp))
             except (DataFormatError, ValueError):
                 pass
+
+
+def _mutate(files: dict, suffixes: list, kind: str, which: int, pos: int, choice: int) -> None:
+    """Apply one line-level mutation of ``kind`` in place to the file
+    ``suffixes[which]`` of ``files`` (suffix -> list of lines)."""
+    lines = files[suffixes[which % len(suffixes)]]
+    if not lines:
+        lines.append("")
+    at = pos % len(lines)
+    fields = lines[at].split(",")
+    if kind == "truncate":  # the file ends inside line ``at``
+        cut = choice % (len(lines[at]) + 1)
+        lines[at:] = [lines[at][:cut]]
+    elif kind == "junk":  # one field replaced by a token no reader should accept
+        fields[choice % len(fields)] = ["x", "", "1.5", "0x1", "1 2", "nan", "-inf", "1e999",
+                                        "é", "--1"][choice % 10]
+        lines[at] = ",".join(fields)
+    elif kind == "count":  # a line repeated or lost, or a field too many or too few
+        if choice % 4 == 0:
+            lines.insert(at, lines[at])
+        elif choice % 4 == 1:
+            del lines[at]
+        elif choice % 4 == 2:
+            lines[at] = lines[at] + ", 1"
+        else:
+            lines[at] = ",".join(fields[:-1])
+    else:  # an id or label just outside, or far outside, every valid range
+        fields[choice % len(fields)] = ["0", "-1", str(len(lines) + 1), "100000",
+                                        "9223372036854775807", "-9223372036854775808"][choice % 6]
+        lines[at] = ",".join(fields)
+
+
+def _load(files: dict) -> None:
+    """Write ``files`` (suffix -> list of lines) as dataset FZ and load it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for suffix, lines in files.items():
+            Path(tmp, f"FZ{suffix}").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tu_to_dataset(parse_tu(tmp))
+
+
+_MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["truncate", "junk", "count", "id"]), st.integers(0, 4),
+              st.integers(0, 80), st.integers(0, 59)),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestTuMutations:
+    @settings(max_examples=300)
+    @given(mutations=_MUTATIONS)
+    def test_mutated_files_parse_or_fail_cleanly(self, mutations):
+        """Truncated files, junk tokens, wrong counts and out-of-range ids
+        either load or raise DataFormatError or ValueError (the errors the
+        CLI turns into exit 2), nothing else."""
+        files = {suffix: list(lines) for suffix, lines in _valid_tu_files()}
+        suffixes = sorted(files)
+        for kind, which, pos, choice in mutations:
+            _mutate(files, suffixes, kind, which, pos, choice)
+        try:
+            _load(files)
+        except (DataFormatError, ValueError):
+            pass
+
+    def test_every_mutation_kind_can_break_a_dataset(self):
+        """The mutations are not all harmless: each kind has a case the
+        parser refuses."""
+        broken = {
+            "truncate": ("_A.txt", 0, 3),  # "1, 2" -> "1, "
+            "junk": ("_graph_labels.txt", 0, 0),
+            "count": ("_graph_labels.txt", 0, 0),
+            "id": ("_A.txt", 0, 3),
+        }
+        for kind, (suffix, pos, choice) in broken.items():
+            files = {s: list(lines) for s, lines in _valid_tu_files()}
+            suffixes = sorted(files)
+            _mutate(files, suffixes, kind, suffixes.index(suffix), pos, choice)
+            with pytest.raises(DataFormatError):
+                _load(files)

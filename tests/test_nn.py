@@ -94,8 +94,20 @@ class TestForward:
         assert all(np.all(b == 0.0) for b in mlp.biases)
 
 
+def buffers(mlp: Mlp) -> list[np.ndarray]:
+    """Every scratch buffer of an Mlp: hidden activations, then layer input gradients."""
+    return list(mlp._scratch) + list(mlp._grad_scratch)
+
+
+def train_pass(mlp: Mlp, x: np.ndarray, upstream: np.ndarray):
+    out, cache = mlp.forward_cached(x)
+    grad, dx = mlp.backward(cache, upstream)
+    return out, cache, grad, dx
+
+
 class TestForwardOnly:
-    """``forward`` runs on reused scratch; ``forward_cached`` keeps fresh arrays."""
+    """``forward`` runs on reused scratch and returns a fresh array, bit
+    for bit the output of ``forward_cached``."""
 
     @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
     def test_matches_cached_forward_bit_for_bit(self, act):
@@ -122,13 +134,13 @@ class TestForwardOnly:
         rng = np.random.default_rng(42)
         mlp = Mlp.init([2, 6, 4, 3], "relu", rng)
         mlp.forward(rng.normal(size=(50, 2)))
-        buffers = list(mlp._scratch)
-        assert len(buffers) == 2
+        scratch = list(mlp._scratch)
+        assert len(scratch) == 2
         for rows in (50, 7, 1, 49):
             mlp.forward(rng.normal(size=(rows, 2)))
-        assert all(now is then for now, then in zip(mlp._scratch, buffers))
+        assert all(now is then for now, then in zip(mlp._scratch, scratch))
         mlp.forward(rng.normal(size=(51, 2)))  # a larger batch grows every buffer
-        assert all(now is not then for now, then in zip(mlp._scratch, buffers))
+        assert all(now is not then for now, then in zip(mlp._scratch, scratch))
 
     def test_copy_does_not_share_scratch(self):
         rng = np.random.default_rng(43)
@@ -144,6 +156,99 @@ class TestForwardOnly:
         mlp = Mlp.init([2, 5, 3], "relu", rng)
         out = mlp.forward(rng.normal(size=(8, 2)))
         assert not any(np.shares_memory(out, b) for b in mlp._scratch)
+
+
+class TestTrainingScratch:
+    """``forward_cached`` keeps views of the forward scratch and ``backward``
+    writes each layer's input gradient, ``dx`` included, to a second set
+    of reused buffers; the forward outputs and the parameter gradient
+    are fresh arrays."""
+
+    def test_buffers_are_reused_after_warm_up(self):
+        rng = np.random.default_rng(45)
+        mlp = Mlp.init([2, 6, 4, 3], "relu", rng)
+        train_pass(mlp, rng.normal(size=(50, 2)), rng.normal(size=(50, 3)))
+        then = buffers(mlp)
+        assert len(then) == 2 + 3
+        for rows in (50, 7, 1, 49):
+            x, upstream = rng.normal(size=(rows, 2)), rng.normal(size=(rows, 3))
+            _, cache, _, dx = train_pass(mlp, x, upstream)
+            assert all(now is was for now, was in zip(buffers(mlp), then))
+            inputs = cache[0]
+            assert all(np.shares_memory(a, buf) for a, buf in zip(inputs[1:], mlp._scratch))
+            assert np.shares_memory(dx, mlp._grad_scratch[0])
+        train_pass(mlp, rng.normal(size=(51, 2)), rng.normal(size=(51, 3)))  # grows every buffer
+        assert all(now is not was for now, was in zip(buffers(mlp), then))
+
+    def test_copy_shares_no_buffer_of_either_kind(self):
+        rng = np.random.default_rng(46)
+        mlp = Mlp.init([2, 5, 4, 3], "tanh", rng)
+        x, upstream = rng.normal(size=(8, 2)), rng.normal(size=(8, 3))
+        expected = mlp.forward(x)
+        _, _, grad, dx = train_pass(mlp, x, upstream)
+        twin = mlp.copy()
+        assert np.array_equal(twin.forward(x), expected)
+        _, _, twin_grad, twin_dx = train_pass(twin, x, upstream)
+        assert np.array_equal(twin_grad, grad) and np.array_equal(twin_dx, dx)
+        assert not any(np.shares_memory(a, b) for a in buffers(mlp) for b in buffers(twin))
+
+    def test_outputs_and_grad_are_not_scratch(self):
+        rng = np.random.default_rng(47)
+        mlp = Mlp.init([2, 5, 4, 3], "sigmoid", rng)
+        x = rng.normal(size=(8, 2))
+        plain = mlp.forward(x)
+        out, _, grad, _ = train_pass(mlp, x, rng.normal(size=(8, 3)))
+        for fresh in (plain, out, grad):
+            assert not any(np.shares_memory(fresh, b) for b in buffers(mlp))
+        assert not np.shares_memory(grad, mlp.params)
+
+    @pytest.mark.parametrize("later", ["forward", "forward_cached"])
+    def test_stale_cache_is_refused(self, later):
+        rng = np.random.default_rng(48)
+        mlp = Mlp.init([2, 5, 3], "relu", rng)
+        _, cache = mlp.forward_cached(rng.normal(size=(6, 2)))
+        getattr(mlp, later)(rng.normal(size=(6, 2)))
+        with pytest.raises(ValueError, match="stale cache"):
+            mlp.backward(cache, np.ones((6, 3)))
+
+    def test_other_mlps_leave_a_cache_fresh(self):
+        rng = np.random.default_rng(49)
+        mlp, other = Mlp.init([2, 5, 3], "relu", rng), Mlp.init([2, 5, 3], "relu", rng)
+        x, upstream = rng.normal(size=(6, 2)), rng.normal(size=(6, 3))
+        _, _, expected, _ = train_pass(mlp, x, upstream)
+        _, cache = mlp.forward_cached(x)
+        other.forward(2.0 * x)
+        other.forward_cached(3.0 * x)
+        grad, _ = mlp.backward(cache, upstream)
+        assert np.array_equal(grad, expected)
+
+    @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
+    def test_backward_twice_is_bit_identical(self, act):
+        rng = np.random.default_rng(50)
+        mlp = Mlp.init([3, 16, 8, 5], act, rng)
+        x, upstream = rng.normal(size=(40, 3)), rng.normal(size=(40, 5))
+        _, cache = mlp.forward_cached(x)
+        grad1, dx1 = mlp.backward(cache, upstream)
+        dx1 = dx1.copy()  # a view of scratch, rewritten by the next backward
+        grad2, dx2 = mlp.backward(cache, upstream)
+        assert np.array_equal(grad1, grad2) and np.array_equal(dx1, dx2)
+        assert grad1 is not grad2
+
+    def test_training_passes_do_not_fault_pages(self):
+        resource = pytest.importorskip(
+            "resource", reason="needs resource.getrusage to count minor page faults"
+        )
+        # a surfaces item: 162 triangles x 21 quadrature nodes through [3, 16, 8, 6]
+        rng = np.random.default_rng(51)
+        mlp = Mlp.init([3, 16, 8, 6], "relu", rng)
+        x, upstream = rng.normal(size=(3402, 3)), rng.normal(size=(3402, 6))
+        for _ in range(3):
+            train_pass(mlp, x, upstream)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            train_pass(mlp, x, upstream)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 500, f"{faults} minor page faults in 50 training passes"
 
 
 class TestBackward:
@@ -195,7 +300,7 @@ class TestBackward:
         x = rng.normal(size=(6, 2))
         weighting = rng.normal(size=(6, 3))
         _, cache = mlp.forward_cached(x)
-        inputs, single = cache
+        inputs, single, _ = cache
         assert len(inputs) == mlp.num_layers and not single
         assert np.array_equal(inputs[0], x)
         grads, _ = mlp.backward(cache, weighting)
