@@ -23,7 +23,7 @@ from .simplicial import (
     Embedding,
     SimplicialComplex,
     build_complex,
-    path_to_complex,
+    embedded_path,
     standard_basis_chains,
 )
 
@@ -91,8 +91,7 @@ def gen_paths(spec: PathDatasetSpec) -> Dataset:
         for _ in range(spec.samples_per_class):
             pts = base + rng.normal(0.0, spec.noise, size=base.shape)
             pts += rng.uniform(-0.1, 0.1, size=2)
-            complex_, embedding, chain = path_to_complex(pts)
-            items.append(Item(complex_, embedding, ChainTuple((chain,)), cls))
+            items.append(Item(*embedded_path(pts), cls))
     return Dataset(tuple(items), 3)
 
 
@@ -124,15 +123,9 @@ class SurfaceDatasetSpec:
 
 
 def _grid_complex(g: int) -> SimplicialComplex:
-    tris = []
-    for i in range(g - 1):
-        for j in range(g - 1):
-            v00 = i * g + j
-            v10 = (i + 1) * g + j
-            v01 = i * g + j + 1
-            v11 = (i + 1) * g + j + 1
-            tris.append((v00, v10, v11))  # squares split along the v00-v11 diagonal
-            tris.append((v00, v01, v11))
+    corner = (np.arange(g - 1)[:, None] * g + np.arange(g - 1)).reshape(-1, 1)  # vertex (i, j)
+    # each square split along its (i, j)-(i+1, j+1) diagonal
+    tris = np.concatenate([corner + [0, g, g + 1], corner + [0, 1, g + 1]])
     return build_complex(tris, g * g)
 
 
@@ -310,36 +303,34 @@ def tu_to_dataset(
         std = feats.std(axis=0)
         feats = (feats - mean) / np.where(std > 0, std, 1.0)
 
-    label_values = np.unique(tu.graph_labels)
-    label_map = {int(v): i for i, v in enumerate(label_values)}
+    label_values, labels = np.unique(tu.graph_labels, return_inverse=True)
 
-    edge_graph = tu.graph_indicator[tu.edges[:, 0] - 1] if tu.edges.size else np.zeros(0, int)
-    if tu.edges.size and np.any(edge_graph != tu.graph_indicator[tu.edges[:, 1] - 1]):
+    edges = tu.edges.reshape(-1, 2) - 1  # 0-based node ids
+    if np.any(tu.graph_indicator[edges[:, 0]] != tu.graph_indicator[edges[:, 1]]):
         raise DataFormatError(f"{tu.name}: an edge connects nodes of different graphs")
 
+    # nodes grouped by graph, ascending within each; node v sits at place[v]
+    by_graph = np.argsort(tu.graph_indicator, kind="stable")
+    place = np.empty_like(by_graph)
+    place[by_graph] = np.arange(tu.num_nodes)
+    starts = np.searchsorted(tu.graph_indicator[by_graph], np.arange(1, tu.num_graphs + 2))
+    # undirected edges without self-loops, once each, in place order: by
+    # graph, then lexicographic in the graph's own vertex numbering
+    ends = np.sort(place[edges[edges[:, 0] != edges[:, 1]]], axis=1)
+    keys = np.unique(ends[:, 0] * tu.num_nodes + ends[:, 1])
+    ends = np.stack(np.divmod(keys, tu.num_nodes), axis=1)
+    edge_starts = np.searchsorted(ends[:, 0], starts)
+
     items = []
-    for g in range(tu.num_graphs):
-        nodes = np.flatnonzero(tu.graph_indicator == g + 1) + 1  # global ids, ascending
-        local = {int(v): i for i, v in enumerate(nodes)}
-        rows = tu.edges[edge_graph == g + 1] if tu.edges.size else np.zeros((0, 2), int)
-        und = {
-            (min(local[int(a)], local[int(b)]), max(local[int(a)], local[int(b)]))
-            for a, b in rows
-            if a != b
-        }
-        complex_ = build_complex(sorted(und), nodes.shape[0])
+    for g, (lo, hi, first, last) in enumerate(
+        zip(starts[:-1].tolist(), starts[1:].tolist(), edge_starts[:-1], edge_starts[1:])
+    ):
+        complex_ = build_complex(ends[first:last] - lo, hi - lo)
         if complex_.num_simplices(1):
             chains = standard_basis_chains(complex_, 1)
         else:
             chains = ChainTuple((Chain(1, ()),))
-        items.append(
-            Item(
-                complex_,
-                Embedding(feats[nodes - 1]),
-                chains,
-                label_map[int(tu.graph_labels[g])],
-            )
-        )
+        items.append(Item(complex_, Embedding(feats[by_graph[lo:hi]]), chains, int(labels[g])))
     return Dataset(tuple(items), label_values.shape[0])
 
 

@@ -203,17 +203,18 @@ class Mlp:
             a = _activate(self.activation, z) if l < last else z
         return a[0] if single else a
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad: bool = True):
         """Exact reverse-mode gradients of ``forward`` at the cached input.
 
         ``upstream`` is dLoss/d(output) with the output's shape.  Returns
         (dLoss/d(params), dLoss/d(input)); the first is a fresh vector
         laid out like ``params``.  The second is a view of a scratch
-        buffer of this Mlp, valid until the next ``backward`` call on it.
-        The activation derivatives are taken from the cached activations
-        (the next layer's input).  A cache may be used any number of
-        times until the next forward pass on this Mlp; after that it
-        raises ValueError.
+        buffer of this Mlp, valid until the next ``backward`` call on it,
+        or None with ``input_grad`` False, which skips the product that
+        computes it.  The activation derivatives are taken from the
+        cached activations (the next layer's input).  A cache may be used
+        any number of times until the next forward pass on this Mlp;
+        after that it raises ValueError.
         """
         inputs, single, runs = cache
         if runs != self._runs:
@@ -231,9 +232,11 @@ class Mlp:
                 dz *= _activate_grad(self.activation, inputs[l + 1])  # dz is ours: from dz @ w
             grad_w[l] += dz.T @ inputs[l]
             grad_b[l] += dz.sum(axis=0)
-            dz = np.matmul(dz, self.weights[l], out=_rows(self._grad_scratch, l, dz.shape[0]))
-        dx = dz[0] if single else dz
-        return grad, dx
+            if l or input_grad:
+                dz = np.matmul(dz, self.weights[l], out=_rows(self._grad_scratch, l, dz.shape[0]))
+        if not input_grad:
+            return grad, None
+        return grad, dz[0] if single else dz
 
 
 def _rows(buffers: list, l: int, rows: int) -> np.ndarray:

@@ -193,8 +193,7 @@ def integrate_simplex(
     if len(simplex) - 1 != k:
         raise ValueError(f"simplex {simplex} has dimension {len(simplex) - 1}, form has k={k}")
     _check_setting(form, complex_, embedding)
-    if simplex not in complex_.simplices(k):
-        raise ValueError(f"simplex {simplex} is not in the complex")
+    complex_.index_of(k, simplex)  # raises ValueError for a simplex not in the complex
     if not 0 <= j < form.num_forms:
         raise ValueError(f"form index {j} out of range for {form.num_forms} forms")
     plan = quadrature_plan(k, h)
@@ -346,5 +345,5 @@ def integration_matrix_backward(form: NeuralKForm, cache: tuple, upstream: np.nd
     else:
         d_scal = weights[:, None, None] * (G[:, :, None] * eps[:, None, :])[:, None]
         d_flat = d_scal.reshape(-1, form.psi.out_dim)  # (S*N, l*C)
-    grad, _ = form.psi.backward(mlp_cache, d_flat)
+    grad, _ = form.psi.backward(mlp_cache, d_flat, input_grad=False)
     return grad

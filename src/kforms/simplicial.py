@@ -1,15 +1,17 @@
 """Combinatorial simplicial complexes, embeddings and real-coefficient chains.
 
-A complex stores, per dimension, a lexicographically sorted list of
-strictly increasing vertex tuples.  The increasing tuple defines the
-positive orientation of each simplex; orientation flips live in chain
-coefficients, never in tuple order.  A chain tuple is stored as the
-linear map it defines, the pair (used simplices, coefficient matrix
-Λ), built once on construction; integrating it is Λ times the
-per-simplex integrals, and recombining it by a matrix L is L·Λ.  All
-types are immutable after construction and safe to share between
-threads; a complex keeps the vertex array of each dimension once it is
-first asked for, a read-only function of its immutable fields.
+A complex stores each dimension k as one read-only (N_k, k+1) integer
+array of strictly increasing vertex rows, lexicographically sorted when
+``build_complex`` made it.  The increasing row defines the positive
+orientation of each simplex; orientation flips live in chain
+coefficients, never in vertex order.  Complexes are built and checked
+by whole-array operations, and simplices are looked up by integer keys,
+never through per-simplex Python tuples or dicts.  A chain tuple is
+stored as the linear map it defines, the pair (used simplices,
+coefficient matrix Λ), built once on construction; integrating it is Λ
+times the per-simplex integrals, and recombining it by a matrix L is
+L·Λ.  All types are immutable after construction and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_INT64_MAX = 2**63 - 1
+
 __all__ = [
     "SimplicialComplex",
     "Embedding",
@@ -29,66 +33,162 @@ __all__ = [
     "standard_basis_chains",
     "apply_matrix_left",
     "path_to_complex",
+    "embedded_path",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SimplicialComplex:
-    """Vertex set plus oriented simplices, closed under taking faces."""
+    """Vertex set plus oriented simplices, closed under taking faces.
+
+    Dimension k is one read-only (N_k, k+1) intp array, row i being
+    simplex i.  The constructor takes, per dimension, a collection of
+    vertex tuples or an integer array, in any order, and keeps that
+    order; ``build_complex`` gives lexicographic order.  Each row must be
+    strictly increasing, inside ``0..num_vertices-1``, unique, and have
+    every face in the dimension below; otherwise ValueError names the
+    first offending simplex in stored order.  Simplices are found by
+    their integer key, the row read as digits in base num_vertices
+    (Python ints when int64 cannot hold them): lexicographic order of
+    increasing rows is the order of their keys.
+    """
 
     num_vertices: int
-    simplices_by_dim: tuple[tuple[tuple[int, ...], ...], ...]
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-    _vertices: dict = field(default_factory=dict, repr=False, compare=False)
+    _arrays: tuple = field(repr=False)  # per dimension: (N_k, k+1) rows
+    _lookup: tuple = field(repr=False)  # per dimension: (sorted keys, their rows or None)
 
-    def __post_init__(self):
-        if self.num_vertices < 0:
+    def __init__(self, num_vertices: int, simplices_by_dim):
+        if num_vertices < 0:
             raise ValueError("num_vertices must be nonnegative")
-        for k, simplices in enumerate(self.simplices_by_dim):
-            seen = set()
-            for s in simplices:
-                if len(s) != k + 1:
-                    raise ValueError(f"{s} is not a {k}-simplex")
-                if any(a >= b for a, b in zip(s, s[1:])):
-                    raise ValueError(f"simplex {s} is not strictly increasing")
-                if s[0] < 0 or s[-1] >= self.num_vertices:
-                    raise ValueError(f"simplex {s} has a vertex outside 0..{self.num_vertices - 1}")
-                if s in seen:
-                    raise ValueError(f"duplicate simplex {s}")
-                seen.add(s)
-                if k > 0:
-                    for face in itertools.combinations(s, k):
-                        if face not in self._index.get(k - 1, {}):
-                            raise ValueError(f"face {face} of {s} missing: complex not closed")
-            self._index[k] = {s: i for i, s in enumerate(simplices)}
+        arrays, lookup = [], []
+        for k, simplices in enumerate(simplices_by_dim):
+            rows, cut = _as_rows(simplices, k)
+            lookup.append(_check_rows(k, rows[:cut], num_vertices, lookup[-1] if k else None))
+            if cut < len(simplices):
+                raise ValueError(f"{_simplex(simplices[cut])} is not a {k}-simplex")
+            arrays.append(rows)
+        _fill(self, num_vertices, arrays, lookup)
 
     @property
     def dim(self) -> int:
-        return len(self.simplices_by_dim) - 1
+        return len(self._arrays) - 1
 
     def simplices(self, k: int) -> tuple[tuple[int, ...], ...]:
-        """All k-simplices in stored (lexicographic) order."""
+        """All k-simplices in stored order, as tuples built on each call."""
         if not 0 <= k <= self.dim:
             return ()
-        return self.simplices_by_dim[k]
+        return tuple(map(tuple, self._arrays[k].tolist()))
 
     def num_simplices(self, k: int) -> int:
-        return len(self.simplices(k))
+        return self._arrays[k].shape[0] if 0 <= k <= self.dim else 0
 
-    def index_of(self, k: int, simplex: tuple[int, ...]) -> int:
-        return self._index[k][simplex]
+    def index_of(self, k: int, simplex) -> int:
+        """Row of ``simplex`` among the k-simplices; ValueError if absent."""
+        simplex, n = tuple(simplex), self.num_vertices
+        if (0 <= k <= self.dim and len(simplex) == k + 1 and 0 <= simplex[0] and simplex[-1] < n
+                and all(a < b for a, b in zip(simplex, simplex[1:]))):
+            keys, order = self._lookup[k]
+            key = 0
+            for v in simplex:  # as _keys does, in Python ints
+                key = key * n + v
+            i = int(np.searchsorted(keys, key))
+            if i < keys.shape[0] and keys[i] == key:
+                return i if order is None else int(order[i])
+        raise ValueError(f"simplex {simplex} is not in the complex")
 
     def vertex_array(self, k: int) -> np.ndarray:
-        """Read-only (N_k, k+1) intp array of the k-simplices' vertices,
-        row i being simplex i; built on first use and kept."""
-        verts = self._vertices.get(k)
-        if verts is None:
-            flat = itertools.chain.from_iterable(self.simplices(k))
-            count = self.num_simplices(k) * (k + 1)
-            verts = np.fromiter(flat, np.intp, count).reshape(-1, k + 1).copy()  # no base array kept
-            verts.flags.writeable = False
-            self._vertices[k] = verts
-        return verts
+        """The read-only (N_k, k+1) intp array of the k-simplices, row i
+        being simplex i; empty outside 0..dim."""
+        if 0 <= k <= self.dim:
+            return self._arrays[k]
+        return np.empty((0, max(k + 1, 0)), dtype=np.intp)
+
+    def _key(self):
+        return self.num_vertices, tuple(a.tobytes() for a in self._arrays)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SimplicialComplex) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def _fill(c: SimplicialComplex, num_vertices: int, arrays, lookup) -> SimplicialComplex:
+    """Set the fields of ``c``, freezing its arrays."""
+    for rows in arrays:
+        rows.flags.writeable = False
+    c.__dict__.update(num_vertices=num_vertices, _arrays=tuple(arrays), _lookup=tuple(lookup))
+    return c
+
+
+def _simplex(raw) -> tuple:
+    return tuple(int(v) for v in raw)
+
+
+def _as_rows(simplices, k: int) -> tuple[np.ndarray, int]:
+    """A fresh (N, k+1) intp array of ``simplices`` cut at the first
+    wrong-length one, and that cut (N when every length is right)."""
+    try:
+        rows = np.array(simplices, dtype=np.intp)
+    except ValueError:  # ragged tuples
+        cut = next((i for i, s in enumerate(simplices) if len(s) != k + 1), None)
+        if cut is None:
+            raise
+        return np.array(simplices[:cut], dtype=np.intp).reshape(cut, k + 1), cut
+    if rows.size == 0:
+        return rows.reshape(0, k + 1), 0
+    if rows.ndim != 2 or rows.shape[1] != k + 1:
+        return np.empty((0, k + 1), dtype=np.intp), 0
+    return rows, rows.shape[0]
+
+
+def _check_rows(k: int, rows: np.ndarray, num_vertices: int, faces):
+    """Raise for the first row of ``rows`` that is not increasing, has a
+    vertex out of range, repeats an earlier row or misses a face (in
+    that priority within a row).  Otherwise return the lookup of the
+    dimension: its keys sorted, and the rows they come from (None when
+    the rows are already in key order)."""
+    bad = (rows[:, 0] < 0) | (rows[:, -1] >= num_vertices)
+    if k:
+        bad |= (rows[:, 1:] <= rows[:, :-1]).any(axis=1)
+    bad = np.flatnonzero(bad)
+    first = int(bad[0]) if bad.size else rows.shape[0]
+    valid = rows[:first]  # increasing and in range: one key per simplex
+    keys, order = _keys(valid, num_vertices), None
+    offender, message = first, None
+    if keys.shape[0] > 1 and not (keys[1:] > keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeats = order[1:][keys[1:] == keys[:-1]]  # the later copy of each repeat
+        if repeats.size:
+            offender = int(repeats.min())
+            message = f"duplicate simplex {_simplex(rows[offender])}"
+    if k and valid.shape[0]:
+        combos = np.array(list(itertools.combinations(range(k + 1), k)))
+        face_keys = _keys(valid[:, combos].reshape(-1, k), num_vertices)
+        missing = ~np.isin(face_keys, faces[0]).reshape(-1, k + 1)
+        row = int(missing.any(axis=1).argmax())
+        if missing[row].any() and row < offender:
+            s = _simplex(rows[row])
+            face = tuple(s[i] for i in combos[missing[row].argmax()])
+            offender, message = row, f"face {face} of {s} missing: complex not closed"
+    if message is not None:
+        raise ValueError(message)
+    if first < rows.shape[0]:
+        s = _simplex(rows[first])
+        if any(a >= b for a, b in zip(s, s[1:])):
+            raise ValueError(f"simplex {s} is not strictly increasing")
+        raise ValueError(f"simplex {s} has a vertex outside 0..{num_vertices - 1}")
+    return keys, order
+
+
+def _keys(rows: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Each row read as base-``num_vertices`` digits: int64, or Python
+    ints when the largest key would not fit."""
+    base, width = max(num_vertices, 1), rows.shape[1]
+    dtype = object if base**width > _INT64_MAX else np.int64
+    powers = np.array([base**p for p in range(width - 1, -1, -1)], dtype=dtype)
+    return rows.astype(dtype, copy=False) @ powers
 
 
 @dataclass(frozen=True)
@@ -211,29 +311,67 @@ def _store(ct: ChainTuple, dim: int, used: np.ndarray, lam: np.ndarray | None) -
 def build_complex(simplex_lists, num_vertices: int) -> SimplicialComplex:
     """Build a complex from vertex tuples, adding every missing face.
 
-    Tuples may be given in any order and any dimension mix; each is
-    sorted increasing.  A tuple with a repeated vertex is rejected.  All
-    ``num_vertices`` vertices are stored as 0-simplices regardless of
-    whether they appear in any input tuple.
+    ``simplex_lists`` is a list of tuples, in any order and any mix of
+    dimensions, or an (N, k+1) integer array; each simplex is sorted
+    increasing.  One with a repeated vertex or a vertex outside
+    ``0..num_vertices-1`` is refused, naming the first such in input
+    order.  All ``num_vertices`` vertices are stored as 0-simplices
+    regardless of whether they appear in any input tuple.  The faces of
+    each dimension are column selections of the sorted rows, made
+    unique and put in lexicographic order by their keys; the result is
+    valid by construction and is not checked again.
     """
-    by_dim: dict[int, set[tuple[int, ...]]] = {0: {(v,) for v in range(num_vertices)}}
-    for raw in simplex_lists:
-        s = tuple(int(v) for v in raw)
-        if len(set(s)) != len(s):
-            raise ValueError(f"degenerate simplex {raw}: repeated vertex")
-        if not s:
-            raise ValueError("empty simplex tuple")
-        if min(s) < 0 or max(s) >= num_vertices:
-            raise ValueError(f"simplex {raw} has a vertex outside 0..{num_vertices - 1}")
-        s = tuple(sorted(s))
-        k = len(s) - 1
-        # face closure: every sub-tuple of every size
-        for j in range(1, k + 2):
-            dest = by_dim.setdefault(j - 1, set())
-            dest.update(itertools.combinations(s, j))
-    max_dim = max(by_dim)
-    listed = tuple(tuple(sorted(by_dim.get(k, set()))) for k in range(max_dim + 1))
-    return SimplicialComplex(num_vertices, listed)
+    if isinstance(simplex_lists, np.ndarray):
+        if simplex_lists.ndim != 2:
+            raise ValueError(f"simplex array of shape {simplex_lists.shape} is not (N, k+1)")
+        groups = [(None, simplex_lists)]  # (input positions, rows); None: 0, 1, 2, ...
+    else:
+        simplex_lists = list(simplex_lists)
+        lengths = np.fromiter(map(len, simplex_lists), np.intp, len(simplex_lists))
+        groups = []
+        for length in np.unique(lengths).tolist():
+            at = np.flatnonzero(lengths == length)
+            rows = [simplex_lists[i] for i in at.tolist()]
+            groups.append((at, np.array(rows, dtype=np.intp).reshape(at.shape[0], length)))
+
+    faces: dict[int, list[np.ndarray]] = {}
+    first, message = None, None
+    for at, rows in groups:
+        if not rows.shape[0]:
+            continue
+        k = rows.shape[1] - 1
+        if k < 0:
+            pos = 0 if at is None else int(at[0])
+            if first is None or pos < first:
+                first, message = pos, "empty simplex tuple"
+            continue
+        rows = np.sort(rows.astype(np.intp, copy=False), axis=1)
+        repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        bad = repeated | (rows[:, 0] < 0) | (rows[:, -1] >= num_vertices)
+        i = int(bad.argmax())
+        pos = i if at is None else int(at[i])
+        if bad[i] and (first is None or pos < first):
+            raw = simplex_lists[pos]
+            if repeated[i]:
+                message = f"degenerate simplex {raw}: repeated vertex"
+            else:
+                message = f"simplex {raw} has a vertex outside 0..{num_vertices - 1}"
+            first = pos
+        faces.setdefault(k, []).append(rows)
+        for j in range(1, k):
+            for cols in itertools.combinations(range(k + 1), j + 1):
+                faces.setdefault(j, []).append(rows[:, cols])
+    if message is not None:
+        raise ValueError(message)
+
+    vertices = np.arange(num_vertices, dtype=np.intp)
+    arrays, lookup = [vertices.reshape(-1, 1)], [(vertices.astype(np.int64), None)]
+    for k in range(1, max(faces, default=0) + 1):
+        rows = np.concatenate(faces[k]) if len(faces[k]) > 1 else faces[k][0]
+        keys, first_copy = np.unique(_keys(rows, num_vertices), return_index=True)
+        arrays.append(rows[first_copy])
+        lookup.append((keys, None))
+    return _fill(object.__new__(SimplicialComplex), num_vertices, arrays, lookup)
 
 
 def standard_basis_chains(complex_: SimplicialComplex, k: int) -> ChainTuple:
@@ -271,25 +409,26 @@ def path_to_complex(points) -> tuple[SimplicialComplex, Embedding, Chain]:
     agrees with the traversal direction and -1 where it opposes it;
     integrating the chain therefore gives the directed path integral.
     """
+    complex_, embedding, chains = embedded_path(points)
+    return complex_, embedding, chains[0]
+
+
+def embedded_path(points) -> tuple[SimplicialComplex, Embedding, ChainTuple]:
+    """``path_to_complex`` with its chain as a one-chain ``ChainTuple``.
+
+    Consecutive points are distinct vertices, so every step is its own
+    edge; the chain's coefficients are the step signs in edge order."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("a path needs at least 2 points")
-    order = sorted(range(pts.shape[0]), key=lambda i: (tuple(pts[i]), i))
-    rank = {pos: r for r, pos in enumerate(order)}
-    coords = pts[order]
-
-    edges = []
-    terms = []
-    edge_ids: dict[tuple[int, int], int] = {}
-    for i in range(pts.shape[0] - 1):
-        a, b = rank[i], rank[i + 1]
-        sign = 1.0 if a < b else -1.0
-        key = (min(a, b), max(a, b))
-        if key not in edge_ids:
-            edge_ids[key] = len(edges)
-            edges.append(key)
-        terms.append((key, sign))
-
-    complex_ = build_complex(edges, pts.shape[0])
-    chain = Chain(1, tuple((complex_.index_of(1, key), s) for key, s in terms))
-    return complex_, Embedding(coords), chain
+    n = pts.shape[0]
+    order = np.lexsort(pts.T[::-1])  # first coordinate first; stable, so ties keep position
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    steps = np.stack([rank[:-1], rank[1:]], axis=1)
+    complex_ = build_complex(steps, n)
+    # the complex lists the edges in key order; a step's sign goes to its edge
+    signs = np.where(steps[:, 0] < steps[:, 1], 1.0, -1.0)
+    lam = signs[np.argsort(_keys(np.sort(steps, axis=1), n))][None, :]
+    used = np.arange(n - 1, dtype=np.intp)
+    return complex_, Embedding(pts[order]), _store(object.__new__(ChainTuple), 1, used, lam)

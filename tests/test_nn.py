@@ -307,6 +307,18 @@ class TestBackward:
         numeric = numeric_param_grads(mlp, x, weighting)
         assert np.allclose(grads, numeric, atol=1e-7)
 
+    @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
+    def test_skipping_the_input_gradient_keeps_grad_bit_identical(self, act):
+        rng = np.random.default_rng(220)
+        mlp = Mlp.init([3, 16, 8, 6], act, rng)
+        x, upstream = rng.normal(size=(60, 3)), rng.normal(size=(60, 6))
+        _, cache = mlp.forward_cached(x)
+        grad, dx = mlp.backward(cache, upstream, input_grad=False)
+        assert dx is None
+        assert mlp._grad_scratch[0].shape[0] == 0  # the (60, 3) product was never made
+        full, dx = mlp.backward(cache, upstream)
+        assert np.array_equal(grad, full) and dx.shape == x.shape
+
     def test_relu_subgradient_at_zero_is_zero(self):
         mlp = Mlp(
             weights=[np.array([[1.0]]), np.array([[1.0]])],

@@ -370,6 +370,26 @@ class TestIntegrationMatrix:
         assert np.allclose(grads, numeric, atol=1e-7)
 
 
+    @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
+    def test_backward_skips_the_form_input_gradient(self, act, monkeypatch):
+        form = NeuralKForm.init(3, 2, 2, (6, 5), act, self.rng)
+        beta = self.random_chains(2, 3)
+        U = self.rng.normal(size=(3, 2))
+        _, cache = integration_matrix_forward(form, self.complex, self.embedding, beta, h=3)
+        grads = integration_matrix_backward(form, cache, U)
+        assert form.psi._grad_scratch[0].shape[0] == 0  # no (rows, 3) input gradient was made
+        full = []
+        backward = form.psi.backward
+
+        def with_input_grad(mlp_cache, upstream, input_grad=True):
+            full.append(backward(mlp_cache, upstream)[0])
+            return backward(mlp_cache, upstream, input_grad)
+
+        monkeypatch.setattr(form.psi, "backward", with_input_grad)
+        assert np.array_equal(integration_matrix_backward(form, cache, U), grads)
+        assert np.array_equal(full[0], grads)
+
+
 class TestValidation:
     def setup_method(self):
         self.complex = build_complex([(0, 1, 2)], num_vertices=3)
@@ -389,6 +409,13 @@ class TestValidation:
         c = build_complex([(0, 1)], num_vertices=3)
         with pytest.raises(ValueError, match="not in the complex"):
             integrate_simplex(self.form, 0, c, self.embedding, (1, 2))
+
+    @pytest.mark.parametrize("simplex", [(1, 0), (0, 4), [0, 2]])
+    def test_unknown_simplex_is_named(self, simplex):
+        c = build_complex([(0, 1)], num_vertices=3)
+        with pytest.raises(ValueError) as info:
+            integrate_simplex(self.form, 0, c, self.embedding, simplex)
+        assert str(info.value) == f"simplex {tuple(simplex)} is not in the complex"
 
     def test_form_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

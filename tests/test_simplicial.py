@@ -8,6 +8,7 @@ from kforms.simplicial import (
     SimplicialComplex,
     apply_matrix_left,
     build_complex,
+    embedded_path,
     path_to_complex,
     standard_basis_chains,
 )
@@ -61,6 +62,174 @@ class TestVertexArray:
             assert not verts.flags.writeable
             assert c.vertex_array(k) is verts
         assert c.vertex_array(3).shape == (0, 4)
+
+
+def as_form(per_dim, form: str):
+    """The per-dimension simplices as tuples, or as one array per dimension."""
+    if form == "tuple":
+        return tuple(tuple(tuple(s) for s in dim) for dim in per_dim)
+    return tuple(
+        np.array(dim, dtype=np.int64) if dim else np.empty((0, k + 1), dtype=np.int64)
+        for k, dim in enumerate(per_dim)
+    )
+
+
+VERTS3 = [(0,), (1,), (2,)]
+
+# (num_vertices, per-dimension simplices, the one-line message naming the first offender)
+MALFORMED = {
+    "wrong length": (3, [VERTS3, [(0, 1, 2), (1, 2, 0)]], "(0, 1, 2) is not a 1-simplex"),
+    "not increasing": (3, [VERTS3, [(0, 1), (2, 1), (1, 0)]], "simplex (2, 1) is not strictly increasing"),
+    "repeated vertex": (3, [VERTS3, [(0, 1), (1, 1), (0, 0)]], "simplex (1, 1) is not strictly increasing"),
+    "vertex out of range": (
+        3, [VERTS3, [(0, 1), (1, 3), (0, 4)]], "simplex (1, 3) has a vertex outside 0..2"
+    ),
+    "negative vertex": (3, [VERTS3, [(0, 1), (-1, 2)]], "simplex (-1, 2) has a vertex outside 0..2"),
+    "duplicate": (3, [VERTS3, [(0, 1), (1, 2), (0, 1), (1, 2)]], "duplicate simplex (0, 1)"),
+    "duplicate out of order": (3, [VERTS3, [(1, 2), (0, 1), (1, 2)]], "duplicate simplex (1, 2)"),
+    "duplicate vertex": (3, [[(0,), (2,), (0,)], []], "duplicate simplex (0,)"),
+    "missing face": (
+        4,
+        [[(0,), (1,), (2,), (3,)], [(0, 1), (1, 2), (0, 2), (2, 3)], [(0, 1, 2), (1, 2, 3)]],
+        "face (1, 3) of (1, 2, 3) missing: complex not closed",
+    ),
+    "missing vertex": (3, [[(0,), (2,)], [(0, 2), (0, 1)]], "face (1,) of (0, 1) missing: complex not closed"),
+    "earlier duplicate before later disorder": (
+        3, [VERTS3, [(0, 1), (0, 1), (2, 1)]], "duplicate simplex (0, 1)"
+    ),
+    "earlier disorder before later duplicate": (
+        3, [VERTS3, [(2, 1), (0, 1), (0, 1)]], "simplex (2, 1) is not strictly increasing"
+    ),
+    "disorder before range in one row": (3, [VERTS3, [(3, 1)]], "simplex (3, 1) is not strictly increasing"),
+    "missing face before a later duplicate": (
+        3, [[(0,), (1,)], [(0, 1), (0, 2), (0, 2)]], "face (2,) of (0, 2) missing: complex not closed"
+    ),
+    "lower dimension first": (3, [[(1,), (1,), (2,)], [(2, 1)]], "duplicate simplex (1,)"),
+}
+
+
+class TestMalformedComplex:
+    @pytest.mark.parametrize("form", ["tuple", "array"])
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_message_names_the_first_offender(self, case, form):
+        num_vertices, per_dim, message = MALFORMED[case]
+        with pytest.raises(ValueError) as info:
+            SimplicialComplex(num_vertices, as_form(per_dim, form))
+        assert str(info.value) == message
+
+    def test_wrong_length_after_an_earlier_offender(self):
+        with pytest.raises(ValueError, match=r"^simplex \(1, 0\) is not strictly increasing$"):
+            SimplicialComplex(2, (((0,), (1,)), ((1, 0), (0, 1, 2))))
+        with pytest.raises(ValueError, match=r"^\(0, 1, 2\) is not a 1-simplex$"):
+            SimplicialComplex(3, (VERTS3, ((0, 1), (0, 1, 2), (2, 1))))
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SimplicialComplex(-1, ())
+
+    @pytest.mark.parametrize("form", ["tuple", "array"])
+    def test_valid_input_in_any_order_is_kept_in_that_order(self, form):
+        per_dim = [[(2,), (0,), (1,)], [(1, 2), (0, 1), (0, 2)], [(0, 1, 2)]]
+        c = SimplicialComplex(3, as_form(per_dim, form))
+        for k, dim in enumerate(per_dim):
+            assert c.simplices(k) == tuple(dim)
+            assert c.vertex_array(k).tolist() == [list(s) for s in dim]
+            for i, s in enumerate(dim):
+                assert c.index_of(k, s) == i
+
+    def test_input_arrays_are_copied(self):
+        edges = np.array([[0, 1], [1, 2]])
+        c = SimplicialComplex(3, (np.arange(3).reshape(-1, 1), edges))
+        edges[0, 0] = 2
+        assert c.simplices(1) == ((0, 1), (1, 2))
+        assert not c.vertex_array(1).flags.writeable
+
+
+# build_complex input: (num_vertices, simplices, message with {raw} for the offender as given, its index)
+MALFORMED_INPUT = {
+    "repeated vertex": (3, [(0, 1, 2), (2, 0, 2), (1, 1, 0)], "degenerate simplex {raw}: repeated vertex", 1),
+    "vertex out of range": (
+        3, [(0, 1), (3, 1), (0, -1)], "simplex {raw} has a vertex outside 0..2", 1
+    ),
+    "negative vertex": (3, [(0, 1), (0, -1)], "simplex {raw} has a vertex outside 0..2", 1),
+    "repeated before range in one row": (3, [(5, 5)], "degenerate simplex {raw}: repeated vertex", 0),
+    "empty": (3, [(), ()], "empty simplex tuple", 0),
+}
+
+
+class TestMalformedBuildInput:
+    @pytest.mark.parametrize("form", ["list", "array"])
+    @pytest.mark.parametrize("case", list(MALFORMED_INPUT))
+    def test_message_names_the_first_offender(self, case, form):
+        num_vertices, simplices, message, at = MALFORMED_INPUT[case]
+        given = simplices if form == "list" else np.array(simplices, dtype=np.int64).reshape(len(simplices), -1)
+        with pytest.raises(ValueError) as info:
+            build_complex(given, num_vertices)
+        assert str(info.value) == message.format(raw=given[at])
+
+    def test_first_offender_in_input_order_across_dimensions(self):
+        with pytest.raises(ValueError, match=r"^simplex \(0, 4\) has a vertex outside 0\.\.2$"):
+            build_complex([(0, 1, 2), (0, 4), (1, 1, 2)], 3)
+        with pytest.raises(ValueError, match=r"^empty simplex tuple$"):
+            build_complex([(0, 1, 2), (), (1, 7)], 3)
+
+    def test_array_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="not \\(N, k\\+1\\)"):
+            build_complex(np.array([0, 1]), 2)
+
+
+class TestIndexOf:
+    def setup_method(self):
+        self.c = build_complex([(0, 1), (1, 2)], num_vertices=3)
+
+    @pytest.mark.parametrize(
+        "k, simplex",
+        [
+            (1, (0, 2)),  # absent
+            (1, (1, 0)),  # not increasing
+            (1, (0, 5)),  # out of range; its key would alias (1, 2)
+            (1, (-1, 2)),
+            (1, (0,)),  # wrong length
+            (2, (0, 1, 2)),  # k above dim
+            (-1, ()),
+            (0, (3,)),
+        ],
+    )
+    def test_unknown_simplex_is_a_one_line_value_error(self, k, simplex):
+        with pytest.raises(ValueError) as info:
+            self.c.index_of(k, simplex)
+        assert str(info.value) == f"simplex {simplex} is not in the complex"
+
+    def test_any_sequence_is_accepted(self):
+        assert self.c.index_of(1, [1, 2]) == 1
+        assert self.c.index_of(1, np.array([0, 1])) == 0
+
+    def test_keys_wider_than_int64(self):
+        # 100000**4 > 2**63: the keys are Python ints
+        big = build_complex([(99_999, 2, 0, 1)], num_vertices=100_000)
+        assert big.simplices(3) == ((0, 1, 2, 99_999),)
+        assert big.index_of(3, (0, 1, 2, 99_999)) == 0
+        assert big.index_of(2, (1, 2, 99_999)) == 3
+        with pytest.raises(ValueError, match="not in the complex"):
+            big.index_of(3, (0, 1, 3, 99_999))
+        rows = big.vertex_array(2)
+        with pytest.raises(ValueError, match="duplicate simplex"):
+            SimplicialComplex(100_000, (np.arange(100_000).reshape(-1, 1), big.vertex_array(1), np.concatenate([rows, rows[:1]])))
+
+
+class TestEquality:
+    def test_list_and_array_input_build_equal_complexes(self):
+        tris = [(0, 1, 2), (1, 3, 2), (2, 3, 4)]
+        a = build_complex(tris, 6)
+        b = build_complex(np.array(tris), 6)
+        assert a == b and hash(a) == hash(b)
+
+    def test_stored_order_and_vertex_count_matter(self):
+        a = SimplicialComplex(3, (VERTS3, ((0, 1), (1, 2))))
+        assert a == build_complex([(1, 2), (0, 1)], 3)
+        assert a != SimplicialComplex(3, (VERTS3, ((1, 2), (0, 1))))
+        assert a != build_complex([(1, 2), (0, 1)], 4)
+        assert build_complex([], 2) != SimplicialComplex(2, (((0,), (1,)), ()))
 
 
 class TestEmbedding:
@@ -286,5 +455,26 @@ class TestPathToComplex:
         assert sorted(coeff for _, coeff in chain.terms) == [-1.0, 1.0]
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            path_to_complex(np.zeros((1, 2)))
+        for points in (np.zeros((1, 2)), np.zeros(3)):
+            for build in (path_to_complex, embedded_path):
+                with pytest.raises(ValueError, match="at least 2 points"):
+                    build(points)
+
+    def test_ties_keep_sequence_position(self):
+        pts = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 0.5], [0.0, 1.0]])
+        c, emb, chain = path_to_complex(pts)
+        # ranks by position: 1, 2, 0, 3 (-0.0 ties with 0.0); steps 1->2, 2->0, 0->3
+        assert emb.coords.tolist() == [[0.0, 0.5], [0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]
+        assert c.simplices(1) == ((0, 2), (0, 3), (1, 2))
+        assert chain.terms == ((0, -1.0), (1, 1.0), (2, 1.0))
+
+    def test_chain_tuple_form_builds_no_chain(self, monkeypatch):
+        import kforms.simplicial as simplicial
+
+        pts = np.random.default_rng(12).normal(size=(7, 3))
+        complex_, embedding, chain = path_to_complex(pts)
+        monkeypatch.setattr(simplicial, "Chain", None)
+        again, coords, chains = embedded_path(pts)
+        monkeypatch.undo()
+        assert again == complex_ and np.array_equal(coords.coords, embedding.coords)
+        assert chains == ChainTuple((chain,)) and list(chains) == [chain]
