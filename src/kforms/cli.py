@@ -76,14 +76,18 @@ def _set_threads(threads: int | None) -> None:
             os.environ[var] = str(threads)
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def _resolve(ctx: click.Context, defaults: dict) -> dict:
     resolved = dict(defaults)
     config_path = ctx.params["config"]
     if config_path:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                file_cfg = json.load(fh, parse_constant=_refuse_constant)
+        except (OSError, ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep
             raise ValueError(f"cannot read config {config_path}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"{config_path}: config must be a JSON object")

@@ -9,8 +9,10 @@ optional per-node attribute/label files that become vertex coordinates.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -174,16 +176,49 @@ class TuDataset:
         return self.graph_labels.shape[0]
 
 
-def _read_rows(path: Path, kind: type, width: int | None = None) -> np.ndarray:
-    """Comma-separated rows of ``kind`` (int or float) values, blank lines
-    skipped, as an int64 or float64 array; every row must have ``width``
-    fields, or the first row's number when ``width`` is None."""
-    rows, line_numbers = [], []
+def _lines(path: Path):
+    """(file line number, stripped text) of each non-blank line."""
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
+            if line:
+                yield ln, line
+
+
+def _loadtxt(source, kind: type) -> np.ndarray:
+    """``np.loadtxt`` of comma-separated ``kind`` (int or float) fields,
+    2-D; an empty or blank-only input gives shape (0, 1), not a warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(source, dtype=np.int64 if kind is int else np.float64, delimiter=",",
+                          comments=None, ndmin=2, encoding="utf-8")
+
+
+def _read_rows(path: Path, kind: type, width: int | None = None) -> np.ndarray:
+    """Comma-separated rows of ``kind`` (int or float) values, blank lines
+    skipped, as an int64 or float64 array; every row must have ``width``
+    fields, or the first row's number when ``width`` is None.  Fields are
+    ASCII: no ``_`` digit separators, no other scripts' digits."""
+    try:
+        rows = _loadtxt(path, kind)
+    except ValueError:
+        rows = None
+    if rows is None or rows.size and width not in (None, rows.shape[1]):
+        rows = _rescan(path, kind, width)
+    return rows if rows.size else rows.reshape(0, width or 0)
+
+
+def _rescan(path: Path, kind: type, width: int | None) -> np.ndarray:
+    """Read a file line by line after ``np.loadtxt`` refused it or read
+    the wrong width.  Raise the ``DataFormatError`` of the first line that
+    is ragged or holds a field that is not ``kind``, else of the first
+    integer beyond int64; if there is neither, the refused lines held only
+    whitespace, which counts as blank, and the other lines' rows are
+    returned."""
+    what = "an integer" if kind is int else "a number"
+    kept, out_of_range = [], None
+    try:
+        for ln, line in _lines(path):
             parts = line.split(",")
             width = width or len(parts)
             if len(parts) != width:
@@ -191,21 +226,23 @@ def _read_rows(path: Path, kind: type, width: int | None = None) -> np.ndarray:
                     f"{path}, line {ln}: ragged row ({len(parts)} fields, expected {width})"
                 )
             try:
-                if "_" in line:  # int() and float() read 1_0 as 10
+                # int() and float() read 1_0 as 10, and read other scripts' digits
+                if "_" in line or not all(p.strip().isascii() for p in parts):
                     raise ValueError
-                rows.append([kind(p) for p in parts])
+                values = [kind(p) for p in parts]
             except ValueError:
-                what = "an integer" if kind is int else "a number"
                 raise DataFormatError(f"{path}, line {ln}: not {what}: {line!r}") from None
-            line_numbers.append(ln)
+            if kind is int and not -(2**63) <= min(values) <= max(values) < 2**63:
+                out_of_range = out_of_range or ln
+            kept.append(line)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if out_of_range is not None:
+        raise DataFormatError(f"{path}, line {out_of_range}: integer out of int64 range")
     try:
-        return np.asarray(rows, dtype=np.int64 if kind is int else np.float64).reshape(
-            len(rows), width or 0
-        )
-    except OverflowError:
-        bad = next(i for i, row in enumerate(rows) if not -(2**63) <= min(row) <= max(row) < 2**63)
-        message = f"{path}, line {line_numbers[bad]}: integer out of int64 range"
-        raise DataFormatError(message) from None
+        return _loadtxt(kept, kind)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def parse_tu(directory: str | os.PathLike, name: str | None = None) -> TuDataset:
@@ -235,6 +272,10 @@ def parse_tu(directory: str | os.PathLike, name: str | None = None) -> TuDataset
 
     attr_path = directory / f"{name}_node_attributes.txt"
     node_attributes = _read_rows(attr_path, float) if attr_path.is_file() else None
+    if node_attributes is not None and not np.isfinite(node_attributes).all():
+        row = int(np.flatnonzero(~np.isfinite(node_attributes).all(axis=1))[0])
+        ln, line = next(itertools.islice(_lines(attr_path), row, None))
+        raise DataFormatError(f"{attr_path}, line {ln}: not a finite number: {line!r}")
     nl_path = directory / f"{name}_node_labels.txt"
     node_labels = _read_rows(nl_path, int, 1).reshape(-1) if nl_path.is_file() else None
 

@@ -4,8 +4,8 @@ A k-form on R^n decomposes into C(n, k) monomial forms indexed by
 strictly increasing k-tuples over {1..n}; the coefficient ("scaling")
 functions of a learnable form are the components of one shared MLP.
 The flat MLP output places entry (I, j) for form j and multi-index I at
-position ``j * C(n, k) + rank(I)`` — this layout is fixed and is part of
-the checkpoint format.
+position ``j * C(n, k) + r``, where I is the r-th multi-index in table
+order — this layout is fixed and is part of the checkpoint format.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "NeuralKForm",
     "multi_indices",
     "affine_jacobian",
-    "epsilon_I",
     "epsilon_all",
     "mix_forms",
     "save_form",
@@ -48,9 +47,6 @@ class MultiIndexTable:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def rank(self, index: tuple[int, ...]) -> int:
-        return self.indices.index(tuple(index))
 
     @property
     def rows0(self) -> np.ndarray:
@@ -97,30 +93,16 @@ def _det(subs: np.ndarray) -> np.ndarray:
     return np.linalg.det(subs)
 
 
-def epsilon_I(jacobian: np.ndarray, index: tuple[int, ...]) -> float:
-    """Signed volume spanned by the Jacobian columns in the coordinate
-    subspace selected by the (1-based, strictly increasing) multi-index:
-    the determinant of the row-submatrix.  Returns 1 for k = 0."""
-    D = np.asarray(jacobian, dtype=np.float64)
-    idx = tuple(int(i) for i in index)
-    k = D.shape[1]
-    if len(idx) != k:
-        raise ValueError(f"index {index} has length {len(idx)}, expected {k}")
-    if any(a >= b for a, b in zip(idx, idx[1:])):
-        raise ValueError(f"multi-index {index} must be strictly increasing")
-    if idx and (idx[0] < 1 or idx[-1] > D.shape[0]):
-        raise ValueError(f"multi-index {index} out of range for {D.shape[0]} rows")
-    if k == 0:
-        return 1.0
-    return float(_det(D[[i - 1 for i in idx], :]))
-
-
 def epsilon_all(jacobian: np.ndarray, table: MultiIndexTable) -> np.ndarray:
-    """epsilon_I for every multi-index in the table, in table order.
+    """epsilon_I for every multi-index I in the table, in table order: the
+    signed volume the Jacobian columns span in the coordinate subspace I
+    selects, i.e. the determinant of the row-submatrix (1 for k = 0).
 
-    ``jacobian`` is one (n, k) Jacobian or a stack (..., n, k); the
-    result is (C,) or (..., C), every entry bit-identical to epsilon_I."""
+    ``jacobian`` is one (n, k) Jacobian or a stack (..., n, k) matching
+    the table's n and k; the result is (C,) or (..., C)."""
     D = np.asarray(jacobian, dtype=np.float64)
+    if D.shape[-2:] != (table.n, table.k):
+        raise ValueError(f"Jacobian shape {D.shape} does not end in (n, k) = {(table.n, table.k)}")
     if table.k == 0:
         return np.ones(D.shape[:-2] + (1,))
     return _det(D[..., table.rows0, :])  # subs: (..., C, k, k)

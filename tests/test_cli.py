@@ -2,13 +2,18 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kforms
+from kforms import cli
 from kforms.cli import main
 
 
@@ -142,6 +147,82 @@ cli.main(["train-paths", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "run
                               env={"PATH": "", "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == "numpy loaded: False"
+
+
+class _Resolved(Exception):
+    """Raised in place of the dataset step once a config has resolved."""
+
+    def __init__(self, resolved: dict):
+        super().__init__("resolved")
+        self.resolved = resolved
+
+
+def _stop_after_resolving(ctx, defaults):
+    raise _Resolved(_RESOLVE(ctx, defaults))
+
+
+_RESOLVE = cli._resolve
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _config_files(draw) -> tuple:
+    """(command, config file bytes): mostly objects over the command's own
+    keys with values of any JSON type, some with an unknown key, some
+    other JSON documents, deep nesting, and raw or truncated bytes."""
+    command = draw(st.sampled_from(sorted(PINNED_DEFAULTS)))
+    keys = sorted(PINNED_DEFAULTS[command])
+    value = _JSON | st.integers(-3, 300) | st.lists(st.integers(-1, 4), max_size=3)
+    payload = draw(st.dictionaries(st.sampled_from(keys) | st.text(max_size=6), value, max_size=4)
+                   | st.dictionaries(st.sampled_from(keys), value, max_size=4) | _JSON)
+    text = json.dumps(payload).encode("utf-8")  # NaN and Infinity for non-finite floats
+    blob = draw(st.sampled_from(["json"] * 6 + ["truncated", "deep", "bytes"]))
+    if blob == "bytes":
+        return command, draw(st.binary(max_size=24))
+    return command, {"json": text, "truncated": text[:-1], "deep": b"[" * 5000 + b"]" * 5000}[blob]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300)
+    @given(case=_config_files())
+    def test_config_resolves_or_exits_2_with_one_line(self, case):
+        """A --config file either resolves to values of their defaults'
+        types (or null where the default is null) or ends the command
+        with exit 2 and one error line, never a traceback."""
+        command, blob = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "config.json")
+            path.write_bytes(blob)
+            with mock.patch.object(cli, "_resolve", _stop_after_resolving):
+                result = CliRunner().invoke(main, [command, "--config", str(path)])
+        if not isinstance(result.exception, _Resolved):
+            assert "Traceback" not in result.output
+            assert_one_error_line(result, str(path))
+            return
+        defaults = PINNED_DEFAULTS[command]
+        assert sorted(result.exception.resolved) == sorted(defaults)
+        for key, value in result.exception.resolved.items():
+            if value is None and defaults[key] is None:
+                continue
+            kind = NULL_DEFAULT_TYPES[key] if defaults[key] is None else type(defaults[key])
+            assert cli._TYPE_CHECKS[kind][1](value), (key, value)
+
+    @pytest.mark.parametrize("blob, fragment", [
+        pytest.param(b"[" * 100000, "recursion", id="deep"),
+        pytest.param(b'{"seed": "\xff"}', "utf-8", id="not-utf8"),
+        pytest.param(b'{"lr": NaN}', "NaN is not a JSON value", id="nan"),
+        pytest.param(b'{"lr": -Infinity}', "-Infinity is not a JSON value", id="infinity"),
+    ])
+    def test_unreadable_config_names_the_file(self, runner, tmp_path, blob, fragment):
+        path = tmp_path / "config.json"
+        path.write_bytes(blob)
+        result = runner.invoke(main, ["train-paths", "--config", str(path)])
+        assert_one_error_line(result, f"cannot read config {path}", fragment)
 
 
 class TestTrainPaths:

@@ -1,11 +1,12 @@
 import re
 import tempfile
-from functools import lru_cache
+import warnings
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_tu
@@ -16,6 +17,7 @@ from kforms.data import (
     TuDataset,
     gen_paths,
     gen_surfaces,
+    _read_rows,
     parse_tu,
     tu_to_dataset,
     write_tu,
@@ -223,6 +225,77 @@ class TestTuParsing:
     def test_explicit_name_overrides_inference(self, tu_dir):
         tu = parse_tu(tu_dir, name="TOY")
         assert tu.name == "TOY"
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+    def test_non_finite_attribute_rejected(self, tu_dir, value):
+        path = tu_dir / "TOY_node_attributes.txt"
+        lines = path.read_text().splitlines()
+        row = f"0.5, {value}"
+        # a blank line before the bad row: the message counts file lines, not rows
+        path.write_text("\n".join(lines[:2] + ["", row] + lines[3:]) + "\n")
+        message = f"{path}, line 4: not a finite number: {row!r}"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            parse_tu(tu_dir)
+
+    @pytest.mark.parametrize("suffix, row, what", [("_A.txt", "1, \u0663", "an integer"),
+                                                   ("_node_attributes.txt", "\u0661.5, 0", "a number")])
+    def test_non_ascii_digits_rejected(self, tu_dir, suffix, row, what):
+        # int() and float() read Arabic-Indic digits; the reader takes ASCII only
+        path = tu_dir / f"TOY{suffix}"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [row]) + "\n", encoding="utf-8")
+        message = f"{path}, line {len(lines) + 1}: not {what}: {row!r}"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            parse_tu(tu_dir)
+
+    def test_non_utf8_file_rejected(self, tu_dir):
+        path = tu_dir / "TOY_graph_labels.txt"
+        path.write_bytes(b"0\n\xff\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: not UTF-8 text")):
+            parse_tu(tu_dir)
+
+    def test_whitespace_only_lines_are_blank(self, tu_dir):
+        before = parse_tu(tu_dir)
+        for path in tu_dir.iterdir():
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(["   "] + lines[:1] + ["\t", " "] + lines[1:]) + "\n")
+        after = parse_tu(tu_dir)
+        for field in ("edges", "graph_indicator", "graph_labels", "node_attributes"):
+            assert getattr(after, field).tobytes() == getattr(before, field).tobytes()
+
+    def test_bad_line_after_blank_lines_names_the_file_line(self, tu_dir):
+        path = tu_dir / "TOY_A.txt"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + ["", "  ", "1, x"] + lines[1:]) + "\n")
+        message = f"{path}, line 4: not an integer: '1, x'"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            parse_tu(tu_dir)
+
+
+class TestTuEmptyInputs:
+    """Empty and blank-only files read as zero rows of the file's width,
+    without the warning ``np.loadtxt`` gives for them."""
+
+    @pytest.mark.parametrize("body", ["", "\n\n", " \n\t\n"])
+    def test_empty_node_labels_is_a_row_count_error(self, tu_dir, body):
+        (tu_dir / "TOY_node_labels.txt").write_text(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match=r"TOY_node_labels.txt: 0 rows for \d+ nodes"):
+                parse_tu(tu_dir)
+
+    @pytest.mark.parametrize("body", ["", "\n \n"])
+    def test_edgeless_dataset_loads(self, tu_dir, body):
+        (tu_dir / "TOY_A.txt").write_text(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tu = parse_tu(tu_dir)
+            data = tu_to_dataset(tu)
+        assert tu.edges.shape == (0, 2) and tu.edges.dtype == np.int64
+        assert len(data) == tu.num_graphs
+        for item in data.items:
+            assert item.complex.num_simplices(1) == 0
+            assert len(item.chains) == 1 and item.chains[0].terms == ()
 
 
 class TestTuToDataset:
@@ -462,3 +535,177 @@ class TestTuMutations:
             _mutate(files, suffixes, kind, suffixes.index(suffix), pos, choice)
             with pytest.raises(DataFormatError):
                 _load(files)
+
+
+class TestTuStrict:
+    """The fuzzed datasets of TestTuFuzz and TestTuMutations, held to the
+    stricter rule: a dataset that does not load raises DataFormatError,
+    which names the file, never a bare ValueError."""
+
+    @settings(max_examples=300)
+    @given(edits=_EDITS, drop_optional=st.sets(st.sampled_from(["_node_attributes.txt",
+                                                                "_node_labels.txt"])))
+    def test_damaged_files_raise_data_format_error(self, edits, drop_optional):
+        files = {suffix: list(lines) for suffix, lines in _valid_tu_files()}
+        suffixes = sorted(files)
+        for which, pos, row in edits:
+            lines = files[suffixes[which % len(suffixes)]]
+            pos %= len(lines) + 1
+            lines[pos:pos + 1] = [] if row is None else [row]
+        for suffix in drop_optional:
+            del files[suffix]
+        try:
+            _load(files)
+        except DataFormatError:
+            pass
+
+    @settings(max_examples=300)
+    @given(mutations=_MUTATIONS)
+    def test_mutated_files_raise_data_format_error(self, mutations):
+        files = {suffix: list(lines) for suffix, lines in _valid_tu_files()}
+        suffixes = sorted(files)
+        for kind, which, pos, choice in mutations:
+            _mutate(files, suffixes, kind, which, pos, choice)
+        try:
+            _load(files)
+        except DataFormatError:
+            pass
+
+
+def _oracle_read_rows(path: Path, kind: type, width: int | None = None,
+                      refuse_underscores: bool = True) -> np.ndarray:
+    """The TU reader's rules as a per-field Python loop (the reader
+    before it moved to ``np.loadtxt``): comma-separated ``kind`` values,
+    blank lines skipped, every row ``width`` fields wide (or as wide as
+    the first), ints within int64."""
+    rows, line_numbers = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            width = width or len(parts)
+            if len(parts) != width:
+                raise DataFormatError(
+                    f"{path}, line {ln}: ragged row ({len(parts)} fields, expected {width})"
+                )
+            try:
+                if refuse_underscores and "_" in line:  # int() and float() read 1_0 as 10
+                    raise ValueError
+                rows.append([kind(p) for p in parts])
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise DataFormatError(f"{path}, line {ln}: not {what}: {line!r}") from None
+            line_numbers.append(ln)
+    try:
+        return np.asarray(rows, dtype=np.int64 if kind is int else np.float64).reshape(
+            len(rows), width or 0
+        )
+    except OverflowError:
+        bad = next(i for i, row in enumerate(rows) if not -(2**63) <= min(row) <= max(row) < 2**63)
+        message = f"{path}, line {line_numbers[bad]}: integer out of int64 range"
+        raise DataFormatError(message) from None
+
+
+def _outcome(reader, path: Path, kind: type, width) -> tuple:
+    """("rows", dtype, shape, bytes) of what ``reader`` read, or
+    ("refused", message); any other exception propagates."""
+    try:
+        rows = reader(path, kind, width)
+    except DataFormatError as exc:
+        return ("refused", str(exc))
+    return ("rows", rows.dtype.str, rows.shape, rows.tobytes())
+
+
+def _assert_reads_like_the_oracle(reader, body: str, kind: type, width) -> None:
+    """``reader`` and the oracle read ``body`` alike: byte-equal arrays,
+    or the same one-line DataFormatError.  The one allowed difference:
+    ``reader`` refuses a line holding a non-ASCII digit ("\u0663"),
+    which int() and float() read."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "rows.txt")
+        path.write_bytes(body.encode("utf-8"))
+        got = _outcome(reader, path, kind, width)
+        want = _outcome(_oracle_read_rows, path, kind, width)
+    if got == want:
+        return
+    refusal = got[1] if got[0] == "refused" else ""
+    assert re.search(r", line \d+: not (an integer|a number): ", refusal) and any(
+        ch.isdigit() and not ch.isascii() for ch in refusal
+    ), f"{body!r} as {kind.__name__} x {width}: got {got}, oracle {want}"
+
+
+# ids and numbers both readers take, and fields that int(), float() or
+# np.loadtxt treat differently; the common ones are listed four times
+_READER_FIELDS = st.sampled_from(
+    ["1", " 4", "+5", "-1", "0", "9223372036854775807", "-9223372036854775808"] * 4
+    + ["1.5", "-.5", "nan", "-nan", "-inf", "1e999", "1e3", "1_0", "0x1", "", "x", "1 2",
+       "9223372036854775808", "-9223372036854775809", "\u0663", " \u0661\u0662 "]
+)
+
+
+@st.composite
+def _reader_cases(draw) -> tuple:
+    """(file body, kind, width): lines mostly of the expected width, some
+    of any width or with a trailing comma, some blank or whitespace-only,
+    ended by LF, CRLF or CR; the last line may lack its end."""
+    kind, width = draw(st.sampled_from([(int, 2), (int, 1), (float, None)]))
+    fields = width or draw(st.integers(1, 3))
+    shapes = {
+        "row": st.lists(_READER_FIELDS, min_size=fields, max_size=fields).map(",".join),
+        "any": st.lists(_READER_FIELDS, min_size=1, max_size=3).map(",".join),
+        "comma": st.lists(_READER_FIELDS, min_size=1, max_size=2).map(lambda f: ",".join(f) + ","),
+        "blank": st.sampled_from(["", "   ", "\t", " \t "]),
+    }
+    line = st.sampled_from(["row"] * 8 + ["any", "comma", "blank", "blank"]).flatmap(shapes.get)
+    lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n", "\r"])), max_size=6))
+    body = "".join(text + end for text, end in lines) + draw(st.sampled_from(["", "1", " "]))
+    return body, kind, width
+
+
+def _differential(reader, **options):
+    @settings(max_examples=500, **options)
+    @given(case=_reader_cases())
+    def check(case):
+        _assert_reads_like_the_oracle(reader, *case)
+
+    return check
+
+
+class TestReaderDifferential:
+    def test_reader_reads_like_the_line_loop(self):
+        _differential(_read_rows)()
+
+    def test_a_reader_without_the_underscore_check_fails(self):
+        """Negative control: the comparison sees a reader that takes 1_0."""
+        faulty = partial(_oracle_read_rows, refuse_underscores=False)
+        with pytest.raises(AssertionError, match="1_0"):
+            _differential(faulty, phases=[Phase.generate])()
+
+    @pytest.mark.parametrize("body, kind, width", [
+        ("9223372036854775808\n\n-9223372036854775809\n", int, 1),  # first overflow line
+        ("9223372036854775808\n x\n", int, 1),  # a bad line beats an earlier overflow
+        ("1, 2\r\n   \r\n3, 4\r\n", int, 2),
+        ("1, 2,\n", int, 2),
+        ("\n\n1.5, 2\n3\n", float, None),
+        ("1_0.5\n", float, None),
+        ("nan, -nan\n1e999, -0\n", float, None),
+        ("\ufeff1\n", int, 1),
+        (" \n\t\n", int, 2),
+    ])
+    def test_chosen_bodies_read_like_the_oracle(self, body, kind, width):
+        _assert_reads_like_the_oracle(_read_rows, body, kind, width)
+
+    @pytest.mark.parametrize("body, kind, width, line", [
+        ("1\n\n\u0663\n", int, 1, 3),
+        ("1.5, \u0661\n", float, None, 1),
+    ])
+    def test_non_ascii_digits_are_the_named_difference(self, body, kind, width, line):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "rows.txt")
+            path.write_text(body, encoding="utf-8")
+            assert _outcome(_oracle_read_rows, path, kind, width)[0] == "rows"
+            with pytest.raises(DataFormatError, match=f", line {line}: not "):
+                _read_rows(path, kind, width)
+        _assert_reads_like_the_oracle(_read_rows, body, kind, width)

@@ -7,7 +7,6 @@ import pytest
 from kforms.forms import (
     NeuralKForm,
     affine_jacobian,
-    epsilon_I,
     epsilon_all,
     load_form,
     mix_forms,
@@ -25,11 +24,11 @@ class TestMultiIndices:
                 table = multi_indices(n, k)
                 assert len(table) == math.comb(n, k)
 
-    def test_lexicographic_order_and_rank(self):
+    def test_lexicographic_order(self):
         table = multi_indices(4, 2)
         assert table.indices == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-        for r, idx in enumerate(table.indices):
-            assert table.rank(idx) == r
+        assert list(table.indices) == sorted(itertools.combinations(range(1, 5), 2))
+        assert np.array_equal(table.rows0, np.array(table.indices) - 1)
 
     def test_k_zero_single_empty_tuple(self):
         table = multi_indices(3, 0)
@@ -71,6 +70,12 @@ class TestAffineJacobian:
             affine_jacobian(emb, (0, 5))
 
 
+def epsilon(D: np.ndarray, idx: tuple[int, ...]) -> float:
+    """The column of ``epsilon_all`` for multi-index ``idx``."""
+    table = multi_indices(D.shape[0], D.shape[1])
+    return float(epsilon_all(D, table)[table.indices.index(idx)])
+
+
 class TestEpsilon:
     def test_matches_numpy_det_oracle(self):
         rng = np.random.default_rng(17)
@@ -80,10 +85,10 @@ class TestEpsilon:
             D = rng.normal(size=(n, k))
             for idx in itertools.combinations(range(1, n + 1), k):
                 expected = np.linalg.det(D[[i - 1 for i in idx], :])
-                assert epsilon_I(D, idx) == pytest.approx(expected, abs=1e-12)
+                assert epsilon(D, idx) == pytest.approx(expected, abs=1e-12)
 
     def test_k_zero_is_one(self):
-        assert epsilon_I(np.zeros((3, 0)), ()) == 1.0
+        assert epsilon(np.zeros((3, 0)), ()) == 1.0
 
     def test_alternating_in_columns(self):
         rng = np.random.default_rng(23)
@@ -91,7 +96,7 @@ class TestEpsilon:
             D = rng.normal(size=(4, 3))
             swapped = D[:, [1, 0, 2]]
             for idx in multi_indices(4, 3).indices:
-                assert epsilon_I(swapped, idx) == pytest.approx(-epsilon_I(D, idx), abs=1e-12)
+                assert epsilon(swapped, idx) == pytest.approx(-epsilon(D, idx), abs=1e-12)
 
     def test_linear_in_each_column(self):
         rng = np.random.default_rng(29)
@@ -99,37 +104,34 @@ class TestEpsilon:
         E = D.copy()
         E[:, 0] *= 2.5
         for idx in multi_indices(3, 2).indices:
-            assert epsilon_I(E, idx) == pytest.approx(2.5 * epsilon_I(D, idx), abs=1e-12)
+            assert epsilon(E, idx) == pytest.approx(2.5 * epsilon(D, idx), abs=1e-12)
 
     def test_degenerate_columns_vanish(self):
         D = np.array([[1.0, 2.0], [0.5, 1.0], [3.0, 6.0]])  # col2 = 2 * col1
         for idx in multi_indices(3, 2).indices:
-            assert epsilon_I(D, idx) == pytest.approx(0.0, abs=1e-12)
+            assert epsilon(D, idx) == pytest.approx(0.0, abs=1e-12)
 
-    def test_index_validation(self):
+    def test_shape_validation(self):
+        # a table holds only increasing in-range multi-indices, so what is
+        # left to refuse is a Jacobian of another n or k
         D = np.zeros((3, 2))
-        with pytest.raises(ValueError):
-            epsilon_I(D, (1,))  # wrong length
-        with pytest.raises(ValueError):
-            epsilon_I(D, (2, 1))  # not increasing
-        with pytest.raises(ValueError):
-            epsilon_I(D, (1, 7))  # out of range
+        with pytest.raises(ValueError, match="does not end in"):
+            epsilon_all(D, multi_indices(3, 1))  # wrong k
+        with pytest.raises(ValueError, match="does not end in"):
+            epsilon_all(D, multi_indices(7, 2))  # wrong n
+        with pytest.raises(ValueError, match="does not end in"):
+            epsilon_all(np.zeros((4, 3, 2)), multi_indices(2, 2))
 
-    def test_epsilon_all_matches_scalar_version(self):
+    def test_batched_matches_single(self):
         rng = np.random.default_rng(31)
         for n, k in [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 4)]:
-            D = rng.normal(size=(n, k))
             table = multi_indices(n, k)
-            vec = epsilon_all(D, table)
-            assert vec.shape == (len(table),)
-            for r, idx in enumerate(table.indices):
-                assert vec[r] == pytest.approx(epsilon_I(D, idx), abs=1e-12)
+            assert epsilon_all(rng.normal(size=(n, k)), table).shape == (len(table),)
             stack = rng.normal(size=(4, 3, n, k))
             batched = epsilon_all(stack, table)
             assert batched.shape == (4, 3, len(table))
             for a, b in np.ndindex(4, 3):
                 assert np.array_equal(batched[a, b], epsilon_all(stack[a, b], table))
-                assert list(batched[a, b]) == [epsilon_I(stack[a, b], idx) for idx in table.indices]
 
     def test_epsilon_all_k_zero(self):
         assert np.array_equal(epsilon_all(np.zeros((3, 0)), multi_indices(3, 0)), [1.0])
