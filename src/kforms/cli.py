@@ -70,8 +70,11 @@ _FLAG_TYPES = {
 
 def _set_threads(threads: int | None) -> None:
     """Best-effort BLAS worker cap; must run before numpy loads its
-    backend, which is why the numeric modules are imported lazily."""
-    if threads:
+    backend, which is why the numeric modules are imported lazily.  A
+    count below 1 raises ValueError and sets nothing."""
+    if threads is not None:
+        if threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {threads}")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(threads)
 

@@ -33,25 +33,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MultiIndexTable:
-    """Lexicographically ordered strictly increasing k-tuples over {1..n}."""
+    """Lexicographically ordered strictly increasing k-tuples over {1..n},
+    with ``rows0``, the read-only (C, k) array of 0-based row selectors,
+    one row per multi-index."""
 
     n: int
     k: int
     indices: tuple[tuple[int, ...], ...]
-    _rows0: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        rows0 = np.asarray([[i - 1 for i in idx] for idx in self.indices], dtype=np.intp)
-        rows0 = rows0.reshape(len(self.indices), self.k)
-        object.__setattr__(self, "_rows0", rows0)
+    rows0: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    @property
-    def rows0(self) -> np.ndarray:
-        """(C, k) array of 0-based row selectors, one row per multi-index."""
-        return self._rows0
 
 
 def multi_indices(n: int, k: int) -> MultiIndexTable:
@@ -59,7 +51,10 @@ def multi_indices(n: int, k: int) -> MultiIndexTable:
     for k = 0."""
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return MultiIndexTable(n, k, tuple(itertools.combinations(range(1, n + 1), k)))
+    indices = tuple(itertools.combinations(range(1, n + 1), k))
+    rows0 = np.array(indices, dtype=np.intp).reshape(len(indices), k) - 1
+    rows0.setflags(write=False)
+    return MultiIndexTable(n, k, indices, rows0)
 
 
 def affine_jacobian(embedding: Embedding, simplex: tuple[int, ...]) -> np.ndarray:

@@ -221,6 +221,8 @@ class KFormClassifier:
     def __post_init__(self):
         if self.readout not in READOUTS:
             raise ValueError(f"readout must be one of {READOUTS}")
+        if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 1:
+            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         if self.head is not None and self.head.in_dim != self.form.num_forms:
             raise ValueError(
                 f"head expects {self.head.in_dim} features, form yields {self.form.num_forms}"

@@ -2,12 +2,12 @@
 
 The standard k-simplex is split edgewise into ``h**k`` congruent cells
 (volume ``1/(k! * h**k)`` each); on every cell the integrand is
-approximated by the average of its vertex values.  Shared subdivision
-vertices are merged, so a plan stores each quadrature node once with an
-accumulated weight.  The rule is exact whenever the pulled-back
-integrand is affine on each cell — in particular for constant
-coefficient functions at any resolution — and is second-order accurate
-for smooth integrands.
+approximated by the average of its vertex values.  Shared cell vertices
+are merged, so the rule, ``quadrature_rule(k, h)``, is one cached pair
+of read-only arrays: each node once, with its pooled weight.  It is
+exact whenever the pulled-back integrand is affine on each cell — in
+particular for constant coefficient functions at any resolution — and
+is second-order accurate for smooth integrands.
 
 One body computes every integration matrix.  It gathers items
 (complex, embedding, chains) in order into chunks of at most
@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,10 +46,7 @@ from .forms import NeuralKForm, affine_jacobian, epsilon_all
 from .simplicial import ChainTuple, Embedding, SimplicialComplex
 
 __all__ = [
-    "SimplexSubdivision",
-    "QuadraturePlan",
-    "subdivide_simplex",
-    "quadrature_plan",
+    "quadrature_rule",
     "integrate_simplex",
     "integration_matrix",
     "integration_matrices",
@@ -62,105 +58,48 @@ DEFAULT_STEPS = 5
 ROW_BUDGET = 2048  # the most MLP rows a chunk of several items runs in one call
 
 
-@dataclass(frozen=True)
-class SimplexSubdivision:
-    """Edgewise subdivision of the standard k-simplex at resolution h.
+@lru_cache(maxsize=None, typed=True)  # typed: h=3.0 must not hit the entry of h=3
+def quadrature_rule(k: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex-average rule on the standard k-simplex at resolution h:
+    read-only float64 ``nodes`` (N, k) in simplex coordinates and
+    ``weights`` (N,) summing to 1/k!.
 
-    Cells are stored as integer vertices on the suffix-sum grid: a grid
-    point ``y`` with ``h >= y[0] >= ... >= y[k-1] >= 0`` corresponds to
-    the simplex point ``t[i] = (y[i] - y[i+1]) / h`` (``y[k] == 0``).
-    All cells share the volume ``1/(k! * h**k)``.
-    """
-
-    k: int
-    h: int
-    cells: np.ndarray  # (h**k, k + 1, k) integer vertices
-
-    @property
-    def num_cells(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def cell_volume(self) -> float:
-        return 1.0 / (math.factorial(self.k) * self.h**self.k)
-
-
-def _grid_to_simplex(y: np.ndarray, h: int) -> np.ndarray:
-    t = y.astype(np.float64)
-    t[..., :-1] -= y[..., 1:]
-    return t / h
-
-
-def subdivide_simplex(k: int, h: int) -> SimplexSubdivision:
-    """Split the standard k-simplex into h**k equal-volume simplices.
-
-    Each grid cube of side 1/h inside the descending-order region is cut
-    into at most k! path simplices (one per coordinate insertion order);
-    the ones whose vertices all satisfy the ordering survive.
+    The simplex is split edgewise on the suffix-sum grid: a grid point
+    ``y`` with ``h >= y[0] >= ... >= y[k-1] >= 0`` is the simplex point
+    ``t[i] = (y[i] - y[i+1]) / h`` (``y[k] == 0``).  Each grid cube of
+    side 1/h is cut into k! path simplices, one per coordinate insertion
+    order; those whose vertices all keep the ordering are the h**k
+    cells, each of volume ``1/(k! * h**k)``.  Every cell spreads its
+    volume equally over its k+1 vertices, and coincident vertices pool
+    their weights, so each grid point is one node.
     """
     if k < 1:
-        raise ValueError(f"subdivision needs k >= 1, got {k}")
+        raise ValueError(f"quadrature needs k >= 1, got {k}")
     if not isinstance(h, numbers.Integral) or h < 1:
         raise ValueError(f"resolution must be a positive integer, got {h!r}")
     axes = [np.arange(h, dtype=np.intp)] * k
     corners = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
-    perms = list(itertools.permutations(range(k)))
     eye = np.eye(k, dtype=np.intp)
-    kept, kept_keys = [], []
-    for q, perm in enumerate(perms):
+    cells = []
+    for perm in itertools.permutations(range(k)):
         offsets = np.zeros((k + 1, k), dtype=np.intp)
         offsets[1:] = np.cumsum(eye[list(perm)], axis=0)
-        verts = corners[:, None, :] + offsets[None, :, :]
-        ok = np.all(verts[:, :, :-1] >= verts[:, :, 1:], axis=(1, 2))
-        kept.append(verts[ok])
-        kept_keys.append(np.flatnonzero(ok) * len(perms) + q)
-    cells = np.concatenate(kept)
-    order = np.argsort(np.concatenate(kept_keys), kind="stable")
-    cells = np.ascontiguousarray(cells[order])
+        verts = corners[:, None, :] + offsets
+        cells.append(verts[np.all(verts[:, :, :-1] >= verts[:, :, 1:], axis=(1, 2))])
+    cells = np.concatenate(cells)
     if cells.shape[0] != h**k:
         raise AssertionError(f"expected {h**k} cells for k={k}, h={h}, got {cells.shape[0]}")
-    cells.setflags(write=False)
-    return SimplexSubdivision(k, h, cells)
-
-
-@dataclass(frozen=True)
-class QuadraturePlan:
-    """Deduplicated vertex-average rule on the standard k-simplex.
-
-    Every cell spreads its volume equally over its k+1 vertices, and
-    weights of coincident vertices are pooled.  ``nodes`` is (N, k) in
-    simplex coordinates; ``weights`` is (N,) and sums to 1/k!.
-    """
-
-    subdivision: SimplexSubdivision
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.subdivision.k
-
-    @property
-    def h(self) -> int:
-        return self.subdivision.h
-
-    @property
-    def num_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-
-@lru_cache(maxsize=None)
-def quadrature_plan(k: int, h: int) -> QuadraturePlan:
-    sub = subdivide_simplex(k, h)
-    share = sub.cell_volume / (k + 1)
-    flat = sub.cells.reshape(-1, k)
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-    weights = np.zeros(uniq.shape[0])
-    np.add.at(weights, inverse.reshape(-1), share)
-    nodes = _grid_to_simplex(uniq, h)
+    # Cell order needs no sort: every addend of np.add.at is the same
+    # share and np.unique sorts the nodes, so no order can change a bit.
+    grid, inverse = np.unique(cells.reshape(-1, k), axis=0, return_inverse=True)
+    weights = np.zeros(grid.shape[0])
+    np.add.at(weights, inverse.reshape(-1), 1.0 / (math.factorial(k) * h**k) / (k + 1))
+    nodes = grid.astype(np.float64)
+    nodes[:, :-1] -= grid[:, 1:]
+    nodes /= h
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadraturePlan(sub, nodes, weights)
+    return nodes, weights
 
 
 def _check_setting(form: NeuralKForm, complex_: SimplicialComplex, embedding: Embedding) -> None:
@@ -196,11 +135,11 @@ def integrate_simplex(
     complex_.index_of(k, simplex)  # raises ValueError for a simplex not in the complex
     if not 0 <= j < form.num_forms:
         raise ValueError(f"form index {j} out of range for {form.num_forms} forms")
-    plan = quadrature_plan(k, h)
+    nodes, weights = quadrature_rule(k, h)
     D = affine_jacobian(embedding, simplex)
     eps = epsilon_all(D, form.table)
-    scal = form.eval_scalings(embedding.coords[simplex[0]] + plan.nodes @ D.T)  # (N, l, C)
-    return float(np.einsum("t,tr,r->", plan.weights, scal[:, j, :], eps))
+    scal = form.eval_scalings(embedding.coords[simplex[0]] + nodes @ D.T)  # (N, l, C)
+    return float(np.einsum("t,tr,r->", weights, scal[:, j, :], eps))
 
 
 def integration_matrix_forward(
@@ -267,7 +206,7 @@ def _chunks(form, settings, h):
     chunk of its own; so are a one-row item and every item of an MLP with
     a width-one layer, because numpy hands such products to BLAS gemv,
     whose value for a row can depend on the rows around it."""
-    nodes = quadrature_plan(form.k, h).num_nodes if form.k else 1
+    nodes = len(quadrature_rule(form.k, h)[1]) if form.k else 1
     budget = ROW_BUDGET if min(form.psi.dims[1:]) > 1 else 0
     chunk, rows = [], 0
     for setting in settings:
@@ -292,11 +231,10 @@ def _integrate(form, h, chunk, keep_cache: bool) -> list:
         weights, eps = np.ones(1), np.ones((V.shape[0], 1))
         points = V[:, 0]
     else:
-        plan = quadrature_plan(form.k, h)
-        weights = plan.weights
+        nodes, weights = quadrature_rule(form.k, h)
         Dt = V[:, 1:] - V[:, :1]  # (S, k, n): transposed Jacobians
         eps = epsilon_all(Dt.swapaxes(1, 2), form.table)  # (S, C)
-        points = (V[:, :1] + plan.nodes @ Dt).reshape(-1, form.n)  # (S*N, n)
+        points = (V[:, :1] + nodes @ Dt).reshape(-1, form.n)  # (S*N, n)
 
     if not V.shape[0]:
         out, mlp_cache = None, None  # every chain is empty: no MLP call

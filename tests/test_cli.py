@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -147,6 +148,38 @@ cli.main(["train-paths", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "run
                               env={"PATH": "", "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == "numpy loaded: False"
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+@pytest.mark.parametrize(
+    "command, source",
+    [(cmd, src) for cmd in ("train-paths", "train-surfaces", "train-graphs")
+     for src in ("flag", "config")] + [("export-field", "flag"), ("gradcheck", "flag")],
+)
+def test_non_positive_threads_exit_2_and_set_nothing(runner, tmp_path, monkeypatch, command,
+                                                     source, threads):
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    args = [command]
+    if source == "flag":
+        args += ["--threads", str(threads)]
+    else:
+        args += ["--config", str(write_config(tmp_path, {"threads": threads}))]
+    if command == "train-graphs":
+        args += ["--dataset-dir", str(tmp_path)]
+    if command == "export-field":
+        checkpoint = tmp_path / "clf.kfc"
+        checkpoint.write_bytes(b"")  # never read: the thread count is checked first
+        args += ["--checkpoint", str(checkpoint), "--out", str(tmp_path / "f.csv")]
+    if command.startswith("train-"):
+        args += ["--out", str(tmp_path / "run")]
+    result = runner.invoke(main, args)
+    assert_one_error_line(result, f"threads must be a positive integer, got {threads}")
+    assert not any(var in os.environ for var in THREAD_VARS)
+    assert not (tmp_path / "run").exists() and not (tmp_path / "f.csv").exists()
 
 
 class _Resolved(Exception):
@@ -500,6 +533,20 @@ class TestExportField:
         )
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("steps", [0, -3, 2.5, "5", True, None])
+    def test_bad_steps_exit_2_with_one_line(self, runner, tmp_path, checkpoint, steps):
+        from kforms.nn import read_blob, write_blob
+
+        header, params = read_blob(checkpoint)
+        header["steps"] = steps
+        ckpt = tmp_path / "bad-steps.kfc"
+        write_blob(ckpt, header, params)
+        result = runner.invoke(
+            main, ["export-field", "--checkpoint", str(ckpt), "--out", str(tmp_path / "f.csv")]
+        )
+        assert_one_error_line(result, f"steps must be a positive integer, got {steps!r}")
         assert not (tmp_path / "f.csv").exists()
 
     def test_values_match_checkpoint_mlp(self, runner, tmp_path, checkpoint):

@@ -432,32 +432,6 @@ _EDITS = st.lists(
 )
 
 
-class TestTuFuzz:
-    @settings(max_examples=300)
-    @given(edits=_EDITS, drop_optional=st.sets(st.sampled_from(["_node_attributes.txt",
-                                                                "_node_labels.txt"])))
-    def test_damaged_files_parse_or_fail_cleanly(self, edits, drop_optional):
-        """A valid dataset with lines replaced, deleted or appended either
-        loads or raises DataFormatError or ValueError, nothing else."""
-        files = {suffix: list(lines) for suffix, lines in _valid_tu_files()}
-        suffixes = sorted(files)
-        for which, pos, row in edits:
-            lines = files[suffixes[which % len(suffixes)]]
-            pos %= len(lines) + 1
-            if row is None:
-                del lines[pos:pos + 1]
-            else:
-                lines[pos:pos + 1] = [row]
-        with tempfile.TemporaryDirectory() as tmp:
-            for suffix, lines in files.items():
-                if suffix not in drop_optional:
-                    Path(tmp, f"FZ{suffix}").write_text("\n".join(lines) + "\n")
-            try:
-                tu_to_dataset(parse_tu(tmp))
-            except (DataFormatError, ValueError):
-                pass
-
-
 def _mutate(files: dict, suffixes: list, kind: str, which: int, pos: int, choice: int) -> None:
     """Apply one line-level mutation of ``kind`` in place to the file
     ``suffixes[which]`` of ``files`` (suffix -> list of lines)."""
@@ -504,43 +478,11 @@ _MUTATIONS = st.lists(
 )
 
 
-class TestTuMutations:
-    @settings(max_examples=300)
-    @given(mutations=_MUTATIONS)
-    def test_mutated_files_parse_or_fail_cleanly(self, mutations):
-        """Truncated files, junk tokens, wrong counts and out-of-range ids
-        either load or raise DataFormatError or ValueError (the errors the
-        CLI turns into exit 2), nothing else."""
-        files = {suffix: list(lines) for suffix, lines in _valid_tu_files()}
-        suffixes = sorted(files)
-        for kind, which, pos, choice in mutations:
-            _mutate(files, suffixes, kind, which, pos, choice)
-        try:
-            _load(files)
-        except (DataFormatError, ValueError):
-            pass
-
-    def test_every_mutation_kind_can_break_a_dataset(self):
-        """The mutations are not all harmless: each kind has a case the
-        parser refuses."""
-        broken = {
-            "truncate": ("_A.txt", 0, 3),  # "1, 2" -> "1, "
-            "junk": ("_graph_labels.txt", 0, 0),
-            "count": ("_graph_labels.txt", 0, 0),
-            "id": ("_A.txt", 0, 3),
-        }
-        for kind, (suffix, pos, choice) in broken.items():
-            files = {s: list(lines) for s, lines in _valid_tu_files()}
-            suffixes = sorted(files)
-            _mutate(files, suffixes, kind, suffixes.index(suffix), pos, choice)
-            with pytest.raises(DataFormatError):
-                _load(files)
-
-
 class TestTuStrict:
-    """The fuzzed datasets of TestTuFuzz and TestTuMutations, held to the
-    stricter rule: a dataset that does not load raises DataFormatError,
-    which names the file, never a bare ValueError."""
+    """Fuzzed datasets (lines replaced, deleted or appended; truncated
+    files, junk tokens, wrong counts, out-of-range ids) either load or
+    raise DataFormatError, which names the file: never a bare ValueError
+    or anything else."""
 
     @settings(max_examples=300)
     @given(edits=_EDITS, drop_optional=st.sets(st.sampled_from(["_node_attributes.txt",
@@ -570,6 +512,22 @@ class TestTuStrict:
             _load(files)
         except DataFormatError:
             pass
+
+    def test_every_mutation_kind_can_break_a_dataset(self):
+        """The mutations are not all harmless: each kind has a case the
+        parser refuses."""
+        broken = {
+            "truncate": ("_A.txt", 0, 3),  # "1, 2" -> "1, "
+            "junk": ("_graph_labels.txt", 0, 0),
+            "count": ("_graph_labels.txt", 0, 0),
+            "id": ("_A.txt", 0, 3),
+        }
+        for kind, (suffix, pos, choice) in broken.items():
+            files = {s: list(lines) for s, lines in _valid_tu_files()}
+            suffixes = sorted(files)
+            _mutate(files, suffixes, kind, suffixes.index(suffix), pos, choice)
+            with pytest.raises(DataFormatError):
+                _load(files)
 
 
 def _oracle_read_rows(path: Path, kind: type, width: int | None = None,

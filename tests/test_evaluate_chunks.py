@@ -65,7 +65,7 @@ def mixed_items(rng, k: int) -> list:
 
 
 def item_rows(item: Item, k: int, h: int = quadrature.DEFAULT_STEPS) -> int:
-    nodes = quadrature.quadrature_plan(k, h).num_nodes if k else 1
+    nodes = len(quadrature.quadrature_rule(k, h)[1]) if k else 1
     return item.chains.used.size * nodes
 
 

@@ -35,9 +35,16 @@ class TestMultiIndices:
         assert table.indices == ((),)
         assert len(table) == 1
 
-    def test_rows0_zero_based(self):
+    def test_zero_based_row_selectors(self):
         table = multi_indices(3, 2)
         assert np.array_equal(table.rows0, [[0, 1], [0, 2], [1, 2]])
+        assert table.rows0.dtype == np.intp
+        assert multi_indices(3, 0).rows0.shape == (1, 0)
+
+    def test_row_selectors_read_only(self):
+        table = multi_indices(3, 2)
+        with pytest.raises(ValueError):
+            table.rows0[0, 0] = 2
 
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):

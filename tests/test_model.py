@@ -500,6 +500,20 @@ class TestClassifierCheckpoints:
         with pytest.raises(ValueError, match="classifier"):
             load_classifier(path)
 
+    @pytest.mark.parametrize("steps", [0, -3, 2.5, 5.0, "5", True, None])
+    def test_bad_steps_rejected(self, tmp_path, steps):
+        from kforms.nn import write_blob
+
+        path = tmp_path / "clf.kfc"
+        cfg = TrainConfig(num_forms=2, hidden_dim=4)
+        save_classifier(build_classifier(2, 2, cfg, np.random.default_rng(33)), path)
+        header, params = read_blob(path)
+        header["steps"] = steps
+        write_blob(path, header, params)
+        with pytest.raises(ValueError, match="steps must be a positive integer") as info:
+            load_classifier(path)
+        assert "\n" not in str(info.value)
+
     @pytest.mark.parametrize("use_head", [True, False])
     def test_damaged_checkpoint_rejected(self, tmp_path, damage, use_head):
         cfg = TrainConfig(num_forms=2, hidden_dim=4, use_head=use_head)

@@ -10,8 +10,7 @@ from kforms.quadrature import (
     integration_matrix,
     integration_matrix_backward,
     integration_matrix_forward,
-    quadrature_plan,
-    subdivide_simplex,
+    quadrature_rule,
 )
 from kforms.simplicial import (
     Chain,
@@ -41,78 +40,113 @@ def linear_form(n: int, k: int, row_weights: np.ndarray) -> NeuralKForm:
     return NeuralKForm(psi, n, k, row_weights.shape[0] // C)
 
 
-def cell_vertices(sub, i: int) -> np.ndarray:
-    """Vertices of cell i in simplex coordinates, (k+1, k): grid point y
-    is the simplex point t[j] = (y[j] - y[j+1]) / h with y[k] = 0."""
-    y = np.concatenate([sub.cells[i], np.zeros((sub.k + 1, 1), dtype=sub.cells.dtype)], axis=1)
-    return (y[:, :-1] - y[:, 1:]) / sub.h
+def share(k: int, h: int) -> float:
+    """One cell vertex's part of the rule: the cell volume 1/(k! h**k)
+    spread over the cell's k+1 vertices."""
+    return 1.0 / ((k + 1) * math.factorial(k) * h**k)
 
 
-class TestSubdivision:
-    def test_cell_count_is_h_to_the_k(self):
-        for k in (1, 2, 3):
-            for h in (1, 2, 3, 4):
-                assert subdivide_simplex(k, h).num_cells == h**k
-
-    def test_cells_have_equal_volume(self):
-        for k in (1, 2, 3):
-            for h in (1, 2, 3):
-                sub = subdivide_simplex(k, h)
-                for i in range(sub.num_cells):
-                    verts = cell_vertices(sub, i)
-                    edges = verts[1:] - verts[0]
-                    vol = abs(np.linalg.det(edges)) / math.factorial(k)
-                    assert vol == pytest.approx(sub.cell_volume, rel=1e-12)
-
-    def test_cells_tile_the_simplex(self):
-        # total volume matches the standard simplex and vertices stay inside
-        for k, h in [(1, 5), (2, 4), (3, 3)]:
-            sub = subdivide_simplex(k, h)
-            assert sub.num_cells * sub.cell_volume == pytest.approx(
-                1.0 / math.factorial(k), rel=1e-12
-            )
-            for i in range(sub.num_cells):
-                verts = cell_vertices(sub, i)
-                assert np.all(verts >= -1e-12)
-                assert np.all(verts.sum(axis=1) <= 1.0 + 1e-12)
-
-    def test_cells_are_read_only(self):
-        sub = subdivide_simplex(2, 2)
-        with pytest.raises(ValueError):
-            sub.cells[0, 0, 0] = 7
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            subdivide_simplex(0, 3)
-        with pytest.raises(ValueError):
-            subdivide_simplex(2, 0)
-        for h in (2.5, 3.0, "3"):
-            with pytest.raises(ValueError, match="positive integer"):
-                subdivide_simplex(2, h)
+def shares(k: int, h: int) -> np.ndarray:
+    """Each weight of the rule as a whole number of shares, which is the
+    number of cells meeting at its node."""
+    multiples = quadrature_rule(k, h)[1] / share(k, h)
+    whole = np.round(multiples)
+    assert np.allclose(multiples, whole, rtol=1e-9, atol=0.0)
+    return whole.astype(int)
 
 
-class TestQuadraturePlan:
+def face_dims(nodes: np.ndarray) -> np.ndarray:
+    """Dimension of the smallest face of the simplex holding each node:
+    its count of nonzero barycentric coordinates, minus one."""
+    bary = np.concatenate([nodes, 1.0 - nodes.sum(axis=1, keepdims=True)], axis=1)
+    return (np.abs(bary) > 1e-9).sum(axis=1) - 1
+
+
+RULE_ARGS = [(k, h) for k in (1, 2, 3) for h in (1, 2, 3, 4)]
+
+
+class TestQuadratureRule:
+    def test_weights_are_whole_shares(self):
+        for k, h in RULE_ARGS:
+            assert np.all(shares(k, h) >= 1)
+
+    def test_share_count_is_the_cell_count(self):
+        # every one of the h**k cells hands out k+1 shares
+        for k, h in RULE_ARGS:
+            assert shares(k, h).sum() == (k + 1) * h**k
+
     def test_weights_sum_to_simplex_volume(self):
         for k in (1, 2, 3):
             for h in (1, 2, 5):
-                plan = quadrature_plan(k, h)
-                assert plan.weights.sum() == pytest.approx(1.0 / math.factorial(k), rel=1e-12)
+                weights = quadrature_rule(k, h)[1]
+                assert weights.sum() == pytest.approx(1.0 / math.factorial(k), rel=1e-12)
+
+    def test_shares_by_face(self):
+        # a simplex vertex lies in one cell and an interior node in the
+        # (k+1)! cells of its whole star; a simplex facet lies in a
+        # hyperplane made of cell faces, which halves the centrally
+        # symmetric star, so a node inside a facet carries (k+1)!/2
+        for k, h in RULE_ARGS:
+            dims, counts = face_dims(quadrature_rule(k, h)[0]), shares(k, h)
+            assert np.all(counts[dims == 0] == 1)
+            assert np.all(counts[dims == k - 1] == math.factorial(k + 1) // 2)
+            assert np.all(counts[dims == k] == math.factorial(k + 1))
+            assert np.count_nonzero(dims == 0) == k + 1
+            assert np.count_nonzero(dims == k) == math.comb(h - 1, k)
+
+    def test_k1_is_the_trapezoid_rule(self):
+        for h in (1, 2, 3, 4, 7):
+            nodes, weights = quadrature_rule(1, h)
+            expected = np.full(h + 1, 1.0 / h)
+            expected[[0, -1]] = 1.0 / (2 * h)
+            assert np.allclose(nodes[:, 0], np.arange(h + 1) / h, rtol=0.0, atol=1e-15)
+            assert np.allclose(weights, expected, rtol=1e-12, atol=0.0)
+
+    def test_exact_for_affine_integrands(self):
+        # the integral of t_i over the standard k-simplex is 1/(k+1)!
+        for k, h in RULE_ARGS:
+            nodes, weights = quadrature_rule(k, h)
+            assert np.allclose(weights @ nodes, 1.0 / math.factorial(k + 1), rtol=1e-12, atol=0.0)
 
     def test_node_count_after_merging(self):
         # nodes are the integer grid points of the subdivision: C(h+k, k)
         for k in (1, 2, 3):
             for h in (1, 2, 4):
-                plan = quadrature_plan(k, h)
-                assert plan.num_nodes == math.comb(h + k, k)
+                nodes, weights = quadrature_rule(k, h)
+                assert nodes.shape == (math.comb(h + k, k), k)
+                assert weights.shape == (math.comb(h + k, k),)
 
     def test_nodes_unique_and_inside(self):
-        plan = quadrature_plan(2, 4)
-        assert np.unique(plan.nodes, axis=0).shape[0] == plan.num_nodes
-        assert np.all(plan.nodes >= 0.0)
-        assert np.all(plan.nodes.sum(axis=1) <= 1.0 + 1e-12)
+        for k, h in RULE_ARGS:
+            nodes = quadrature_rule(k, h)[0]
+            assert np.unique(nodes, axis=0).shape[0] == nodes.shape[0]
+            assert np.all(nodes >= 0.0)
+            assert np.all(nodes.sum(axis=1) <= 1.0 + 1e-12)
+            assert np.allclose(nodes * h, np.round(nodes * h), rtol=0.0, atol=1e-12)
 
-    def test_plans_are_cached(self):
-        assert quadrature_plan(2, 5) is quadrature_plan(2, 5)
+    def test_arrays_are_read_only_float64(self):
+        for array in quadrature_rule(2, 2):
+            assert array.dtype == np.float64
+            with pytest.raises(ValueError):
+                array[0] = 7
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            quadrature_rule(0, 3)
+        with pytest.raises(ValueError):
+            quadrature_rule(2, 0)
+        for h in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match="positive integer"):
+                quadrature_rule(2, h)
+
+    def test_resolution_checked_on_every_call(self):
+        # a cached h=3 must not let h=3.0 through (3 == 3.0 as a key)
+        quadrature_rule(2, 3)
+        with pytest.raises(ValueError, match="positive integer"):
+            quadrature_rule(2, 3.0)
+
+    def test_rules_are_cached(self):
+        assert quadrature_rule(2, 5) is quadrature_rule(2, 5)
 
 
 class TestExactness:
