@@ -307,8 +307,6 @@ def export_field(checkpoint, out, grid_min, grid_max, grid_points, threads):
 
     def body():
         _set_threads(threads)
-        import itertools
-
         import numpy as np
 
         from .forms import load_form
@@ -328,7 +326,8 @@ def export_field(checkpoint, out, grid_min, grid_max, grid_points, threads):
         else:
             raise ValueError(f"{checkpoint}: no k-form inside (kind={kind!r})")
         axis = np.linspace(grid_min, grid_max, grid_points)
-        points = np.asarray(list(itertools.product(axis, repeat=form.n)))
+        # rows in lexicographic grid order: the first coordinate varies slowest
+        points = np.stack(np.meshgrid(*[axis] * form.n, indexing="ij"), axis=-1).reshape(-1, form.n)
         values = form.psi.forward(points)  # rows already in checkpoint layout order
         names = [f"x{d + 1}" for d in range(form.n)]
         for j in range(form.num_forms):

@@ -11,6 +11,7 @@ order — this layout is fixed and is part of the checkpoint format.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -114,15 +115,18 @@ class NeuralKForm:
     table: MultiIndexTable = None
 
     def __post_init__(self):
-        if self.table is None:
-            object.__setattr__(self, "table", multi_indices(self.n, self.k))
         if self.num_forms < 1:
             raise ValueError("need at least one form")
         if self.psi.in_dim != self.n:
             raise ValueError(f"psi input dim {self.psi.in_dim} != ambient dim {self.n}")
-        expected = self.num_forms * len(self.table)
+        if not 0 <= self.k <= self.n:
+            raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
+        # before the table is built: a checkpoint header can ask for C(60, 30) rows
+        expected = self.num_forms * math.comb(self.n, self.k)
         if self.psi.out_dim != expected:
             raise ValueError(f"psi output dim {self.psi.out_dim} != num_forms * C(n,k) = {expected}")
+        if self.table is None:
+            object.__setattr__(self, "table", multi_indices(self.n, self.k))
 
     @classmethod
     def init(
@@ -177,6 +181,9 @@ def form_header(form: NeuralKForm) -> dict:
 
 def form_from_header(header: dict, params: np.ndarray) -> NeuralKForm:
     psi = mlp_from_header(header, params)
+    for key in ("ambient_dim", "degree", "num_forms"):
+        if type(header[key]) is not int:
+            raise ValueError(f"checkpoint {key} {header[key]!r} is not an int")
     return NeuralKForm(psi, header["ambient_dim"], header["degree"], header["num_forms"])
 
 

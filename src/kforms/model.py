@@ -180,6 +180,9 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type == "int" and isinstance(getattr(self, f.name), bool):
+                raise ValueError(f"{f.name} must be an int, got {getattr(self, f.name)!r}")
         if self.k < 0:
             raise ValueError("k must be nonnegative")
         if min(self.num_forms, self.hidden_dim, self.steps, self.batch_size) < 1:

@@ -75,7 +75,7 @@ def quadrature_rule(k: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if k < 1:
         raise ValueError(f"quadrature needs k >= 1, got {k}")
-    if not isinstance(h, numbers.Integral) or h < 1:
+    if isinstance(h, bool) or not isinstance(h, numbers.Integral) or h < 1:
         raise ValueError(f"resolution must be a positive integer, got {h!r}")
     axes = [np.arange(h, dtype=np.intp)] * k
     corners = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)

@@ -1,11 +1,12 @@
 """Combinatorial simplicial complexes, embeddings and real-coefficient chains.
 
-A complex stores each dimension k as one read-only (N_k, k+1) integer
-array of strictly increasing vertex rows, lexicographically sorted when
-``build_complex`` made it.  The increasing row defines the positive
+A complex is made only by ``build_complex``, which closes the given
+simplices under faces and stores each dimension k as one read-only
+(N_k, k+1) integer array of strictly increasing vertex rows in
+lexicographic order.  The increasing row defines the positive
 orientation of each simplex; orientation flips live in chain
-coefficients, never in vertex order.  Complexes are built and checked
-by whole-array operations, and simplices are looked up by integer keys,
+coefficients, never in vertex order.  Complexes are built by
+whole-array operations, and simplices are looked up by integer keys,
 never through per-simplex Python tuples or dicts.  A chain tuple is
 stored as the linear map it defines, the pair (used simplices,
 coefficient matrix Λ), built once on construction; integrating it is Λ
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,40 +43,24 @@ __all__ = [
 class SimplicialComplex:
     """Vertex set plus oriented simplices, closed under taking faces.
 
-    Dimension k is one read-only (N_k, k+1) intp array, row i being
-    simplex i.  The constructor takes, per dimension, a collection of
-    vertex tuples or an integer array, in any order, and keeps that
-    order; ``build_complex`` gives lexicographic order.  Each row must be
-    strictly increasing, inside ``0..num_vertices-1``, unique, and have
-    every face in the dimension below; otherwise ValueError names the
-    first offending simplex in stored order.  Simplices are found by
-    their integer key, the row read as digits in base num_vertices
-    (Python ints when int64 cannot hold them): lexicographic order of
-    increasing rows is the order of their keys.
+    Made only by ``build_complex``; calling the class raises TypeError.
+    Dimension k is one read-only (N_k, k+1) intp array of strictly
+    increasing vertex rows in lexicographic order, row i being simplex
+    i.  Simplices are found by their integer key, the row read as digits
+    in base num_vertices (Python ints when int64 cannot hold them):
+    lexicographic order of increasing rows is the order of their keys.
     """
 
     num_vertices: int
     _arrays: tuple = field(repr=False)  # per dimension: (N_k, k+1) rows
-    _lookup: tuple = field(repr=False)  # per dimension: (sorted keys, their rows or None)
-
-    def __init__(self, num_vertices: int, simplices_by_dim):
-        if num_vertices < 0:
-            raise ValueError("num_vertices must be nonnegative")
-        arrays, lookup = [], []
-        for k, simplices in enumerate(simplices_by_dim):
-            rows, cut = _as_rows(simplices, k)
-            lookup.append(_check_rows(k, rows[:cut], num_vertices, lookup[-1] if k else None))
-            if cut < len(simplices):
-                raise ValueError(f"{_simplex(simplices[cut])} is not a {k}-simplex")
-            arrays.append(rows)
-        _fill(self, num_vertices, arrays, lookup)
+    _lookup: tuple = field(repr=False)  # per dimension: the rows' keys, increasing
 
     @property
     def dim(self) -> int:
         return len(self._arrays) - 1
 
     def simplices(self, k: int) -> tuple[tuple[int, ...], ...]:
-        """All k-simplices in stored order, as tuples built on each call."""
+        """All k-simplices in lexicographic order, as tuples built on each call."""
         if not 0 <= k <= self.dim:
             return ()
         return tuple(map(tuple, self._arrays[k].tolist()))
@@ -87,13 +73,13 @@ class SimplicialComplex:
         simplex, n = tuple(simplex), self.num_vertices
         if (0 <= k <= self.dim and len(simplex) == k + 1 and 0 <= simplex[0] and simplex[-1] < n
                 and all(a < b for a, b in zip(simplex, simplex[1:]))):
-            keys, order = self._lookup[k]
+            keys = self._lookup[k]
             key = 0
             for v in simplex:  # as _keys does, in Python ints
                 key = key * n + v
             i = int(np.searchsorted(keys, key))
             if i < keys.shape[0] and keys[i] == key:
-                return i if order is None else int(order[i])
+                return i
         raise ValueError(f"simplex {simplex} is not in the complex")
 
     def vertex_array(self, k: int) -> np.ndarray:
@@ -111,75 +97,6 @@ class SimplicialComplex:
 
     def __hash__(self) -> int:
         return hash(self._key())
-
-
-def _fill(c: SimplicialComplex, num_vertices: int, arrays, lookup) -> SimplicialComplex:
-    """Set the fields of ``c``, freezing its arrays."""
-    for rows in arrays:
-        rows.flags.writeable = False
-    c.__dict__.update(num_vertices=num_vertices, _arrays=tuple(arrays), _lookup=tuple(lookup))
-    return c
-
-
-def _simplex(raw) -> tuple:
-    return tuple(int(v) for v in raw)
-
-
-def _as_rows(simplices, k: int) -> tuple[np.ndarray, int]:
-    """A fresh (N, k+1) intp array of ``simplices`` cut at the first
-    wrong-length one, and that cut (N when every length is right)."""
-    try:
-        rows = np.array(simplices, dtype=np.intp)
-    except ValueError:  # ragged tuples
-        cut = next((i for i, s in enumerate(simplices) if len(s) != k + 1), None)
-        if cut is None:
-            raise
-        return np.array(simplices[:cut], dtype=np.intp).reshape(cut, k + 1), cut
-    if rows.size == 0:
-        return rows.reshape(0, k + 1), 0
-    if rows.ndim != 2 or rows.shape[1] != k + 1:
-        return np.empty((0, k + 1), dtype=np.intp), 0
-    return rows, rows.shape[0]
-
-
-def _check_rows(k: int, rows: np.ndarray, num_vertices: int, faces):
-    """Raise for the first row of ``rows`` that is not increasing, has a
-    vertex out of range, repeats an earlier row or misses a face (in
-    that priority within a row).  Otherwise return the lookup of the
-    dimension: its keys sorted, and the rows they come from (None when
-    the rows are already in key order)."""
-    bad = (rows[:, 0] < 0) | (rows[:, -1] >= num_vertices)
-    if k:
-        bad |= (rows[:, 1:] <= rows[:, :-1]).any(axis=1)
-    bad = np.flatnonzero(bad)
-    first = int(bad[0]) if bad.size else rows.shape[0]
-    valid = rows[:first]  # increasing and in range: one key per simplex
-    keys, order = _keys(valid, num_vertices), None
-    offender, message = first, None
-    if keys.shape[0] > 1 and not (keys[1:] > keys[:-1]).all():
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        repeats = order[1:][keys[1:] == keys[:-1]]  # the later copy of each repeat
-        if repeats.size:
-            offender = int(repeats.min())
-            message = f"duplicate simplex {_simplex(rows[offender])}"
-    if k and valid.shape[0]:
-        combos = np.array(list(itertools.combinations(range(k + 1), k)))
-        face_keys = _keys(valid[:, combos].reshape(-1, k), num_vertices)
-        missing = ~np.isin(face_keys, faces[0]).reshape(-1, k + 1)
-        row = int(missing.any(axis=1).argmax())
-        if missing[row].any() and row < offender:
-            s = _simplex(rows[row])
-            face = tuple(s[i] for i in combos[missing[row].argmax()])
-            offender, message = row, f"face {face} of {s} missing: complex not closed"
-    if message is not None:
-        raise ValueError(message)
-    if first < rows.shape[0]:
-        s = _simplex(rows[first])
-        if any(a >= b for a, b in zip(s, s[1:])):
-            raise ValueError(f"simplex {s} is not strictly increasing")
-        raise ValueError(f"simplex {s} has a vertex outside 0..{num_vertices - 1}")
-    return keys, order
 
 
 def _keys(rows: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -313,7 +230,8 @@ def build_complex(simplex_lists, num_vertices: int) -> SimplicialComplex:
 
     ``simplex_lists`` is a list of tuples, in any order and any mix of
     dimensions, or an (N, k+1) integer array; each simplex is sorted
-    increasing.  One with a repeated vertex or a vertex outside
+    increasing.  ``num_vertices`` must be a nonnegative int (not a
+    bool).  A simplex with a repeated vertex or a vertex outside
     ``0..num_vertices-1`` is refused, naming the first such in input
     order.  All ``num_vertices`` vertices are stored as 0-simplices
     regardless of whether they appear in any input tuple.  The faces of
@@ -321,6 +239,10 @@ def build_complex(simplex_lists, num_vertices: int) -> SimplicialComplex:
     unique and put in lexicographic order by their keys; the result is
     valid by construction and is not checked again.
     """
+    if (isinstance(num_vertices, bool) or not isinstance(num_vertices, numbers.Integral)
+            or num_vertices < 0):
+        raise ValueError(f"num_vertices must be a nonnegative int, got {num_vertices!r}")
+    num_vertices = int(num_vertices)
     if isinstance(simplex_lists, np.ndarray):
         if simplex_lists.ndim != 2:
             raise ValueError(f"simplex array of shape {simplex_lists.shape} is not (N, k+1)")
@@ -365,17 +287,21 @@ def build_complex(simplex_lists, num_vertices: int) -> SimplicialComplex:
         raise ValueError(message)
 
     vertices = np.arange(num_vertices, dtype=np.intp)
-    arrays, lookup = [vertices.reshape(-1, 1)], [(vertices.astype(np.int64), None)]
+    arrays, lookup = [vertices.reshape(-1, 1)], [vertices.astype(np.int64)]
     for k in range(1, max(faces, default=0) + 1):
         rows = np.concatenate(faces[k]) if len(faces[k]) > 1 else faces[k][0]
         keys, first_copy = np.unique(_keys(rows, num_vertices), return_index=True)
         arrays.append(rows[first_copy])
-        lookup.append((keys, None))
-    return _fill(object.__new__(SimplicialComplex), num_vertices, arrays, lookup)
+        lookup.append(keys)
+    for rows in arrays:
+        rows.flags.writeable = False
+    complex_ = object.__new__(SimplicialComplex)
+    complex_.__dict__.update(num_vertices=num_vertices, _arrays=tuple(arrays), _lookup=tuple(lookup))
+    return complex_
 
 
 def standard_basis_chains(complex_: SimplicialComplex, k: int) -> ChainTuple:
-    """One +1 chain per k-simplex, in the complex's stored order."""
+    """One +1 chain per k-simplex, in the complex's lexicographic order."""
     n = complex_.num_simplices(k)
     if n == 0:
         raise ValueError(f"complex has no {k}-simplices")

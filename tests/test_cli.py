@@ -549,6 +549,26 @@ class TestExportField:
         assert_one_error_line(result, f"steps must be a positive integer, got {steps!r}")
         assert not (tmp_path / "f.csv").exists()
 
+    def test_huge_form_header_exits_2_without_building_the_table(self, tmp_path):
+        from kforms.nn import write_blob
+
+        # a valid 9-value payload for dims [2, 3], in a header for degree 30 in R^60
+        ckpt = tmp_path / "huge.kfc"
+        header = {"kind": "kform", "dims": [2, 3], "activation": "relu", "param_count": 9,
+                  "ambient_dim": 60, "degree": 30, "num_forms": 1}
+        write_blob(ckpt, header, np.zeros(9))
+        src = str(Path(kforms.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "kforms.cli", "export-field", "--checkpoint", str(ckpt),
+             "--out", str(tmp_path / "f.csv")],
+            capture_output=True, text=True, env={"PATH": "", "PYTHONPATH": src}, timeout=10,
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "ambient dim 60" in lines[0]
+        assert not (tmp_path / "f.csv").exists()
+
     def test_values_match_checkpoint_mlp(self, runner, tmp_path, checkpoint):
         from kforms.model import load_classifier
 

@@ -13,7 +13,7 @@ from kforms.forms import (
     multi_indices,
     save_form,
 )
-from kforms.nn import Mlp, write_blob
+from kforms.nn import Mlp, read_blob, write_blob
 from kforms.simplicial import Embedding
 
 
@@ -157,6 +157,20 @@ class TestNeuralKForm:
         with pytest.raises(ValueError):
             NeuralKForm(psi, n=3, k=1, num_forms=2)
 
+    def test_dims_checked_before_the_table_is_built(self, monkeypatch):
+        import kforms.forms as forms
+
+        monkeypatch.setattr(forms, "multi_indices", None)  # C(60, 30) rows would never finish
+        with pytest.raises(ValueError, match="psi input dim 2 != ambient dim 60"):
+            NeuralKForm(Mlp.init([2, 3], rng=np.random.default_rng(0)), n=60, k=30, num_forms=1)
+        with pytest.raises(ValueError, match="psi output dim 3 != num_forms"):
+            NeuralKForm(Mlp.init([60, 3], rng=np.random.default_rng(0)), n=60, k=30, num_forms=1)
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_degree_out_of_range_rejected(self, k):
+        with pytest.raises(ValueError, match=f"need 0 <= k <= n, got k={k}, n=3"):
+            NeuralKForm(Mlp.init([3, 3], rng=np.random.default_rng(0)), n=3, k=k, num_forms=1)
+
     def test_flat_layout_slot_is_form_major(self):
         # single linear layer with zero weights: output == bias == arange,
         # so slot (j, r) must land at row j, column r of the scaling matrix
@@ -217,6 +231,17 @@ class TestFormCheckpoints:
         path = tmp_path / "not_form.kfc"
         write_blob(path, {"kind": "mlp"}, np.zeros(2))
         with pytest.raises(ValueError, match="k-form"):
+            load_form(path)
+
+    @pytest.mark.parametrize(
+        "key, value", [("ambient_dim", 3.0), ("degree", True), ("num_forms", "2"), ("degree", None)]
+    )
+    def test_non_int_header_fields_rejected(self, tmp_path, key, value):
+        path = tmp_path / "form.kfc"
+        save_form(NeuralKForm.init(3, 2, 2, (4,), "tanh", np.random.default_rng(57)), path)
+        header, params = read_blob(path)
+        write_blob(path, {**header, key: value}, params)
+        with pytest.raises(ValueError, match=f"checkpoint {key} .* is not an int"):
             load_form(path)
 
     def test_damaged_checkpoint_rejected(self, tmp_path, damage):

@@ -188,6 +188,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["k", "num_forms", "hidden_dim", "steps", "batch_size", "max_epochs",
+         "early_stop_patience", "plateau_patience", "seed"],
+    )
+    def test_bool_in_an_int_field_rejected(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an int, got True$"):
+            TrainConfig(**{name: True})
+
 
 class TestClassifier:
     def test_headless_needs_matching_classes(self):

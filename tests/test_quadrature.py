@@ -139,6 +139,12 @@ class TestQuadratureRule:
             with pytest.raises(ValueError, match="positive integer"):
                 quadrature_rule(2, h)
 
+    @pytest.mark.parametrize("h", [True, False])
+    def test_bool_resolution_rejected(self, h):
+        quadrature_rule(2, 1)  # a cached h=1 must not let True through (True == 1 as a key)
+        with pytest.raises(ValueError, match="positive integer"):
+            quadrature_rule(2, h)
+
     def test_resolution_checked_on_every_call(self):
         # a cached h=3 must not let h=3.0 through (3 == 3.0 as a key)
         quadrature_rule(2, 3)
