@@ -79,6 +79,10 @@ MALFORMED_INPUT = {
     ),
     "negative vertex": (3, [(0, 1), (0, -1)], "simplex {raw} has a vertex outside 0..2", 1),
     "repeated before range in one row": (3, [(5, 5)], "degenerate simplex {raw}: repeated vertex", 0),
+    "earlier range before later repeat": (
+        3, [(0, 1), (0, 4), (2, 2)], "simplex {raw} has a vertex outside 0..2", 1
+    ),
+    "earlier repeat before later range": (3, [(1, 1), (0, 4)], "degenerate simplex {raw}: repeated vertex", 0),
     "empty": (3, [(), ()], "empty simplex tuple", 0),
 }
 
@@ -112,6 +116,38 @@ class TestMalformedBuildInput:
     def test_numpy_vertex_count_is_a_python_int(self):
         c = build_complex([(0, 1)], np.int64(2))
         assert type(c.num_vertices) is int and c == build_complex([(0, 1)], 2)
+
+
+# input that is not sorted, unique or closed: (num_vertices, simplices, the stored simplices per dimension)
+UNNORMALIZED = {
+    "rows not increasing": (3, [(1, 0), (2, 1)], [[(0,), (1,), (2,)], [(0, 1), (1, 2)]]),
+    "duplicate rows": (3, [(0, 1), (1, 2), (0, 1), (1, 2)], [[(0,), (1,), (2,)], [(0, 1), (1, 2)]]),
+    "one edge in both vertex orders": (3, [(1, 2), (0, 1), (2, 1)], [[(0,), (1,), (2,)], [(0, 1), (1, 2)]]),
+    "vertices not named": (4, [(2, 0)], [[(0,), (1,), (2,), (3,)], [(0, 2)]]),
+    "missing faces": (
+        4,
+        [(1, 2, 3), (0, 1, 2)],
+        [[(0,), (1,), (2,), (3,)], [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], [(0, 1, 2), (1, 2, 3)]],
+    ),
+    "one triangle in two vertex orders": (
+        3, [(2, 0, 1), (1, 2, 0)], [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
+    ),
+}
+
+
+class TestNormalizedBuildInput:
+    @pytest.mark.parametrize("form", ["list", "array"])
+    @pytest.mark.parametrize("case", list(UNNORMALIZED))
+    def test_stored_sorted_unique_and_closed(self, case, form):
+        num_vertices, simplices, per_dim = UNNORMALIZED[case]
+        given = simplices if form == "list" else np.array(simplices, dtype=np.int64)
+        c = build_complex(given, num_vertices)
+        assert c.dim == len(per_dim) - 1
+        for k, expected in enumerate(per_dim):
+            assert c.simplices(k) == tuple(expected)
+            assert c.vertex_array(k).tolist() == [list(s) for s in expected]
+            for i, s in enumerate(expected):
+                assert c.index_of(k, s) == i
 
 
 class TestIndexOf:
