@@ -3,8 +3,10 @@
 Configuration is resolved in three layers: built-in defaults, then a
 JSON config file (``--config``, unknown keys rejected), then explicitly
 passed flags.  Every run echoes its resolved configuration into a
-sidecar JSON next to its outputs.  Exit codes: 0 success, 1 runtime
-failure, 2 bad input or configuration.
+sidecar JSON next to its outputs, and a train command's run also
+records what it ran on, and how long and how large it ran, in
+``run.json``, which no seeded rerun reproduces byte for byte.  Exit
+codes: 0 success, 1 runtime failure, 2 bad input or configuration.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import sys
+import time
 from importlib import import_module
 from pathlib import Path
 
@@ -21,6 +25,7 @@ import click
 from click.core import ParameterSource
 
 _READOUT_MAP = {"sum": "column_sum", "l1": "column_l1", "l2": "column_l2"}
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Defaults shared by the train commands.  A config value must have its
 # default's type, or the type _NULL_DEFAULT_TYPES names where the default
@@ -75,7 +80,7 @@ def _set_threads(threads: int | None) -> None:
     if threads is not None:
         if threads < 1:
             raise ValueError(f"threads must be a positive integer, got {threads}")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in _THREAD_VARS:
             os.environ[var] = str(threads)
 
 
@@ -141,6 +146,28 @@ def _write_representations(path: Path, classifier, data) -> None:
         writer.writerow([f"readout_{j}" for j in range(num)] + ["label"])
         for item, feats in zip(data.items, classifier.features_each(data.items)):
             writer.writerow([repr(float(v)) for v in feats] + [item.label])
+
+
+def _write_run(out_dir: Path, started: float) -> None:
+    """run.json: versions, CPUs, threads, wall seconds since ``started``
+    and the process's peak RSS."""
+    import resource
+
+    import numpy as np
+
+    from .model import item_workers
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
+    _write_json(out_dir / "run.json", {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "cpu_affinity": sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "item_threads": item_workers(),
+        "blas_thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
+        "wall_s": time.perf_counter() - started,
+        "peak_rss_mb": peak / (2**20 if sys.platform == "darwin" else 2**10),
+    })
 
 
 def _run_guarded(body):
@@ -270,9 +297,11 @@ def _add_train_command(name: str, help_text: str, own_defaults: dict, step) -> N
     @click.pass_context
     def command(ctx, **_flags):
         def body():
+            started = time.perf_counter()
             resolved = _resolve(ctx, defaults)
             _set_threads(resolved["threads"])
             step(resolved)
+            _write_run(Path(resolved["out"]), started)
 
         _run_guarded(body)
 

@@ -5,13 +5,25 @@ softmax cross-entropy.  Training is plain minibatch descent with a
 learning-rate-on-plateau schedule, early stopping on validation loss,
 and best-validation checkpointing; everything is deterministic given the
 config seed.
+
+Items share nothing but the parameters, so ``_map_items`` spreads the
+per-item passes of a training batch or an evaluation over one thread
+per CPU, each extra thread running a ``KFormClassifier.twin``.  Only
+items above ``ROW_BUDGET`` MLP rows leave the calling thread: their
+numpy products release the interpreter lock, while a pass over a
+smaller item costs less than starting a thread.  Gradients and losses
+are still summed in item order, so every output is bit-identical to a
+one-thread run.
 """
 
 from __future__ import annotations
 
+import contextvars
+import copy
 import dataclasses
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +32,12 @@ from .forms import NeuralKForm, form_from_header, form_header
 from .nn import Mlp, make_optimizer, mlp_from_header, mlp_header, read_blob, write_blob
 from .quadrature import (
     DEFAULT_STEPS,
+    ROW_BUDGET,
     integration_matrices,
     integration_matrix,
     integration_matrix_backward,
     integration_matrix_forward,
+    mlp_rows,
 )
 from .simplicial import ChainTuple, Embedding, SimplicialComplex, standard_basis_chains
 
@@ -44,6 +58,7 @@ __all__ = [
     "build_classifier",
     "train",
     "evaluate",
+    "item_workers",
     "kfold_cv",
     "stratified_split",
     "stratified_folds",
@@ -213,13 +228,16 @@ class KFormClassifier:
     the MLPs it is given: their values move into its ``params`` and each
     MLP is re-bound to a view of it.  So an optimizer built on one of
     them before that steps an array the model no longer uses, and one
-    Mlp must not be shared between classifiers."""
+    Mlp must not be shared between classifiers.  Like its MLPs, a
+    classifier runs from one thread at a time; ``twin()`` gives another
+    thread its own."""
 
     form: NeuralKForm
     head: Mlp | None
     readout: str
     steps: int = DEFAULT_STEPS
     params: np.ndarray = field(init=False, compare=False, repr=False)
+    _twins: list = field(init=False, default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
         if self.readout not in READOUTS:
@@ -236,6 +254,16 @@ class KFormClassifier:
         self.form.psi.bind(self.params[:split])
         if self.head is not None:
             self.head.bind(self.params[split:])
+
+    def twin(self) -> "KFormClassifier":
+        """A classifier bound to this one's ``params`` (views, no copy)
+        whose form MLP and head are ``Mlp.twin``s: it computes what this
+        one computes, and may do so in another thread at the same time."""
+        twin = copy.copy(self)
+        twin.form = dataclasses.replace(self.form, psi=self.form.psi.twin())
+        twin.head = None if self.head is None else self.head.twin()
+        twin._twins = []
+        return twin
 
     @property
     def num_classes(self) -> int:
@@ -308,6 +336,69 @@ def build_classifier(
     return KFormClassifier(form, head, cfg.readout, cfg.steps)
 
 
+def item_workers() -> int:
+    """Threads that share one call's items above ``ROW_BUDGET``: one per
+    CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _map_items(classifier: KFormClassifier, items: list, each):
+    """The results of ``each(classifier, items)``, a generator yielding
+    one result per item, in item order, bit for bit.
+
+    Items above ``ROW_BUDGET`` MLP rows are dealt round-robin to
+    min(``item_workers()``, their number) lanes: the calling thread with
+    the classifier, which also takes every smaller item, and one thread
+    per other lane with a twin (kept on the classifier for later calls).
+    Each lane runs ``each`` over its own items; an item's result depends
+    only on the item and ``params``, never on its lane.  The threads are
+    joined before this returns, and the first exception in item order
+    is raised.  With one lane this is ``each(classifier, items)``, run
+    lazily on the calling thread.
+    """
+    rows = mlp_rows(classifier.form.k, classifier.steps)
+    large = [i for i, item in enumerate(items) if item.chains.used.size * rows > ROW_BUDGET]
+    lanes = min(len(large), item_workers()) if large else 1
+    if lanes < 2:
+        return each(classifier, items)
+    lane_of = [0] * len(items)
+    for position, i in enumerate(large):
+        lane_of[i] = position % lanes
+    members = [[i for i, lane in enumerate(lane_of) if lane == l] for l in range(lanes)]
+    while len(classifier._twins) < lanes - 1:
+        classifier._twins.append(classifier.twin())
+    results, errors = [None] * len(items), {}
+
+    def run(model, indices):
+        done = 0
+        try:
+            for result in each(model, [items[i] for i in indices]):
+                results[indices[done]] = result
+                done += 1
+        except BaseException as exc:  # re-raised on the calling thread, in item order
+            errors[indices[done]] = exc
+
+    # each thread runs in a copy of the caller's context, so that the
+    # caller's np.errstate holds for every item
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, *pair),
+                                name="kforms-items")
+               for pair in zip(classifier._twins, members[1:])]
+    try:
+        for thread in threads:
+            thread.start()
+        run(classifier, members[0])
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 @dataclass(frozen=True)
 class EvalReport:
     loss: float
@@ -319,7 +410,8 @@ class EvalReport:
 def evaluate(classifier: KFormClassifier, data: Dataset, indices=None) -> EvalReport:
     """Mean loss, accuracy and per-class tallies; argmax ties go to the
     lowest class index.  The items' logits come from
-    ``KFormClassifier.forward_each``."""
+    ``KFormClassifier.forward_each``; items above ``ROW_BUDGET`` MLP rows
+    are spread over threads (see the module docstring)."""
     if indices is None:
         indices = range(len(data))
     items = [data.items[int(i)] for i in indices]
@@ -328,7 +420,7 @@ def evaluate(classifier: KFormClassifier, data: Dataset, indices=None) -> EvalRe
     total = np.zeros(data.num_classes, dtype=np.intp)
     correct = np.zeros(data.num_classes, dtype=np.intp)
     loss_sum = 0.0
-    for item, logits in zip(items, classifier.forward_each(items)):
+    for item, logits in zip(items, _map_items(classifier, items, KFormClassifier.forward_each)):
         loss_sum += _nll(logits, item.label)[0]
         total[item.label] += 1
         correct[item.label] += int(np.argmax(logits)) == item.label
@@ -420,19 +512,23 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
     stale_plateau = 0
     stale_stop = 0
 
+    def gradients(model: KFormClassifier, items):
+        """Per item: forward pass, loss, and the loss gradient."""
+        for item in items:
+            logits, cache = model.forward_cached(item)
+            loss, d_logits = cross_entropy(logits, item.label)
+            if not math.isfinite(loss):
+                raise TrainingDivergence(f"non-finite loss at epoch {epoch}")
+            yield model.backward(cache, d_logits)
+
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(train_idx)
         for start in range(0, order.size, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            share = 1.0 / batch.size
+            batch = [data.items[int(i)] for i in order[start : start + cfg.batch_size]]
+            share = 1.0 / len(batch)
             grad = np.zeros_like(classifier.params)
-            for i in batch:
-                item = data.items[int(i)]
-                logits, cache = classifier.forward_cached(item)
-                loss, d_logits = cross_entropy(logits, item.label)
-                if not math.isfinite(loss):
-                    raise TrainingDivergence(f"non-finite loss at epoch {epoch}")
-                grad += share * classifier.backward(cache, d_logits)
+            for item_grad in _map_items(classifier, batch, gradients):
+                grad += share * item_grad
             try:
                 opt.step(grad)
             except FloatingPointError as exc:

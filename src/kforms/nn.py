@@ -9,6 +9,7 @@ used at initialization.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -87,9 +88,10 @@ class Mlp:
     writes each layer's input gradient into a second set, one per layer.
     Every buffer grows to the largest batch seen and is reused after
     that.  The outputs of both forward passes and the parameter gradient
-    are fresh arrays.  One Mlp must not run from two threads at once,
-    and a cache is spent by the next forward pass (see
-    ``forward_cached``).
+    are fresh arrays.  A cache is spent by the next forward pass (see
+    ``forward_cached``).  One Mlp runs from one thread at a time; to run
+    the same model from several threads, give each thread its own
+    ``twin()``, which shares ``params`` but has its own buffers.
     """
 
     def __init__(self, weights, biases, activation: str = "relu"):
@@ -109,6 +111,9 @@ class Mlp:
         self.activation = activation
         self.weights = weights  # bind reads the layer shapes from here
         self.bind(np.concatenate([p.ravel() for pair in zip(weights, biases) for p in pair]))
+        self._own_buffers()
+
+    def _own_buffers(self) -> None:
         self._scratch = [np.empty((0, w.shape[0])) for w in self.weights[:-1]]  # per hidden layer
         self._grad_scratch = [np.empty((0, w.shape[1])) for w in self.weights]  # per layer input
         self._runs = 0  # forward passes so far; a cache records the count it was made at
@@ -161,6 +166,17 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         return Mlp(self.weights, self.biases, self.activation)
+
+    def twin(self) -> "Mlp":
+        """An Mlp bound to this one's ``params`` (views, no copy), with its
+        own scratch buffers and run counter.  A step on either's
+        ``params`` moves both; forward and backward passes on one never
+        touch the other's buffers or spend its caches, so the two may run
+        in two threads at once."""
+        twin = copy.copy(self)
+        twin.bind(self.params)
+        twin._own_buffers()
+        return twin
 
     def forward(self, x) -> np.ndarray:
         """Evaluate at a point (d_in,) or batch (B, d_in)."""

@@ -52,6 +52,7 @@ __all__ = [
     "integration_matrices",
     "integration_matrix_forward",
     "integration_matrix_backward",
+    "mlp_rows",
 ]
 
 DEFAULT_STEPS = 5
@@ -200,13 +201,20 @@ def _entry(form, complex_, embedding, chains):
     return embedding.coords, complex_.vertex_array(k)[used], chains.lam, len(chains)
 
 
+def mlp_rows(k: int, h: int, num_simplices: int = 1) -> int:
+    """MLP rows an integration over ``num_simplices`` k-simplices runs at
+    resolution h: one per quadrature node per simplex (per vertex for
+    k = 0)."""
+    return num_simplices * (len(quadrature_rule(k, h)[1]) if k else 1)
+
+
 def _chunks(form, settings, h):
     """Yield the checked items of ``settings`` in order, in lists of at
     most ``ROW_BUDGET`` MLP rows.  An item larger than the budget is a
     chunk of its own; so are a one-row item and every item of an MLP with
     a width-one layer, because numpy hands such products to BLAS gemv,
     whose value for a row can depend on the rows around it."""
-    nodes = len(quadrature_rule(form.k, h)[1]) if form.k else 1
+    nodes = mlp_rows(form.k, h)
     budget = ROW_BUDGET if min(form.psi.dims[1:]) > 1 else 0
     chunk, rows = [], 0
     for setting in settings:

@@ -55,6 +55,9 @@ class SimplicialComplex:
     _arrays: tuple = field(repr=False)  # per dimension: (N_k, k+1) rows
     _lookup: tuple = field(repr=False)  # per dimension: the rows' keys, increasing
 
+    def __init__(self, *_args, **_kwargs):
+        raise TypeError("SimplicialComplex() cannot be called; use build_complex")
+
     @property
     def dim(self) -> int:
         return len(self._arrays) - 1

@@ -100,6 +100,23 @@ class TestTrainCommandTable:
         # the dumps compare types too: 0, 0.0 and false differ
         assert json.dumps(resolved, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
+    @pytest.mark.parametrize("command", sorted(PINNED_DEFAULTS))
+    def test_run_json_records_the_run(self, runner, tmp_path, tu_dir, command):
+        out = tmp_path / "run"
+        args = [command, "--epochs", "0", "--out", str(out)]
+        if command == "train-graphs":
+            args += ["--dataset-dir", str(tu_dir), "--folds", "2"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        run = json.loads((out / "run.json").read_text())
+        assert set(run) == {"python", "numpy", "cpu_count", "cpu_affinity", "item_threads",
+                            "blas_thread_env", "wall_s", "peak_rss_mb"}
+        assert run["python"] == sys.version.split()[0] and run["numpy"] == np.__version__
+        assert run["cpu_count"] == os.cpu_count()
+        assert run["item_threads"] == len(run["cpu_affinity"]) >= 1
+        assert set(run["blas_thread_env"]) == set(THREAD_VARS)
+        assert run["wall_s"] > 0 and run["peak_rss_mb"] > 10
+
     @pytest.mark.parametrize("command", sorted(PINNED_FLAGS))
     def test_help_lists_the_pinned_flags(self, runner, command):
         result = runner.invoke(main, [command, "--help"])

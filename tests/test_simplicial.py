@@ -55,8 +55,13 @@ class TestSimplicialComplex:
         assert not c.vertex_array(1).flags.writeable
 
     def test_only_build_complex_makes_complexes(self):
-        with pytest.raises(TypeError):
-            SimplicialComplex(3, (((0,), (1,), (2,)), ((0, 1),)))
+        messages = set()
+        for args in [(3, (((0,), (1,), (2,)), ((0, 1),))), ()]:  # () once gave a hollow object
+            with pytest.raises(TypeError) as info:
+                SimplicialComplex(*args)
+            messages.add(str(info.value))
+        assert len(messages) == 1 and "\n" not in messages.pop()
+        assert build_complex([(0, 1)], 3).dim == 1
 
 
 class TestVertexArray:
