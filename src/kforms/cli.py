@@ -179,7 +179,7 @@ def _run_guarded(body):
     except (ValueError, TypeError, import_module(".data", __package__).DataFormatError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    except (OSError, import_module(".model", __package__).TrainingDivergence) as exc:
+    except (OSError, MemoryError, import_module(".model", __package__).TrainingDivergence) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 

@@ -274,9 +274,8 @@ class KFormClassifier:
         return readout_forward(self.readout, X)
 
     def forward(self, item: Item) -> np.ndarray:
-        """Logits of ``forward_cached``, bit for bit, keeping no cache."""
-        feats = self.features(item)
-        return feats if self.head is None else self.head.forward(feats)
+        """Logits of ``forward_cached``, whose cache is dropped."""
+        return self.forward_cached(item)[0]
 
     def features_each(self, items):
         """Yield ``features(item)`` for each item in turn, bit for bit; the
@@ -310,9 +309,6 @@ class KFormClassifier:
         dX = readout_backward(self.readout, X, feats, d_feats)
         form_grad = integration_matrix_backward(self.form, int_cache, dX)
         return form_grad if self.head is None else np.concatenate([form_grad, head_grad])
-
-    def predict(self, item: Item) -> int:
-        return int(np.argmax(self.forward(item)))  # ties -> lowest class index
 
 
 def build_classifier(
@@ -575,10 +571,6 @@ class CvResult:
     folds: tuple[FoldResult, ...]
     mean_accuracy: float
     std_accuracy: float
-
-    @property
-    def accuracies(self) -> tuple[float, ...]:
-        return tuple(f.report.accuracy for f in self.folds)
 
 
 def kfold_cv(cfg: TrainConfig, data: Dataset, folds: int = 5) -> CvResult:

@@ -83,15 +83,16 @@ class Mlp:
     the other.  The constructor copies the arrays it is given.  A
     single-layer Mlp is purely linear.
 
-    Both forward passes write the hidden activations into scratch
-    buffers owned by the instance, one per hidden layer, and ``backward``
-    writes each layer's input gradient into a second set, one per layer.
-    Every buffer grows to the largest batch seen and is reused after
-    that.  The outputs of both forward passes and the parameter gradient
-    are fresh arrays.  A cache is spent by the next forward pass (see
-    ``forward_cached``).  One Mlp runs from one thread at a time; to run
-    the same model from several threads, give each thread its own
-    ``twin()``, which shares ``params`` but has its own buffers.
+    There is one forward pass, ``forward_cached``; ``forward`` is its
+    output alone.  It writes the hidden activations into scratch buffers
+    owned by the instance, one per hidden layer, and ``backward`` writes
+    each layer's input gradient into a second set, one per layer.  Every
+    buffer grows to the largest batch seen and is reused after that.
+    The forward output and the parameter gradient are fresh arrays.  A
+    cache is spent by the next forward pass (see ``forward_cached``).
+    One Mlp runs from one thread at a time; to run the same model from
+    several threads, give each thread its own ``twin()``, which shares
+    ``params`` but has its own buffers.
     """
 
     def __init__(self, weights, biases, activation: str = "relu"):
@@ -164,9 +165,6 @@ class Mlp:
     def num_params(self) -> int:
         return self.params.size
 
-    def copy(self) -> "Mlp":
-        return Mlp(self.weights, self.biases, self.activation)
-
     def twin(self) -> "Mlp":
         """An Mlp bound to this one's ``params`` (views, no copy), with its
         own scratch buffers and run counter.  A step on either's
@@ -179,8 +177,9 @@ class Mlp:
         return twin
 
     def forward(self, x) -> np.ndarray:
-        """Evaluate at a point (d_in,) or batch (B, d_in)."""
-        return self._run(x, None)
+        """Evaluate at a point (d_in,) or batch (B, d_in): the output of
+        ``forward_cached``, whose cache is dropped."""
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x):
         """Forward pass keeping the intermediates the backward pass needs.
@@ -188,17 +187,9 @@ class Mlp:
         Returns (output, cache); cache holds the input of every layer for
         the same (possibly batched) input.  The hidden activations in it
         are views of this Mlp's scratch buffers, so the cache stays valid
-        only until the next ``forward`` or ``forward_cached`` call on this
-        Mlp; ``backward`` refuses it after that.
+        only until the next forward pass on this Mlp; ``backward``
+        refuses it after that.
         """
-        inputs: list[np.ndarray] = []
-        out = self._run(x, inputs)
-        return out, (inputs, np.ndim(x) == 1, self._runs)
-
-    def _run(self, x, inputs: list | None) -> np.ndarray:
-        """The layer loop behind both forward passes.  The hidden
-        activations go to scratch; with ``inputs`` a list, each layer's
-        input is also appended to it."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         a = x[None, :] if single else x
@@ -207,17 +198,17 @@ class Mlp:
         if not np.isfinite(a).all():
             raise ValueError("non-finite input")
         self._runs += 1
+        inputs: list[np.ndarray] = []
         last = self.num_layers - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if inputs is not None:
-                inputs.append(a)
+            inputs.append(a)
             if l == last:
                 z = a @ w.T
             else:
                 z = np.matmul(a, w.T, out=_rows(self._scratch, l, a.shape[0]))
             z += b
             a = _activate(self.activation, z) if l < last else z
-        return a[0] if single else a
+        return (a[0] if single else a), (inputs, single, self._runs)
 
     def backward(self, cache, upstream, input_grad: bool = True):
         """Exact reverse-mode gradients of ``forward`` at the cached input.

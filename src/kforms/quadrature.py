@@ -24,13 +24,15 @@ fixed: larger chunks ran slower per item, the MLP being memory-bound.
 The used simplices, their coefficient matrix and the simplex vertex
 indices are read from the data objects, which build them once.
 
-``integration_matrices`` yields many items' matrices from forward-only
-MLP passes; ``integration_matrix`` and ``integration_matrix_forward``
-are its one-item case.  The second also returns a cache
-``(lam, weights, eps, mlp_cache)``: chain coefficients over the used
-simplices (None for the identity), quadrature weights, column volumes
-per simplex and the MLP's cache, all a loss gradient needs to reach the
-MLP parameters (embeddings are fixed data and receive no gradient).
+There is one pass: the MLP always runs ``Mlp.forward_cached``, and
+the body returns a cache ``(lam, weights, eps, mlp_cache)`` per item:
+chain coefficients over the used simplices (None for the identity),
+quadrature weights, column volumes per simplex and the MLP's cache,
+all a loss gradient needs to reach the MLP parameters (embeddings are
+fixed data and receive no gradient).  ``integration_matrix_forward``
+returns one item's matrix and cache; ``integration_matrix`` is its
+matrix alone, and ``integration_matrices`` yields many items' matrices,
+dropping the caches.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def integration_matrix_forward(
     integrals (for k = 0: the MLP values at the vertices, unchanged bit
     for bit).
     """
-    ((X, cache),) = _integrate(form, h, [_entry(form, complex_, embedding, chains)], True)
+    ((X, cache),) = _integrate(form, h, [_entry(form, complex_, embedding, chains)])
     return X, cache
 
 
@@ -171,17 +173,16 @@ def integration_matrix(
     chains,
     h: int = DEFAULT_STEPS,
 ) -> np.ndarray:
-    """X[i, j] = integral of form j over chain i, shape (m, num_forms).
-    Same values as ``integration_matrix_forward``, with no cache."""
-    ((X, _),) = _integrate(form, h, [_entry(form, complex_, embedding, chains)], False)
-    return X
+    """X[i, j] = integral of form j over chain i, shape (m, num_forms):
+    ``integration_matrix_forward`` with its cache dropped."""
+    return integration_matrix_forward(form, complex_, embedding, chains, h)[0]
 
 
 def integration_matrices(form: NeuralKForm, settings, h: int = DEFAULT_STEPS):
     """Yield ``integration_matrix(form, *setting, h)`` for each
     (complex, embedding, chains) setting in turn, bit for bit."""
     for chunk in _chunks(form, settings, h):
-        for X, _ in _integrate(form, h, chunk, False):
+        for X, _ in _integrate(form, h, chunk):
             yield X
 
 
@@ -229,10 +230,10 @@ def _chunks(form, settings, h):
         yield chunk
 
 
-def _integrate(form, h, chunk, keep_cache: bool) -> list:
-    """(X, cache) per item of a chunk (see the module docstring).  With
-    ``keep_cache`` False the MLP runs its forward-only pass and each cache
-    is None; with it True the chunk holds one item."""
+def _integrate(form, h, chunk) -> list:
+    """(X, cache) per item of a chunk (see the module docstring).  The
+    chunk shares one MLP cache, so a cache can go to the backward pass
+    only when the chunk holds one item."""
     gathered = [coords[verts] for coords, verts, _, _ in chunk]
     V = gathered[0] if len(gathered) == 1 else np.concatenate(gathered)  # (S, k+1, n)
     if form.k == 0:
@@ -246,10 +247,8 @@ def _integrate(form, h, chunk, keep_cache: bool) -> list:
 
     if not V.shape[0]:
         out, mlp_cache = None, None  # every chain is empty: no MLP call
-    elif keep_cache:
-        out, mlp_cache = form.psi.forward_cached(points)
     else:
-        out, mlp_cache = form.psi.forward(points), None
+        out, mlp_cache = form.psi.forward_cached(points)
     results, N, start = [], len(weights), 0
     for _, verts, lam, m in chunk:
         S = verts.shape[0]
@@ -257,7 +256,7 @@ def _integrate(form, h, chunk, keep_cache: bool) -> list:
         if not S:
             # every chain is empty; the matrix is zero and carries no gradient
             cache = (lam, np.zeros(0), np.zeros((0, 0)), None)
-            results.append((np.zeros((m, form.num_forms)), cache if keep_cache else None))
+            results.append((np.zeros((m, form.num_forms)), cache))
             continue
         if form.k == 0:
             per_simplex = out[start:stop]  # (S, l): evaluation, untouched
@@ -268,7 +267,7 @@ def _integrate(form, h, chunk, keep_cache: bool) -> list:
             scaled = np.dot(weights.reshape(1, N), nodes_first).reshape(S, form.num_forms, -1)
             per_simplex = (scaled * eps[start:stop, None, :]).sum(axis=2)  # (S, l)
         X = per_simplex if lam is None else lam @ per_simplex
-        results.append((X, (lam, weights, eps[start:stop], mlp_cache) if keep_cache else None))
+        results.append((X, (lam, weights, eps[start:stop], mlp_cache)))
         start = stop
     return results
 

@@ -34,7 +34,6 @@ __all__ = [
     "build_complex",
     "standard_basis_chains",
     "apply_matrix_left",
-    "path_to_complex",
     "embedded_path",
 ]
 
@@ -141,8 +140,9 @@ class Chain:
     """Sparse real linear combination of k-simplices of one dimension.
 
     Terms are canonicalized on construction: indices sorted, repeats
-    merged, zero coefficients dropped.  Chains are combined linearly by
-    ``apply_matrix_left``.
+    merged, zero coefficients dropped.  An index must be an integer
+    (Python or numpy, not bool); anything else raises ValueError.
+    Chains are combined linearly by ``apply_matrix_left``.
     """
 
     dim: int
@@ -153,6 +153,8 @@ class Chain:
             raise ValueError("chain dimension must be nonnegative")
         merged: dict[int, float] = {}
         for idx, coeff in self.terms:
+            if isinstance(idx, bool) or not isinstance(idx, numbers.Integral):
+                raise ValueError(f"simplex index {idx!r} is not an integer")
             idx = int(idx)
             coeff = float(coeff)
             if idx < 0:
@@ -328,25 +330,18 @@ def apply_matrix_left(matrix, beta: ChainTuple) -> ChainTuple:
     return _store(object.__new__(ChainTuple), beta.dim, beta.used[keep], lam[:, keep] + 0.0)
 
 
-def path_to_complex(points) -> tuple[SimplicialComplex, Embedding, Chain]:
-    """Turn an ordered point sequence into an embedded path complex.
+def embedded_path(points) -> tuple[SimplicialComplex, Embedding, ChainTuple]:
+    """Turn an ordered point sequence into an embedded path complex and
+    its one-chain ``ChainTuple``.
 
     Vertices are indexed canonically (points sorted lexicographically,
     ties broken by sequence position) so that a list and its reverse
-    produce the same complex and embedding.  The returned 1-chain sums
-    the consecutive edges with sign +1 where the stored increasing tuple
+    produce the same complex and embedding.  Consecutive points are
+    distinct vertices, so every step is its own edge.  The chain sums
+    the steps' edges with sign +1 where the stored increasing tuple
     agrees with the traversal direction and -1 where it opposes it;
     integrating the chain therefore gives the directed path integral.
     """
-    complex_, embedding, chains = embedded_path(points)
-    return complex_, embedding, chains[0]
-
-
-def embedded_path(points) -> tuple[SimplicialComplex, Embedding, ChainTuple]:
-    """``path_to_complex`` with its chain as a one-chain ``ChainTuple``.
-
-    Consecutive points are distinct vertices, so every step is its own
-    edge; the chain's coefficients are the step signs in edge order."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("a path needs at least 2 points")

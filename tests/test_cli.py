@@ -586,6 +586,23 @@ class TestExportField:
         assert "ambient dim 60" in lines[0]
         assert not (tmp_path / "f.csv").exists()
 
+    def test_grid_beyond_the_address_space_exits_1_with_one_line(self, tmp_path):
+        # 100000**3 grid points of a form in R^3: 7.11 PiB per coordinate
+        # array, far past any 64-bit address space, so the request fails
+        # at once and nothing is allocated
+        src = str(Path(kforms.__file__).resolve().parents[1])
+        ckpt = Path(__file__).parent / "data" / "form.kfc"
+        proc = subprocess.run(
+            [sys.executable, "-m", "kforms.cli", "export-field", "--checkpoint", str(ckpt),
+             "--out", str(tmp_path / "f.csv"), "--grid-points", "100000"],
+            capture_output=True, text=True, env={"PATH": "", "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "Unable to allocate" in lines[0]
+        assert not (tmp_path / "f.csv").exists()
+
     def test_values_match_checkpoint_mlp(self, runner, tmp_path, checkpoint):
         from kforms.model import load_classifier
 

@@ -98,17 +98,18 @@ def reference_report(classifier, data: Dataset, indices) -> EvalReport:
 
 @pytest.fixture
 def form_calls(monkeypatch):
-    """Row counts of the batched ``Mlp.forward`` calls, in call order; the
-    head's calls, on one feature vector each, are left out."""
+    """Row counts of the batched MLP passes (``Mlp.forward_cached``, which
+    ``Mlp.forward`` calls), in call order; the head's calls, on one
+    feature vector each, are left out."""
     calls = []
-    original = Mlp.forward
+    original = Mlp.forward_cached
 
     def counted(self, x):
         if np.ndim(x) == 2:
             calls.append(np.shape(x)[0])
         return original(self, x)
 
-    monkeypatch.setattr(Mlp, "forward", counted)
+    monkeypatch.setattr(Mlp, "forward_cached", counted)
     return calls
 
 

@@ -147,7 +147,7 @@ class TestForwardOnly:
         mlp = Mlp.init([2, 5, 3], "tanh", rng)
         x = rng.normal(size=(8, 2))
         expected = mlp.forward(x)
-        twin = mlp.copy()
+        twin = Mlp(mlp.weights, mlp.biases, mlp.activation)
         assert np.array_equal(twin.forward(x), expected)
         assert not any(np.shares_memory(a, b) for a in mlp._scratch for b in twin._scratch)
 
@@ -186,7 +186,7 @@ class TestTrainingScratch:
         x, upstream = rng.normal(size=(8, 2)), rng.normal(size=(8, 3))
         expected = mlp.forward(x)
         _, _, grad, dx = train_pass(mlp, x, upstream)
-        twin = mlp.copy()
+        twin = Mlp(mlp.weights, mlp.biases, mlp.activation)
         assert np.array_equal(twin.forward(x), expected)
         _, _, twin_grad, twin_dx = train_pass(twin, x, upstream)
         assert np.array_equal(twin_grad, grad) and np.array_equal(twin_dx, dx)
@@ -358,7 +358,7 @@ class TestFlatParams:
 
     def test_copy_is_independent(self):
         mlp = Mlp.init([2, 3], rng=np.random.default_rng(0))
-        dup = mlp.copy()
+        dup = Mlp(mlp.weights, mlp.biases, mlp.activation)
         dup.weights[0][0, 0] += 1.0
         assert mlp.weights[0][0, 0] != dup.weights[0][0, 0]
 

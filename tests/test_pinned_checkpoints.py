@@ -19,10 +19,9 @@ from kforms.model import Item, load_classifier
 from kforms.nn import load_mlp
 from kforms.quadrature import integration_matrix
 from kforms.simplicial import (
-    ChainTuple,
     Embedding,
     build_complex,
-    path_to_complex,
+    embedded_path,
     standard_basis_chains,
 )
 
@@ -41,8 +40,7 @@ def test_classifier_with_head(pinned):
     for pts, feats, logits in zip(
         pinned["paths"], pinned["classifier_features"], pinned["classifier_logits"]
     ):
-        complex_, embedding, chain = path_to_complex(np.asarray(pts))
-        item = Item(complex_, embedding, ChainTuple((chain,)), 0)
+        item = Item(*embedded_path(np.asarray(pts)), 0)
         assert np.array_equal(clf.features(item), feats)
         assert np.array_equal(clf.forward(item), logits)
 

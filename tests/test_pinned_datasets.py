@@ -26,7 +26,7 @@ from kforms.data import (
     tu_to_dataset,
     write_tu,
 )
-from kforms.simplicial import path_to_complex
+from kforms.simplicial import embedded_path
 
 DATA = Path(__file__).parent / "data"
 FIELDS = ("complexes", "coords", "chains", "labels")
@@ -62,7 +62,8 @@ def _dataset_digests(data) -> dict:
 def _path_digests(paths) -> dict:
     parts = {name: [] for name in FIELDS}
     for points in paths:
-        complex_, embedding, chain = path_to_complex(points)
+        complex_, embedding, chains = embedded_path(points)
+        chain = chains[0]
         parts["complexes"] += _complex_arrays(complex_)
         parts["coords"].append(embedding.coords)
         parts["chains"] += [

@@ -18,7 +18,7 @@ from kforms.simplicial import (
     Embedding,
     apply_matrix_left,
     build_complex,
-    path_to_complex,
+    embedded_path,
     standard_basis_chains,
 )
 
@@ -196,8 +196,8 @@ class TestExactness:
         form = constant_form(2, 1, np.array([[1.0, 0.0]]))
         for trial in range(15):
             pts = rng.normal(size=(int(rng.integers(2, 10)), 2))
-            c, emb, chain = path_to_complex(pts)
-            got = integration_matrix(form, c, emb, [chain], h=3)[0, 0]
+            c, emb, chains = embedded_path(pts)
+            got = integration_matrix(form, c, emb, chains, h=3)[0, 0]
             assert got == pytest.approx(pts[-1, 0] - pts[0, 0], abs=1e-12)
 
     def test_degenerate_simplex_integrates_to_zero(self):

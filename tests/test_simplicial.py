@@ -9,7 +9,6 @@ from kforms.simplicial import (
     apply_matrix_left,
     build_complex,
     embedded_path,
-    path_to_complex,
     standard_basis_chains,
 )
 
@@ -248,6 +247,21 @@ class TestChain:
         with pytest.raises(ValueError):
             Chain(1, ((0, np.inf),))
 
+    @pytest.mark.parametrize(
+        "index", [1.5, 2.0, np.float64(2.9), "3", True, False, np.bool_(True), None],
+        ids=repr,
+    )
+    def test_rejects_non_integer_indices(self, index):
+        with pytest.raises(ValueError, match="is not an integer") as info:
+            Chain(1, [(index, 2.0), (1, 1.0)])
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.int32, np.uint8, np.intp])
+    def test_accepts_integer_indices(self, kind):
+        c = Chain(1, [(kind(2), 2.0), (1, 1.0), (kind(2), 0.5)])
+        assert c.terms == ((1, 1.0), (2, 2.5))
+        assert all(type(i) is int for i, _ in c.terms)
+
 
 class TestChainTuple:
     def test_mixed_dimensions_rejected(self):
@@ -398,10 +412,11 @@ class TestApplyMatrixLeft:
             apply_matrix_left(np.ones((2, 3)), beta)
 
 
-class TestPathToComplex:
+class TestEmbeddedPath:
     def test_monotone_path_all_positive(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
-        c, emb, chain = path_to_complex(pts)
+        c, emb, chains = embedded_path(pts)
+        chain = chains[0]
         assert c.num_simplices(1) == 2
         assert all(coeff == 1.0 for _, coeff in chain.terms)
         assert np.array_equal(emb.coords, pts)
@@ -410,44 +425,44 @@ class TestPathToComplex:
         rng = np.random.default_rng(11)
         for trial in range(25):
             pts = rng.normal(size=(int(rng.integers(2, 9)), 2))
-            c_fwd, emb_fwd, ch_fwd = path_to_complex(pts)
-            c_rev, emb_rev, ch_rev = path_to_complex(pts[::-1])
+            c_fwd, emb_fwd, ch_fwd = embedded_path(pts)
+            c_rev, emb_rev, ch_rev = embedded_path(pts[::-1])
             assert c_fwd == c_rev
             assert np.array_equal(emb_fwd.coords, emb_rev.coords)
-            fwd = dict(ch_fwd.terms)
-            rev = dict(ch_rev.terms)
+            fwd = dict(ch_fwd[0].terms)
+            rev = dict(ch_rev[0].terms)
             assert fwd.keys() == rev.keys()
             for idx, coeff in fwd.items():
                 assert rev[idx] == -coeff
 
     def test_duplicate_points_stay_distinct_vertices(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-        c, emb, chain = path_to_complex(pts)
+        c, emb, chains = embedded_path(pts)
         assert emb.num_vertices == 3
         assert c.num_simplices(1) == 2
-        assert sorted(coeff for _, coeff in chain.terms) == [-1.0, 1.0]
+        assert sorted(coeff for _, coeff in chains[0].terms) == [-1.0, 1.0]
 
     def test_too_short_rejected(self):
         for points in (np.zeros((1, 2)), np.zeros(3)):
-            for build in (path_to_complex, embedded_path):
-                with pytest.raises(ValueError, match="at least 2 points"):
-                    build(points)
+            with pytest.raises(ValueError, match="at least 2 points"):
+                embedded_path(points)
 
     def test_ties_keep_sequence_position(self):
         pts = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 0.5], [0.0, 1.0]])
-        c, emb, chain = path_to_complex(pts)
+        c, emb, chains = embedded_path(pts)
         # ranks by position: 1, 2, 0, 3 (-0.0 ties with 0.0); steps 1->2, 2->0, 0->3
         assert emb.coords.tolist() == [[0.0, 0.5], [0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]
         assert c.simplices(1) == ((0, 2), (0, 3), (1, 2))
-        assert chain.terms == ((0, -1.0), (1, 1.0), (2, 1.0))
+        assert chains[0].terms == ((0, -1.0), (1, 1.0), (2, 1.0))
 
     def test_chain_tuple_form_builds_no_chain(self, monkeypatch):
         import kforms.simplicial as simplicial
 
         pts = np.random.default_rng(12).normal(size=(7, 3))
-        complex_, embedding, chain = path_to_complex(pts)
         monkeypatch.setattr(simplicial, "Chain", None)
-        again, coords, chains = embedded_path(pts)
+        complex_, embedding, chains = embedded_path(pts)
         monkeypatch.undo()
+        again, coords, _ = embedded_path(pts)
+        chain = chains[0]
         assert again == complex_ and np.array_equal(coords.coords, embedding.coords)
         assert chains == ChainTuple((chain,)) and list(chains) == [chain]
