@@ -5,6 +5,15 @@ layers and pointwise activations, so gradients are computed by a fixed
 backward pipeline over the layer stack instead of a general tape.  All
 arithmetic is float64 numpy; everything is deterministic given the seed
 used at initialization.
+
+Each Mlp keeps three sets of buffers: hidden activations, layer input
+gradients, and a C-contiguous copy of every ``w.T``, which numpy
+multiplies about twice as fast as the transposed view.  The copy is
+refilled on every pass, because optimizers write ``params`` in place,
+and used only for batches above ``CONTIGUOUS_ROWS`` rows and layers
+where it gives the view's bits (``_copy_keeps_bits``: never with a
+width-one side, which numpy hands to gemv).  The bias gradient adds
+the rows in order whatever the upstream's memory layout.
 """
 
 from __future__ import annotations
@@ -28,6 +37,11 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
+# A batch of more than this many rows multiplies by a contiguous copy of
+# w.T, refilled on every pass.  On [3, 16, 8, 6] (one OpenBLAS thread,
+# 2-CPU x86-64) the copy's forward+backward was even at 64-256 rows and
+# 8-16% faster at 512-3,402 rows: below that the refill eats the gain.
+CONTIGUOUS_ROWS = 256
 
 _BLOB_MAGIC = b"KFRM"
 
@@ -88,11 +102,18 @@ class Mlp:
     owned by the instance, one per hidden layer, and ``backward`` writes
     each layer's input gradient into a second set, one per layer.  Every
     buffer grows to the largest batch seen and is reused after that.
+    A third set holds one (in, out) C-contiguous copy of ``w.T`` per
+    layer.  A batch of more than ``CONTIGUOUS_ROWS`` rows refills it from
+    ``params`` on every pass and multiplies by it; smaller batches, and
+    layers where the copy could change bits (a width-one side, which
+    numpy hands to gemv; see ``_copy_keeps_bits``), multiply by the
+    ``w.T`` view.  ``backward`` copies a non-C-contiguous upstream first,
+    so the bias gradient adds rows in the same order for any layout.
     The forward output and the parameter gradient are fresh arrays.  A
     cache is spent by the next forward pass (see ``forward_cached``).
     One Mlp runs from one thread at a time; to run the same model from
     several threads, give each thread its own ``twin()``, which shares
-    ``params`` but has its own buffers.
+    ``params`` but has its own buffers of all three sets.
     """
 
     def __init__(self, weights, biases, activation: str = "relu"):
@@ -117,6 +138,8 @@ class Mlp:
     def _own_buffers(self) -> None:
         self._scratch = [np.empty((0, w.shape[0])) for w in self.weights[:-1]]  # per hidden layer
         self._grad_scratch = [np.empty((0, w.shape[1])) for w in self.weights]  # per layer input
+        # per layer, (in, out); None where the copy could change bits
+        self._wt = [np.empty(w.shape[::-1]) if _copy_keeps_bits(w) else None for w in self.weights]
         self._runs = 0  # forward passes so far; a cache records the count it was made at
 
     @classmethod
@@ -202,10 +225,14 @@ class Mlp:
         last = self.num_layers - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(a)
+            wt = w.T
+            if a.shape[0] > CONTIGUOUS_ROWS and self._wt[l] is not None:
+                wt = self._wt[l]
+                np.copyto(wt, w.T)  # params may have changed in place since the last pass
             if l == last:
-                z = a @ w.T
+                z = a @ wt
             else:
-                z = np.matmul(a, w.T, out=_rows(self._scratch, l, a.shape[0]))
+                z = np.matmul(a, wt, out=_rows(self._scratch, l, a.shape[0]))
             z += b
             a = _activate(self.activation, z) if l < last else z
         return (a[0] if single else a), (inputs, single, self._runs)
@@ -226,11 +253,12 @@ class Mlp:
         inputs, single, runs = cache
         if runs != self._runs:
             raise ValueError("stale cache: a later forward pass on this Mlp has overwritten it")
-        g = np.asarray(upstream, dtype=np.float64)
+        g = np.ascontiguousarray(upstream, dtype=np.float64)  # one summation order for any layout
+        shape = (self.out_dim,) if single else (inputs[0].shape[0], self.out_dim)
+        if g.shape != shape:
+            raise ValueError(f"upstream shape {g.shape} does not match output {shape}")
         if single:
             g = g[None, :]
-        if g.shape != (inputs[0].shape[0], self.out_dim):
-            raise ValueError(f"upstream shape {upstream.shape} does not match output")
         grad = np.zeros_like(self.params)
         grad_w, grad_b = _layer_views(grad, self.dims)
         dz = g
@@ -238,12 +266,35 @@ class Mlp:
             if l < self.num_layers - 1:
                 dz *= _activate_grad(self.activation, inputs[l + 1])  # dz is ours: from dz @ w
             grad_w[l] += dz.T @ inputs[l]
-            grad_b[l] += dz.sum(axis=0)
+            grad_b[l] += _column_sums(dz)
             if l or input_grad:
                 dz = np.matmul(dz, self.weights[l], out=_rows(self._grad_scratch, l, dz.shape[0]))
         if not input_grad:
             return grad, None
         return grad, dz[0] if single else dz
+
+
+def _copy_keeps_bits(w: np.ndarray) -> bool:
+    """Whether ``a @ wt``, for ``wt`` a C-contiguous copy of ``w.T``, is
+    known to give the bits of ``a @ w.T`` for batches of more than
+    ``CONTIGUOUS_ROWS`` rows.  A width-one side makes numpy call BLAS
+    gemv, whose value for a row can depend on the rows around it.
+    OpenBLAS's dgemm (0.3.31, SkylakeX kernels) runs the two layouts
+    through kernels that round differently when the fan-in is 16 or more
+    and the fan-out is not a multiple of 8; below 16, or at a multiple of
+    8, the two agreed for every fan-in and fan-out from 2 to 96."""
+    fan_out, fan_in = w.shape
+    return min(fan_out, fan_in) > 1 and (fan_in < 16 or fan_out % 8 == 0)
+
+
+def _column_sums(dz: np.ndarray) -> np.ndarray:
+    """``dz.sum(axis=0)`` bit for bit, for a C-contiguous ``dz``.  Over
+    two or more columns ``einsum`` adds the rows in the same order, in a
+    third of the time; one row is its own sum, and one column is summed
+    pairwise by ``sum``, which einsum would not match."""
+    if dz.shape[0] == 1:
+        return dz[0]
+    return dz.sum(axis=0) if dz.shape[1] == 1 else np.einsum("ij->j", dz)
 
 
 def _rows(buffers: list, l: int, rows: int) -> np.ndarray:

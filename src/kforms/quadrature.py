@@ -214,7 +214,9 @@ def _chunks(form, settings, h):
     most ``ROW_BUDGET`` MLP rows.  An item larger than the budget is a
     chunk of its own; so are a one-row item and every item of an MLP with
     a width-one layer, because numpy hands such products to BLAS gemv,
-    whose value for a row can depend on the rows around it."""
+    whose value for a row can depend on the rows around it.  ``Mlp``
+    keeps the same products off its contiguous weight copies
+    (``kforms.nn._copy_keeps_bits``)."""
     nodes = mlp_rows(form.k, h)
     budget = ROW_BUDGET if min(form.psi.dims[1:]) > 1 else 0
     chunk, rows = [], 0
@@ -288,7 +290,7 @@ def integration_matrix_backward(form: NeuralKForm, cache: tuple, upstream: np.nd
     if form.k == 0:
         d_flat = G
     else:
-        d_scal = weights[:, None, None] * (G[:, :, None] * eps[:, None, :])[:, None]
+        d_scal = np.einsum("n,sjc->snjc", weights, G[:, :, None] * eps[:, None, :])
         d_flat = d_scal.reshape(-1, form.psi.out_dim)  # (S*N, l*C)
     grad, _ = form.psi.backward(mlp_cache, d_flat, input_grad=False)
     return grad

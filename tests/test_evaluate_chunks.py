@@ -20,7 +20,7 @@ from kforms.model import (
     cross_entropy,
     evaluate,
 )
-from kforms.nn import Mlp
+from kforms.nn import CONTIGUOUS_ROWS, Mlp
 from kforms.simplicial import Chain, ChainTuple, Embedding, build_complex, standard_basis_chains
 
 NUM_CLASSES = 3
@@ -157,6 +157,21 @@ def test_default_budget_with_an_oversized_item(form_calls):
     list(classifier.features_each(items))
     assert form_calls[-1] == item_rows(items[-1], 2)
     assert len(form_calls) < len(items) - 1
+    assert_chunked_matches_per_item(classifier, items)
+
+
+@pytest.mark.parametrize("hidden_dim", [16, 24])
+def test_chunks_on_contiguous_weights_match_per_item(form_calls, hidden_dim):
+    """A chunk of more than ``CONTIGUOUS_ROWS`` rows multiplies by
+    contiguous copies of the weights and a small item alone by ``w.T``;
+    the bits agree, also at hidden width 24, whose (24, 12) layer keeps
+    ``w.T`` because a copy would not give its bits."""
+    items = mixed_items(np.random.default_rng(11), 1)
+    classifier = classifier_for(1, "tanh", "column_l2", use_head=True, hidden_dim=hidden_dim)
+    form_calls.clear()
+    list(classifier.features_each(items))
+    assert max(form_calls) > CONTIGUOUS_ROWS
+    assert any(0 < item_rows(item, 1) <= CONTIGUOUS_ROWS for item in items)
     assert_chunked_matches_per_item(classifier, items)
 
 

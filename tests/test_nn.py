@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kforms.nn import (
+    CONTIGUOUS_ROWS,
     Adam,
     Mlp,
     Sgd,
@@ -12,6 +13,9 @@ from kforms.nn import (
     read_blob,
     save_mlp,
     write_blob,
+    _activate,
+    _activate_grad,
+    _layer_views,
 )
 
 
@@ -251,6 +255,98 @@ class TestTrainingScratch:
         assert faults < 500, f"{faults} minor page faults in 50 training passes"
 
 
+def plain_pass(mlp: Mlp, x: np.ndarray, upstream: np.ndarray):
+    """Output, parameter gradient and input gradient in plain products:
+    ``a @ w.T + b``, the activation, and ``dz.sum(axis=0)`` over a
+    C-contiguous ``dz``."""
+    acts = [x]
+    last = mlp.num_layers - 1
+    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = acts[-1] @ w.T + b
+        acts.append(z if l == last else _activate(mlp.activation, z))
+    grad = np.zeros_like(mlp.params)
+    grad_w, grad_b = _layer_views(grad, mlp.dims)
+    dz = np.array(upstream, dtype=np.float64, order="C")
+    for l in range(last, -1, -1):
+        if l < last:
+            dz = dz * _activate_grad(mlp.activation, acts[l + 1])
+        grad_w[l] += dz.T @ acts[l]
+        grad_b[l] += dz.sum(axis=0)
+        dz = dz @ mlp.weights[l]
+    return acts[-1], grad, dz
+
+
+class TestContiguousProducts:
+    """Batches above ``CONTIGUOUS_ROWS`` rows multiply by a contiguous copy
+    of each ``w.T``, refilled on every pass, and ``backward`` sums the bias
+    gradient with einsum; neither may change a bit."""
+
+    # the surfaces form MLP; one whose (16, 4) layer keeps w.T and whose
+    # width-one layers run through gemv; a width-one hidden layer
+    DIMS = ([3, 16, 8, 6], [3, 16, 4, 1], [2, 1, 16, 3])
+
+    @pytest.mark.parametrize("rows", [1, CONTIGUOUS_ROWS, CONTIGUOUS_ROWS + 1, 3402])
+    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
+    def test_pass_matches_plain_products_bit_for_bit(self, act, dims, rows):
+        rng = np.random.default_rng(60)
+        mlp = Mlp.init(dims, act, rng)
+        x = 3.0 * rng.normal(size=(rows, dims[0]))  # reaches both sigmoid branches
+        upstream = rng.normal(size=(rows, dims[-1]))
+        out, _, grad, dx = train_pass(mlp, x, upstream)
+        expected_out, expected_grad, expected_dx = plain_pass(mlp, x, upstream)
+        assert np.array_equal(out, expected_out)
+        assert np.array_equal(grad, expected_grad)
+        assert np.array_equal(dx, expected_dx)
+
+    def test_copies_only_where_the_bits_hold(self):
+        mlp = Mlp.init([3, 16, 8, 4, 1, 8], "relu", np.random.default_rng(61))
+        # fan-in below 16, or fan-out a multiple of 8, and no width-one side
+        assert [wt is not None for wt in mlp._wt] == [True, True, True, False, False]
+        assert all(wt.shape == w.T.shape and wt.flags.c_contiguous
+                   for wt, w in zip(mlp._wt, mlp.weights) if wt is not None)
+        wide = Mlp.init([3, 16, 4, 16], "relu", np.random.default_rng(61))
+        assert [wt is not None for wt in wide._wt] == [True, False, True]
+
+    def test_upstream_layout_does_not_change_the_bits(self):
+        rng = np.random.default_rng(62)
+        mlp = Mlp.init([3, 16, 8, 6], "tanh", rng)
+        x = rng.normal(size=(3402, 3))
+        _, cache = mlp.forward_cached(x)
+        wide = rng.normal(size=(2 * 3402, 6))
+        for upstream in (np.asfortranarray(wide[:3402]), wide[::2]):
+            assert not upstream.flags.c_contiguous
+            grad, dx = mlp.backward(cache, upstream)
+            dx = dx.copy()  # a view of scratch, rewritten by the next backward
+            expected, expected_dx = mlp.backward(cache, np.ascontiguousarray(upstream))
+            assert np.array_equal(grad, expected) and np.array_equal(dx, expected_dx)
+
+    def test_twin_has_its_own_transposed_weights(self):
+        rng = np.random.default_rng(63)
+        mlp = Mlp.init([3, 16, 8, 6], "relu", rng)
+        twin = mlp.twin()
+        assert all(wt is not None for wt in mlp._wt + twin._wt)
+        assert not any(np.shares_memory(a, b) for a in mlp._wt for b in twin._wt)
+        assert not any(np.shares_memory(wt, mlp.params) for wt in mlp._wt + twin._wt)
+        x = rng.normal(size=(3402, 3))
+        assert np.array_equal(twin.forward(x), mlp.forward(x))
+
+    @pytest.mark.parametrize("rows", [CONTIGUOUS_ROWS + 1, 3402])
+    def test_in_place_steps_reach_the_next_pass(self, rows):
+        rng = np.random.default_rng(64)
+        mlp = Mlp.init([3, 16, 8, 6], "sigmoid", rng)
+        x, upstream = rng.normal(size=(rows, 3)), rng.normal(size=(rows, 6))
+        optimizer = Adam(mlp, lr=0.1)
+        for _ in range(3):
+            _, _, grad, _ = train_pass(mlp, x, upstream)
+            optimizer.step(grad)
+            fresh = Mlp(mlp.weights, mlp.biases, mlp.activation)
+            assert np.array_equal(mlp.forward(x), fresh.forward(x))
+        mlp.params[:] = rng.normal(size=mlp.num_params)
+        fresh = Mlp(mlp.weights, mlp.biases, mlp.activation)
+        assert np.array_equal(mlp.forward(x), fresh.forward(x))
+
+
 class TestBackward:
     def test_param_grads_match_finite_differences(self):
         for trial in range(12):
@@ -335,6 +431,14 @@ class TestBackward:
         _, cache = mlp.forward_cached(np.zeros((4, 2)))
         with pytest.raises(ValueError):
             mlp.backward(cache, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("x", [np.zeros((4, 2)), np.zeros(2)], ids=["batch", "point"])
+    def test_list_upstream_of_the_wrong_shape_raises_value_error(self, x):
+        mlp = Mlp.init([2, 3, 2], rng=np.random.default_rng(0))
+        _, cache = mlp.forward_cached(x)
+        upstream = [[1.0, 2.0, 3.0]] * 4 if x.ndim == 2 else [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="upstream shape"):
+            mlp.backward(cache, upstream)
 
 
 class TestFlatParams:

@@ -409,6 +409,18 @@ class TestIntegrationMatrix:
         numeric /= 2 * eps
         assert np.allclose(grads, numeric, atol=1e-7)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_backward_upstream_is_the_broadcast_product(self, k):
+        form = NeuralKForm.init(3, k, 2, (16, 8), "tanh", self.rng)
+        beta = self.random_chains(k, 3)
+        U = self.rng.normal(size=(3, 2))
+        _, cache = integration_matrix_forward(form, self.complex, self.embedding, beta, h=3)
+        lam, weights, eps, mlp_cache = cache
+        G = lam.T @ U
+        d_scal = weights[:, None, None] * (G[:, :, None] * eps[:, None, :])[:, None]
+        expected, _ = form.psi.backward(mlp_cache, d_scal.reshape(-1, form.psi.out_dim))
+        assert np.array_equal(integration_matrix_backward(form, cache, U), expected)
+
 
     @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
     def test_backward_skips_the_form_input_gradient(self, act, monkeypatch):
