@@ -45,7 +45,8 @@ def _is_int(value) -> bool:
 # type -> (its name in error messages, the check a config value must pass)
 _TYPE_CHECKS = {
     int: ("an integer", _is_int),
-    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    float: ("a finite number",
+            lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     list: ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
@@ -344,8 +345,8 @@ def export_field(checkpoint, out, grid_min, grid_max, grid_points, threads):
 
         if grid_points < 1:
             raise ValueError("grid-points must be positive")
-        if not grid_max > grid_min:
-            raise ValueError("grid-max must exceed grid-min")
+        if not -sys.float_info.max <= grid_min < grid_max <= sys.float_info.max:
+            raise ValueError("grid-max must exceed grid-min, and both must be finite")
         header, _ = read_blob(checkpoint)
         kind = header.get("kind")
         if kind == "kform":

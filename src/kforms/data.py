@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,8 +69,8 @@ class PathDatasetSpec:
             raise ValueError("need at least one sample per class")
         if self.points_per_path < 2:
             raise ValueError("a path needs at least 2 points")
-        if self.noise < 0:
-            raise ValueError("noise must be nonnegative")
+        if not 0 <= self.noise <= sys.float_info.max:
+            raise ValueError(f"noise must be nonnegative and finite, got {self.noise!r}")
 
 
 def _path_template(cls: int, t: np.ndarray) -> np.ndarray:
@@ -120,8 +121,10 @@ class SurfaceDatasetSpec:
             raise ValueError("grid_size must be at least 2")
         if self.samples_per_class < 1:
             raise ValueError("need at least one sample per class")
-        if self.noise < 0 or self.translation < 0:
-            raise ValueError("noise and translation must be nonnegative")
+        for name in ("noise", "translation"):
+            value = getattr(self, name)
+            if not 0 <= value <= sys.float_info.max:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
 def _grid_complex(g: int) -> SimplicialComplex:

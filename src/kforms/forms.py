@@ -65,11 +65,7 @@ def affine_jacobian(embedding: Embedding, simplex: tuple[int, ...]) -> np.ndarra
     verts = tuple(simplex)
     if any(v < 0 or v >= embedding.num_vertices for v in verts):
         raise ValueError(f"simplex {simplex} has a vertex missing from the embedding")
-    base = embedding.coords[verts[0]]
-    cols = [embedding.coords[v] - base for v in verts[1:]]
-    if not cols:
-        return np.zeros((embedding.ambient_dim, 0))
-    return np.stack(cols, axis=1)
+    return (embedding.coords[list(verts[1:])] - embedding.coords[verts[0]]).T
 
 
 def _det(subs: np.ndarray) -> np.ndarray:

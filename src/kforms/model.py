@@ -23,6 +23,7 @@ import copy
 import dataclasses
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -204,8 +205,8 @@ class TrainConfig:
             raise ValueError("num_forms, hidden_dim, steps and batch_size must be positive")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be nonnegative")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr <= sys.float_info.max:
+            raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
         if self.early_stop_patience < 1 or self.plateau_patience < 1:
             raise ValueError("patience values must be positive")
         if not 0 < self.plateau_factor <= 1:

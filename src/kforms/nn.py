@@ -188,6 +188,15 @@ class Mlp:
     def num_params(self) -> int:
         return self.params.size
 
+    @property
+    def rows_independent(self) -> bool:
+        """Whether a row of a forward pass over two or more rows is known
+        to get the same bits in any batch.  With OpenBLAS 0.3.31 (SkylakeX
+        kernels, 1 or 2 threads) a row of ``a @ w.T`` depended on its
+        neighbours at fan-out 1 from fan-in 8, and at every fan-out from
+        fan-in 32; never at fan-out 2 or more with fan-in below 32."""
+        return all(w.shape[0] > 1 and w.shape[1] < 32 for w in self.weights)
+
     def twin(self) -> "Mlp":
         """An Mlp bound to this one's ``params`` (views, no copy), with its
         own scratch buffers and run counter.  A step on either's

@@ -7,7 +7,8 @@ are merged, so the rule, ``quadrature_rule(k, h)``, is one cached pair
 of read-only arrays: each node once, with its pooled weight.  It is
 exact whenever the pulled-back integrand is affine on each cell — in
 particular for constant coefficient functions at any resolution — and
-is second-order accurate for smooth integrands.
+is second-order accurate for smooth integrands.  At k = 0 it is one
+node of weight 1/0! = 1: a 0-form integrates to its value at the vertex.
 
 One body computes every integration matrix.  It gathers items
 (complex, embedding, chains) in order into chunks of at most
@@ -18,9 +19,12 @@ their column volumes (S, C); one broadcast matmul pushing the
 quadrature nodes into ambient space; and one MLP call.  The output is
 split at the item offsets, and per item a contraction of its own rows
 with the weights and volumes gives the per-simplex integrals, which its
-chain coefficients combine linearly.  Items share nothing, so an item's
-matrix is bit-identical whichever chunk it lands in.  The budget is
-fixed: larger chunks ran slower per item, the MLP being memory-bound.
+chain coefficients combine linearly.  An item whose chains are all empty
+uses no simplex and adds zero rows; its coefficients times the empty
+table are a zero matrix.  Items share nothing, so an item's matrix is
+bit-identical whichever chunk it lands in while ``Mlp.rows_independent``
+holds; otherwise every item runs alone.  The budget is fixed: larger
+chunks ran slower per item, the MLP being memory-bound.
 The used simplices, their coefficient matrix and the simplex vertex
 indices are read from the data objects, which build them once.
 
@@ -65,7 +69,8 @@ ROW_BUDGET = 2048  # the most MLP rows a chunk of several items runs in one call
 def quadrature_rule(k: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertex-average rule on the standard k-simplex at resolution h:
     read-only float64 ``nodes`` (N, k) in simplex coordinates and
-    ``weights`` (N,) summing to 1/k!.
+    ``weights`` (N,) summing to 1/k!.  For k = 0 that is one node (an
+    empty coordinate row) of weight 1, at every h.
 
     The simplex is split edgewise on the suffix-sum grid: a grid point
     ``y`` with ``h >= y[0] >= ... >= y[k-1] >= 0`` is the simplex point
@@ -76,12 +81,11 @@ def quadrature_rule(k: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     volume equally over its k+1 vertices, and coincident vertices pool
     their weights, so each grid point is one node.
     """
-    if k < 1:
-        raise ValueError(f"quadrature needs k >= 1, got {k}")
+    if k < 0:
+        raise ValueError(f"quadrature needs k >= 0, got {k}")
     if isinstance(h, bool) or not isinstance(h, numbers.Integral) or h < 1:
         raise ValueError(f"resolution must be a positive integer, got {h!r}")
-    axes = [np.arange(h, dtype=np.intp)] * k
-    corners = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
+    corners = np.indices((h,) * k).reshape(k, h**k).T
     eye = np.eye(k, dtype=np.intp)
     cells = []
     for perm in itertools.permutations(range(k)):
@@ -94,7 +98,7 @@ def quadrature_rule(k: int, h: int) -> tuple[np.ndarray, np.ndarray]:
         raise AssertionError(f"expected {h**k} cells for k={k}, h={h}, got {cells.shape[0]}")
     # Cell order needs no sort: every addend of np.add.at is the same
     # share and np.unique sorts the nodes, so no order can change a bit.
-    grid, inverse = np.unique(cells.reshape(-1, k), axis=0, return_inverse=True)
+    grid, inverse = np.unique(cells.reshape(h**k * (k + 1), k), axis=0, return_inverse=True)
     weights = np.zeros(grid.shape[0])
     np.add.at(weights, inverse.reshape(-1), 1.0 / (math.factorial(k) * h**k) / (k + 1))
     nodes = grid.astype(np.float64)
@@ -122,16 +126,14 @@ def integrate_simplex(
     simplex,
     h: int = DEFAULT_STEPS,
 ) -> float:
-    """Integral of form j over one embedded k-simplex of the complex.
+    """Integral of form j over one embedded k-simplex of the complex;
+    for k = 0, form j's value at the simplex's vertex.
 
     The constant Jacobian and its column volumes are computed once; the
     MLP is evaluated on the quadrature nodes pushed into ambient space.
     """
     simplex = tuple(simplex)
     k = form.k
-    if k == 0:
-        raise ValueError("0-forms are evaluated at vertices, not integrated; "
-                         "pass vertex chains to integration_matrix")
     if len(simplex) - 1 != k:
         raise ValueError(f"simplex {simplex} has dimension {len(simplex) - 1}, form has k={k}")
     _check_setting(form, complex_, embedding)
@@ -159,8 +161,9 @@ def integration_matrix_forward(
     one batched MLP evaluation; X is the chain-coefficient matrix times
     the per-simplex integrals.  When the chains are exactly the standard
     basis of the simplices they use, X *is* the table of per-simplex
-    integrals (for k = 0: the MLP values at the vertices, unchanged bit
-    for bit).
+    integrals.  For k = 0 the rule is one node of weight 1 and every
+    column volume is 1, so X holds the MLP values at the vertices bit for
+    bit; only a vertex coordinate of -0.0 reaches the MLP as +0.0.
     """
     ((X, cache),) = _integrate(form, h, [_entry(form, complex_, embedding, chains)])
     return X, cache
@@ -188,7 +191,7 @@ def integration_matrices(form: NeuralKForm, settings, h: int = DEFAULT_STEPS):
 
 def _entry(form, complex_, embedding, chains):
     """Check one item; return its vertex coordinates, the vertex indices
-    of the simplices its chains use, ``lam`` and its number of chains."""
+    of the simplices its chains use and ``lam``."""
     if not isinstance(chains, ChainTuple):
         chains = ChainTuple(tuple(chains))
     k = form.k
@@ -199,26 +202,23 @@ def _entry(form, complex_, embedding, chains):
     num_simplices = complex_.num_simplices(k)
     if used.size and used[-1] >= num_simplices:
         raise ValueError(f"chain references simplex {used[-1]}, complex has {num_simplices}")
-    return embedding.coords, complex_.vertex_array(k)[used], chains.lam, len(chains)
+    return embedding.coords, complex_.vertex_array(k)[used], chains.lam
 
 
 def mlp_rows(k: int, h: int, num_simplices: int = 1) -> int:
     """MLP rows an integration over ``num_simplices`` k-simplices runs at
-    resolution h: one per quadrature node per simplex (per vertex for
-    k = 0)."""
-    return num_simplices * (len(quadrature_rule(k, h)[1]) if k else 1)
+    resolution h: one per quadrature node per simplex."""
+    return num_simplices * len(quadrature_rule(k, h)[1])
 
 
 def _chunks(form, settings, h):
     """Yield the checked items of ``settings`` in order, in lists of at
     most ``ROW_BUDGET`` MLP rows.  An item larger than the budget is a
-    chunk of its own; so are a one-row item and every item of an MLP with
-    a width-one layer, because numpy hands such products to BLAS gemv,
-    whose value for a row can depend on the rows around it.  ``Mlp``
-    keeps the same products off its contiguous weight copies
-    (``kforms.nn._copy_keeps_bits``)."""
+    chunk of its own; so are a one-row item (BLAS gemv) and every item of
+    an MLP without ``Mlp.rows_independent``: there a row's value can
+    depend on the rows around it."""
     nodes = mlp_rows(form.k, h)
-    budget = ROW_BUDGET if min(form.psi.dims[1:]) > 1 else 0
+    budget = ROW_BUDGET if form.psi.rows_independent else 0
     chunk, rows = [], 0
     for setting in settings:
         entry = _entry(form, *setting)
@@ -236,38 +236,24 @@ def _integrate(form, h, chunk) -> list:
     """(X, cache) per item of a chunk (see the module docstring).  The
     chunk shares one MLP cache, so a cache can go to the backward pass
     only when the chunk holds one item."""
-    gathered = [coords[verts] for coords, verts, _, _ in chunk]
+    gathered = [coords[verts] for coords, verts, _ in chunk]
     V = gathered[0] if len(gathered) == 1 else np.concatenate(gathered)  # (S, k+1, n)
-    if form.k == 0:
-        weights, eps = np.ones(1), np.ones((V.shape[0], 1))
-        points = V[:, 0]
-    else:
-        nodes, weights = quadrature_rule(form.k, h)
-        Dt = V[:, 1:] - V[:, :1]  # (S, k, n): transposed Jacobians
-        eps = epsilon_all(Dt.swapaxes(1, 2), form.table)  # (S, C)
-        points = (V[:, :1] + nodes @ Dt).reshape(-1, form.n)  # (S*N, n)
-
-    if not V.shape[0]:
-        out, mlp_cache = None, None  # every chain is empty: no MLP call
-    else:
-        out, mlp_cache = form.psi.forward_cached(points)
-    results, N, start = [], len(weights), 0
-    for _, verts, lam, m in chunk:
+    nodes, weights = quadrature_rule(form.k, h)
+    N, width = len(weights), form.psi.out_dim
+    Dt = V[:, 1:] - V[:, :1]  # (S, k, n): transposed Jacobians
+    eps = epsilon_all(Dt.swapaxes(1, 2), form.table)  # (S, C)
+    points = (V[:, :1] + nodes @ Dt).reshape(V.shape[0] * N, form.n)  # (S*N, n)
+    out, mlp_cache = form.psi.forward_cached(points)
+    results, start = [], 0
+    for _, verts, lam in chunk:
         S = verts.shape[0]
         stop = start + S
-        if not S:
-            # every chain is empty; the matrix is zero and carries no gradient
-            cache = (lam, np.zeros(0), np.zeros((0, 0)), None)
-            results.append((np.zeros((m, form.num_forms)), cache))
-            continue
-        if form.k == 0:
-            per_simplex = out[start:stop]  # (S, l): evaluation, untouched
-        else:
-            # np.tensordot(weights, scal, (0, 1)) for scal (S, N, l, C), as the
-            # one np.dot call it makes, without its per-call Python overhead
-            nodes_first = out[start * N : stop * N].reshape(S, N, -1).swapaxes(0, 1).reshape(N, -1)
-            scaled = np.dot(weights.reshape(1, N), nodes_first).reshape(S, form.num_forms, -1)
-            per_simplex = (scaled * eps[start:stop, None, :]).sum(axis=2)  # (S, l)
+        # np.tensordot(weights, scal, (0, 1)) for scal (S, N, l, C), as the
+        # one np.dot call it makes, without its per-call Python overhead
+        nodes_first = out[start * N : stop * N].reshape(S, N, width).swapaxes(0, 1)
+        scaled = np.dot(weights.reshape(1, N), nodes_first.reshape(N, S * width))
+        scaled = scaled.reshape(S, form.num_forms, form.num_components)
+        per_simplex = (scaled * eps[start:stop, None, :]).sum(axis=2)  # (S, l)
         X = per_simplex if lam is None else lam @ per_simplex
         results.append((X, (lam, weights, eps[start:stop], mlp_cache)))
         start = stop
@@ -284,13 +270,8 @@ def integration_matrix_backward(form: NeuralKForm, cache: tuple, upstream: np.nd
     """
     lam, weights, eps, mlp_cache = cache
     upstream = np.asarray(upstream, dtype=np.float64)
-    if mlp_cache is None:
-        return np.zeros(form.psi.num_params)
     G = upstream if lam is None else lam.T @ upstream  # (S, l)
-    if form.k == 0:
-        d_flat = G
-    else:
-        d_scal = np.einsum("n,sjc->snjc", weights, G[:, :, None] * eps[:, None, :])
-        d_flat = d_scal.reshape(-1, form.psi.out_dim)  # (S*N, l*C)
+    d_scal = np.einsum("n,sjc->snjc", weights, G[:, :, None] * eps[:, None, :])
+    d_flat = d_scal.reshape(G.shape[0] * len(weights), form.psi.out_dim)  # (S*N, l*C)
     grad, _ = form.psi.backward(mlp_cache, d_flat, input_grad=False)
     return grad

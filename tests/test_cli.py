@@ -224,17 +224,20 @@ _JSON = st.recursive(
 def _config_files(draw) -> tuple:
     """(command, config file bytes): mostly objects over the command's own
     keys with values of any JSON type, some with an unknown key, some
-    other JSON documents, deep nesting, and raw or truncated bytes."""
+    other JSON documents, deep nesting, raw or truncated bytes, and
+    ``1e999`` literals, beyond float range, where ``json.dumps`` wrote
+    Infinity."""
     command = draw(st.sampled_from(sorted(PINNED_DEFAULTS)))
     keys = sorted(PINNED_DEFAULTS[command])
     value = _JSON | st.integers(-3, 300) | st.lists(st.integers(-1, 4), max_size=3)
     payload = draw(st.dictionaries(st.sampled_from(keys) | st.text(max_size=6), value, max_size=4)
                    | st.dictionaries(st.sampled_from(keys), value, max_size=4) | _JSON)
     text = json.dumps(payload).encode("utf-8")  # NaN and Infinity for non-finite floats
-    blob = draw(st.sampled_from(["json"] * 6 + ["truncated", "deep", "bytes"]))
+    blob = draw(st.sampled_from(["json"] * 6 + ["truncated", "deep", "bytes", "overflow"]))
     if blob == "bytes":
         return command, draw(st.binary(max_size=24))
-    return command, {"json": text, "truncated": text[:-1], "deep": b"[" * 5000 + b"]" * 5000}[blob]
+    return command, {"json": text, "truncated": text[:-1], "deep": b"[" * 5000 + b"]" * 5000,
+                     "overflow": text.replace(b"Infinity", b"1e999")}[blob]
 
 
 class TestConfigFuzz:
@@ -261,6 +264,32 @@ class TestConfigFuzz:
                 continue
             kind = NULL_DEFAULT_TYPES[key] if defaults[key] is None else type(defaults[key])
             assert cli._TYPE_CHECKS[kind][1](value), (key, value)
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, defaults in PINNED_DEFAULTS.items()
+        for key, default in defaults.items()
+        if type(default) in (int, float) or NULL_DEFAULT_TYPES.get(key) is int
+    ])
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+    def test_numbers_beyond_float_range_exit_2_with_one_line(self, tmp_path, command, key,
+                                                              literal):
+        """The command runs unpatched up to training, so an overflowing
+        number that resolved would reach the dataset step and the
+        TrainConfig; it must be refused while the config resolves, with
+        exit 2 and one error line naming the file and the key."""
+        import kforms.model
+
+        small = {"samples_per_class": "2", "grid_size": "3", "epochs": "1"}
+        fields = {k: v for k, v in small.items() if k in PINNED_DEFAULTS[command]}
+        fields[key] = literal
+        path = tmp_path / "config.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        reached = AssertionError("training started")
+        with mock.patch.object(kforms.model, "train", side_effect=reached), \
+                mock.patch.object(kforms.model, "kfold_cv", side_effect=reached):
+            result = CliRunner().invoke(main, [command, "--config", str(path),
+                                               "--out", str(tmp_path / "run")])
+        assert_one_error_line(result, str(path), repr(key))
 
     @pytest.mark.parametrize("blob, fragment", [
         pytest.param(b"[" * 100000, "recursion", id="deep"),
@@ -327,6 +356,13 @@ class TestTrainPaths:
     def test_invalid_readout_rejected(self, runner):
         result = runner.invoke(main, ["train-paths", "--readout", "max"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+    def test_non_finite_lr_flag_exits_2_with_one_line(self, runner, tmp_path, lr):
+        cfg = write_config(tmp_path, {**TINY_PATHS, "epochs": 1})
+        result = runner.invoke(main, ["train-paths", "--config", str(cfg), "--lr", lr,
+                                      "--out", str(tmp_path / "run")])
+        assert_one_error_line(result, "lr must be positive and finite")
 
     def test_k_zero_baseline_runs(self, runner, tmp_path):
         cfg = write_config(tmp_path, {**TINY_PATHS, "epochs": 1})
@@ -537,6 +573,14 @@ class TestExportField:
              "--out", str(tmp_path / "f.csv"), "--grid-min", "2", "--grid-max", "1"],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("bounds", [["--grid-min", "nan"], ["--grid-max", "inf"],
+                                        ["--grid-min", "-inf"]])
+    def test_non_finite_grid_exits_2_with_one_line(self, runner, tmp_path, checkpoint, bounds):
+        result = runner.invoke(main, ["export-field", "--checkpoint", str(checkpoint),
+                                      "--out", str(tmp_path / "f.csv"), *bounds])
+        assert_one_error_line(result, "both must be finite")
+        assert not (tmp_path / "f.csv").exists()
 
     def test_damaged_checkpoint_exits_2_with_one_line(self, runner, tmp_path, damage):
         from kforms.model import TrainConfig, build_classifier, save_classifier

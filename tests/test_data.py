@@ -1,3 +1,4 @@
+import math
 import re
 import tempfile
 import warnings
@@ -83,6 +84,11 @@ class TestPathGeneration:
         with pytest.raises(ValueError):
             PathDatasetSpec(noise=-0.1)
 
+    @pytest.mark.parametrize("noise", [math.inf, math.nan, 10**400])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match=r"^noise must be nonnegative and finite, got "):
+            PathDatasetSpec(noise=noise)
+
 
 class TestSurfaceGeneration:
     def test_counts_shapes_and_shared_complex(self):
@@ -124,6 +130,12 @@ class TestSurfaceGeneration:
             SurfaceDatasetSpec(grid_size=1)
         with pytest.raises(ValueError):
             SurfaceDatasetSpec(translation=-1.0)
+
+    @pytest.mark.parametrize("name", ["noise", "translation"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 10**400])
+    def test_non_finite_spread_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be nonnegative and finite, got "):
+            SurfaceDatasetSpec(**{name: value})
 
 
 class TestTuParsing:

@@ -65,8 +65,7 @@ def mixed_items(rng, k: int) -> list:
 
 
 def item_rows(item: Item, k: int, h: int = quadrature.DEFAULT_STEPS) -> int:
-    nodes = len(quadrature.quadrature_rule(k, h)[1]) if k else 1
-    return item.chains.used.size * nodes
+    return item.chains.used.size * len(quadrature.quadrature_rule(k, h)[1])
 
 
 def classifier_for(k: int, activation: str, readout: str, use_head: bool, hidden_dim: int = 16,
@@ -160,12 +159,13 @@ def test_default_budget_with_an_oversized_item(form_calls):
     assert_chunked_matches_per_item(classifier, items)
 
 
-@pytest.mark.parametrize("hidden_dim", [16, 24])
+@pytest.mark.parametrize("hidden_dim", [16, 24, 64])
 def test_chunks_on_contiguous_weights_match_per_item(form_calls, hidden_dim):
     """A chunk of more than ``CONTIGUOUS_ROWS`` rows multiplies by
     contiguous copies of the weights and a small item alone by ``w.T``;
     the bits agree, also at hidden width 24, whose (24, 12) layer keeps
-    ``w.T`` because a copy would not give its bits."""
+    ``w.T`` because a copy would not give its bits, and at hidden width
+    64, whose fan-in makes every item run alone."""
     items = mixed_items(np.random.default_rng(11), 1)
     classifier = classifier_for(1, "tanh", "column_l2", use_head=True, hidden_dim=hidden_dim)
     form_calls.clear()
@@ -175,17 +175,33 @@ def test_chunks_on_contiguous_weights_match_per_item(form_calls, hidden_dim):
     assert_chunked_matches_per_item(classifier, items)
 
 
-@pytest.mark.parametrize("hidden_dim, num_forms, k", [(2, 3, 1), (16, 1, 0)])
+@pytest.mark.parametrize("hidden_dim, num_forms, k", [(2, 3, 1), (16, 1, 0), (64, 3, 1)])
 def test_width_one_layers_run_each_item_alone(form_calls, hidden_dim, num_forms, k):
-    """A width-one layer makes numpy use BLAS gemv, whose value for a row
-    can depend on the rows around it; each item then runs alone."""
+    """A width-one layer, or a fan-in of 32 or more, lets a row's value
+    depend on the rows around it (``Mlp.rows_independent``); each item
+    then runs alone."""
     items = mixed_items(np.random.default_rng(7), k)
     classifier = classifier_for(k, "relu", "column_sum", use_head=True, hidden_dim=hidden_dim,
                                 num_forms=num_forms)
     form_calls.clear()
     list(classifier.features_each(items))
-    assert form_calls == [r for r in map(item_rows, items, [k] * len(items)) if r]
+    assert form_calls == [item_rows(item, k) for item in items]  # an empty item's call has 0 rows
     assert_chunked_matches_per_item(classifier, items)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_empty_item_in_a_shared_chunk_gets_positive_zero_rows(form_calls, k):
+    rng = np.random.default_rng(9)
+    items = [graph_item(rng, 5, k, 0), empty_item(rng, k, 1), graph_item(rng, 6, k, 2)]
+    form = classifier_for(k, "tanh", "column_sum", use_head=False).form
+    form_calls.clear()
+    settings = [(it.complex, it.embedding, it.chains) for it in items]
+    matrices = list(quadrature.integration_matrices(form, settings))
+    assert form_calls == [sum(item_rows(item, k) for item in items)]  # one shared call
+    assert matrices[1].shape == (2, NUM_CLASSES)
+    assert not matrices[1].any() and not np.signbit(matrices[1]).any()
+    for X, setting in zip(matrices, settings):
+        assert np.array_equal(X, quadrature.integration_matrix(form, *setting))
 
 
 def test_one_row_items_run_alone(form_calls):

@@ -1,6 +1,7 @@
 """Property tests for integration matrices on random embedded complexes:
 the batched fast path agrees with the per-simplex ``integrate_simplex``
-oracle, and a signed permutation of the chains acts on the rows exactly."""
+oracle, at degree 0 (evaluation at the vertices) as above it, and a
+signed permutation of the chains acts on the rows exactly."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ def embedded_complexes(draw, k: int):
     with all their faces, vertices placed anywhere in R^n (coincident or
     collinear ones included), and a freshly initialised form."""
     num_vertices = draw(st.integers(k + 1, 6))
-    n = draw(st.integers(k, 3))
+    n = draw(st.integers(max(k, 1), 3))
     tops = draw(st.lists(
         st.integers(k + 1, min(k + 2, num_vertices)).flatmap(
             lambda size: st.lists(st.integers(0, num_vertices - 1), min_size=size,
@@ -48,7 +49,7 @@ def chains_over(num_simplices: int, k: int):
 
 
 @settings(max_examples=60)
-@given(k=st.sampled_from([1, 2]), data=st.data())
+@given(k=st.sampled_from([0, 1, 2]), data=st.data())
 def test_matches_the_integrate_simplex_oracle(k, data):
     complex_, embedding, form, h = data.draw(embedded_complexes(k))
     sims = complex_.simplices(k)
@@ -67,7 +68,7 @@ def test_matches_the_integrate_simplex_oracle(k, data):
 
 
 @settings(max_examples=60)
-@given(k=st.sampled_from([1, 2]), data=st.data())
+@given(k=st.sampled_from([0, 1, 2]), data=st.data())
 def test_signed_permutation_acts_on_rows_exactly(k, data):
     complex_, embedding, form, h = data.draw(embedded_complexes(k))
     chains = data.draw(chains_over(complex_.num_simplices(k), k))

@@ -188,6 +188,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize("lr", [math.inf, -math.inf, math.nan, 10**400])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match=r"^lr must be positive and finite, got "):
+            TrainConfig(lr=lr)
+
     @pytest.mark.parametrize(
         "name",
         ["k", "num_forms", "hidden_dim", "steps", "batch_size", "max_epochs",

@@ -347,6 +347,33 @@ class TestContiguousProducts:
         assert np.array_equal(mlp.forward(x), fresh.forward(x))
 
 
+class TestRowIndependence:
+    """``rows_independent`` promises that a forward pass gives each row
+    the bits it gets in any other batch; evaluation chunks rely on it."""
+
+    @pytest.mark.parametrize("dims, expected", [
+        ([3, 16, 8, 6], True),
+        ([2, 31, 15, 2], True),
+        ([3, 16, 4, 1], False),  # a width-one output
+        ([2, 1, 16, 3], False),  # a width-one hidden layer
+        ([2, 64, 32, 3], False),  # fan-in 64 and 32
+        ([3, 32, 16, 6], False),  # fan-in 32
+    ])
+    def test_which_mlps_qualify(self, dims, expected):
+        assert Mlp.init(dims, "relu", np.random.default_rng(0)).rows_independent is expected
+
+    @pytest.mark.parametrize("dims", [[3, 16, 8, 6], [2, 31, 15, 2], [3, 24, 12, 9]])
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    def test_a_row_keeps_its_bits_in_any_batch(self, dims, act):
+        rng = np.random.default_rng(65)
+        mlp = Mlp.init(dims, act, rng)
+        assert mlp.rows_independent
+        x = rng.normal(size=(1860, dims[0]))
+        full = mlp.forward(x)
+        for start, stop in [(0, 186), (186, 372), (5, 7), (300, 700), (1500, 1860)]:
+            assert np.array_equal(mlp.forward(x[start:stop]), full[start:stop])
+
+
 class TestBackward:
     def test_param_grads_match_finite_differences(self):
         for trial in range(12):

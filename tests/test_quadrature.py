@@ -124,6 +124,13 @@ class TestQuadratureRule:
             assert np.all(nodes.sum(axis=1) <= 1.0 + 1e-12)
             assert np.allclose(nodes * h, np.round(nodes * h), rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("h", [1, 2, 5])
+    def test_k0_is_one_node_of_weight_one(self, h):
+        # the standard 0-simplex is a point of volume 1/0! = 1, at any h
+        nodes, weights = quadrature_rule(0, h)
+        assert nodes.shape == (1, 0) and nodes.dtype == np.float64
+        assert weights.tolist() == [1.0 / math.factorial(0)]
+
     def test_arrays_are_read_only_float64(self):
         for array in quadrature_rule(2, 2):
             assert array.dtype == np.float64
@@ -131,8 +138,8 @@ class TestQuadratureRule:
                 array[0] = 7
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            quadrature_rule(0, 3)
+        with pytest.raises(ValueError, match="k >= 0"):
+            quadrature_rule(-1, 3)
         with pytest.raises(ValueError):
             quadrature_rule(2, 0)
         for h in (2.5, 3.0, "3"):
@@ -307,9 +314,10 @@ class TestIntegrationMatrix:
         form = NeuralKForm.init(3, 1, 2, (5,), "tanh", self.rng)
         beta = [Chain(1, ()), Chain(1, ())]
         X, cache = integration_matrix_forward(form, self.complex, self.embedding, beta)
-        assert np.array_equal(X, np.zeros((2, 2)))
+        assert np.array_equal(X, np.zeros((2, 2))) and not np.signbit(X).any()
         grads = integration_matrix_backward(form, cache, np.ones((2, 2)))
         assert np.array_equal(grads, np.zeros(form.psi.num_params))
+        assert not np.signbit(grads).any()
 
     @pytest.mark.parametrize(
         "k, terms",
@@ -332,16 +340,10 @@ class TestIntegrationMatrix:
         sims = self.complex.simplices(k)
         for i, chain in enumerate(chains):
             for j in range(2):
-                if k == 0:
-                    manual = sum(
-                        c * form.psi.forward(self.embedding.coords[sims[idx][0]])[j]
-                        for idx, c in chain.terms
-                    )
-                else:
-                    manual = sum(
-                        c * integrate_simplex(form, j, self.complex, self.embedding, sims[idx], h=3)
-                        for idx, c in chain.terms
-                    )
+                manual = sum(
+                    c * integrate_simplex(form, j, self.complex, self.embedding, sims[idx], h=3)
+                    for idx, c in chain.terms
+                )
                 assert X[i, j] == pytest.approx(manual, abs=1e-12)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -448,10 +450,12 @@ class TestValidation:
         self.embedding = Embedding(np.eye(3, 2))
         self.form = NeuralKForm.init(2, 1, 1, (3,), "tanh", np.random.default_rng(0))
 
-    def test_zero_form_cannot_be_integrated(self):
-        zform = NeuralKForm.init(2, 0, 1, (3,), "tanh", np.random.default_rng(0))
-        with pytest.raises(ValueError, match="evaluate"):
-            integrate_simplex(zform, 0, self.complex, self.embedding, (0,))
+    def test_zero_form_integrates_to_its_value_at_the_vertex(self):
+        zform = NeuralKForm.init(2, 0, 2, (3,), "tanh", np.random.default_rng(0))
+        for v in range(3):
+            for j in range(2):
+                got = integrate_simplex(zform, j, self.complex, self.embedding, (v,))
+                assert abs(got - zform.psi.forward(self.embedding.coords[v])[j]) <= 1e-15
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
