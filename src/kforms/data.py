@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Dataset, Item
+from .model import Dataset, Item, _check_field_types
 from .simplicial import (
     Chain,
     ChainTuple,
@@ -65,6 +65,7 @@ class PathDatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.samples_per_class < 1:
             raise ValueError("need at least one sample per class")
         if self.points_per_path < 2:
@@ -117,6 +118,7 @@ class SurfaceDatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.grid_size < 2:
             raise ValueError("grid_size must be at least 2")
         if self.samples_per_class < 1:

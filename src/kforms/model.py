@@ -172,6 +172,21 @@ def rechain_dataset(data: Dataset, k: int) -> Dataset:
     return Dataset(items, data.num_classes)
 
 
+def _check_field_types(config) -> None:
+    """Raise ValueError for the first field of the dataclass ``config``
+    whose value does not fit its annotation, by the rule the CLI applies
+    to config values: an int field takes an int, a float field an int or
+    a float, a bool field a bool, and only a bool field takes a bool.  A
+    numpy integer is refused: it cannot go into a checkpoint's JSON header."""
+    kinds = {"int": ("an int", int), "float": ("a number", (int, float)), "bool": ("a bool", bool)}
+    for f in dataclasses.fields(config):
+        if f.type in kinds:
+            name, kind = kinds[f.type]
+            value = getattr(config, f.name)
+            if not isinstance(value, kind) or isinstance(value, bool) is not (kind is bool):
+                raise ValueError(f"{f.name} must be {name}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one training run (defaults: lr 1e-3, batch 16,
@@ -196,9 +211,7 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            if f.type == "int" and isinstance(getattr(self, f.name), bool):
-                raise ValueError(f"{f.name} must be an int, got {getattr(self, f.name)!r}")
+        _check_field_types(self)
         if self.k < 0:
             raise ValueError("k must be nonnegative")
         if min(self.num_forms, self.hidden_dim, self.steps, self.batch_size) < 1:
@@ -400,33 +413,23 @@ def _map_items(classifier: KFormClassifier, items: list, each):
 class EvalReport:
     loss: float
     accuracy: float
-    per_class_total: tuple[int, ...]
-    per_class_correct: tuple[int, ...]
 
 
 def evaluate(classifier: KFormClassifier, data: Dataset, indices=None) -> EvalReport:
-    """Mean loss, accuracy and per-class tallies; argmax ties go to the
-    lowest class index.  The items' logits come from
-    ``KFormClassifier.forward_each``; items above ``ROW_BUDGET`` MLP rows
-    are spread over threads (see the module docstring)."""
+    """Mean loss and accuracy; argmax ties go to the lowest class index.
+    The items' logits come from ``KFormClassifier.forward_each``; items
+    above ``ROW_BUDGET`` MLP rows are spread over threads (see the module
+    docstring)."""
     if indices is None:
         indices = range(len(data))
     items = [data.items[int(i)] for i in indices]
     if not items:
         raise ValueError("cannot evaluate on an empty index set")
-    total = np.zeros(data.num_classes, dtype=np.intp)
-    correct = np.zeros(data.num_classes, dtype=np.intp)
-    loss_sum = 0.0
+    loss_sum, hits = 0.0, 0
     for item, logits in zip(items, _map_items(classifier, items, KFormClassifier.forward_each)):
         loss_sum += _nll(logits, item.label)[0]
-        total[item.label] += 1
-        correct[item.label] += int(np.argmax(logits)) == item.label
-    return EvalReport(
-        loss=loss_sum / len(items),
-        accuracy=float(correct.sum() / len(items)),
-        per_class_total=tuple(int(v) for v in total),
-        per_class_correct=tuple(int(v) for v in correct),
-    )
+        hits += int(np.argmax(logits) == item.label)
+    return EvalReport(loss=loss_sum / len(items), accuracy=hits / len(items))
 
 
 def stratified_split(labels, fraction: float, rng: np.random.Generator):

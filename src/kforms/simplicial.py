@@ -5,14 +5,15 @@ simplices under faces and stores each dimension k as one read-only
 (N_k, k+1) integer array of strictly increasing vertex rows in
 lexicographic order.  The increasing row defines the positive
 orientation of each simplex; orientation flips live in chain
-coefficients, never in vertex order.  Complexes are built by
-whole-array operations, and simplices are looked up by integer keys,
-never through per-simplex Python tuples or dicts.  A chain tuple is
-stored as the linear map it defines, the pair (used simplices,
-coefficient matrix Λ), built once on construction; integrating it is Λ
-times the per-simplex integrals, and recombining it by a matrix L is
-L·Λ.  All types are immutable after construction and safe to share
-between threads.
+coefficients, never in vertex order.  Vertex ids are integers only
+(Python or numpy, never a bool, float or string).  Complexes are built
+by whole-array operations, and ``index_of`` finds a simplex by matching
+it against the stored rows, never through per-simplex Python tuples or
+dicts.  A chain tuple is stored as the linear map it defines, the pair
+(used simplices, coefficient matrix Λ), built once on construction;
+integrating it is Λ times the per-simplex integrals, and recombining it
+by a matrix L is L·Λ.  All types are immutable after construction and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -44,15 +45,11 @@ class SimplicialComplex:
 
     Made only by ``build_complex``; calling the class raises TypeError.
     Dimension k is one read-only (N_k, k+1) intp array of strictly
-    increasing vertex rows in lexicographic order, row i being simplex
-    i.  Simplices are found by their integer key, the row read as digits
-    in base num_vertices (Python ints when int64 cannot hold them):
-    lexicographic order of increasing rows is the order of their keys.
+    increasing vertex rows in lexicographic order, row i being simplex i.
     """
 
     num_vertices: int
     _arrays: tuple = field(repr=False)  # per dimension: (N_k, k+1) rows
-    _lookup: tuple = field(repr=False)  # per dimension: the rows' keys, increasing
 
     def __init__(self, *_args, **_kwargs):
         raise TypeError("SimplicialComplex() cannot be called; use build_complex")
@@ -71,17 +68,14 @@ class SimplicialComplex:
         return self._arrays[k].shape[0] if 0 <= k <= self.dim else 0
 
     def index_of(self, k: int, simplex) -> int:
-        """Row of ``simplex`` among the k-simplices; ValueError if absent."""
-        simplex, n = tuple(simplex), self.num_vertices
-        if (0 <= k <= self.dim and len(simplex) == k + 1 and 0 <= simplex[0] and simplex[-1] < n
-                and all(a < b for a, b in zip(simplex, simplex[1:]))):
-            keys = self._lookup[k]
-            key = 0
-            for v in simplex:  # as _keys does, in Python ints
-                key = key * n + v
-            i = int(np.searchsorted(keys, key))
-            if i < keys.shape[0] and keys[i] == key:
-                return i
+        """Row of ``simplex`` among the k-simplices, the first row of
+        ``vertex_array(k)`` equal to it; ValueError if there is none or an
+        entry is not an integer."""
+        simplex = tuple(simplex)
+        if 0 <= k <= self.dim and len(simplex) == k + 1 and all(map(_is_int, simplex)):
+            hit = np.flatnonzero((self._arrays[k] == simplex).all(axis=1))
+            if hit.size:
+                return int(hit[0])
         raise ValueError(f"simplex {simplex} is not in the complex")
 
     def vertex_array(self, k: int) -> np.ndarray:
@@ -99,6 +93,11 @@ class SimplicialComplex:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _keys(rows: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -153,7 +152,7 @@ class Chain:
             raise ValueError("chain dimension must be nonnegative")
         merged: dict[int, float] = {}
         for idx, coeff in self.terms:
-            if isinstance(idx, bool) or not isinstance(idx, numbers.Integral):
+            if not _is_int(idx):
                 raise ValueError(f"simplex index {idx!r} is not an integer")
             idx = int(idx)
             coeff = float(coeff)
@@ -234,75 +233,70 @@ def build_complex(simplex_lists, num_vertices: int) -> SimplicialComplex:
     """Build a complex from vertex tuples, adding every missing face.
 
     ``simplex_lists`` is a list of tuples, in any order and any mix of
-    dimensions, or an (N, k+1) integer array; each simplex is sorted
-    increasing.  ``num_vertices`` must be a nonnegative int (not a
-    bool).  A simplex with a repeated vertex or a vertex outside
-    ``0..num_vertices-1`` is refused, naming the first such in input
-    order.  All ``num_vertices`` vertices are stored as 0-simplices
-    regardless of whether they appear in any input tuple.  The faces of
-    each dimension are column selections of the sorted rows, made
-    unique and put in lexicographic order by their keys; the result is
-    valid by construction and is not checked again.
+    dimensions, or an (N, k+1) array of an integer dtype (any other dtype
+    is refused); each simplex is sorted increasing.  ``num_vertices`` is
+    a nonnegative int, a vertex id an integer (never a bool, float or
+    string).  An empty simplex, a non-integer id, a repeated vertex or one
+    outside ``0..num_vertices-1`` is refused, naming the first such
+    simplex in input order; an array is scanned for it only once the
+    whole-array check has failed.  All ``num_vertices`` vertices are
+    0-simplices.  The faces of each dimension are column selections of
+    the sorted rows, made unique and put in lexicographic order by their
+    keys; the result is valid by construction and is not checked again.
     """
-    if (isinstance(num_vertices, bool) or not isinstance(num_vertices, numbers.Integral)
-            or num_vertices < 0):
+    if not _is_int(num_vertices) or num_vertices < 0:
         raise ValueError(f"num_vertices must be a nonnegative int, got {num_vertices!r}")
     num_vertices = int(num_vertices)
     if isinstance(simplex_lists, np.ndarray):
         if simplex_lists.ndim != 2:
             raise ValueError(f"simplex array of shape {simplex_lists.shape} is not (N, k+1)")
-        groups = [(None, simplex_lists)]  # (input positions, rows); None: 0, 1, 2, ...
+        if simplex_lists.dtype.kind not in "iu":  # signed or unsigned integers
+            raise ValueError(f"simplex array of dtype {simplex_lists.dtype} does not hold integers")
+        groups = [simplex_lists]
     else:
         simplex_lists = list(simplex_lists)
-        lengths = np.fromiter(map(len, simplex_lists), np.intp, len(simplex_lists))
-        groups = []
-        for length in np.unique(lengths).tolist():
-            at = np.flatnonzero(lengths == length)
-            rows = [simplex_lists[i] for i in at.tolist()]
-            groups.append((at, np.array(rows, dtype=np.intp).reshape(at.shape[0], length)))
+        _refuse_first_offender(simplex_lists, num_vertices)
+        groups = [np.array([s for s in simplex_lists if len(s) == n], dtype=np.intp)
+                  for n in {len(s) for s in simplex_lists}]
 
     faces: dict[int, list[np.ndarray]] = {}
-    first, message = None, None
-    for at, rows in groups:
+    for rows in groups:
         if not rows.shape[0]:
             continue
         k = rows.shape[1] - 1
-        if k < 0:
-            pos = 0 if at is None else int(at[0])
-            if first is None or pos < first:
-                first, message = pos, "empty simplex tuple"
-            continue
         rows = np.sort(rows.astype(np.intp, copy=False), axis=1)
-        repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-        bad = repeated | (rows[:, 0] < 0) | (rows[:, -1] >= num_vertices)
-        i = int(bad.argmax())
-        pos = i if at is None else int(at[i])
-        if bad[i] and (first is None or pos < first):
-            raw = simplex_lists[pos]
-            if repeated[i]:
-                message = f"degenerate simplex {raw}: repeated vertex"
-            else:
-                message = f"simplex {raw} has a vertex outside 0..{num_vertices - 1}"
-            first = pos
+        if (k < 0 or (rows[:, 1:] == rows[:, :-1]).any() or rows[:, 0].min() < 0
+                or rows[:, -1].max() >= num_vertices):
+            _refuse_first_offender(simplex_lists, num_vertices)
         faces.setdefault(k, []).append(rows)
         for j in range(1, k):
             for cols in itertools.combinations(range(k + 1), j + 1):
                 faces.setdefault(j, []).append(rows[:, cols])
-    if message is not None:
-        raise ValueError(message)
 
-    vertices = np.arange(num_vertices, dtype=np.intp)
-    arrays, lookup = [vertices.reshape(-1, 1)], [vertices.astype(np.int64)]
+    arrays = [np.arange(num_vertices, dtype=np.intp).reshape(-1, 1)]
     for k in range(1, max(faces, default=0) + 1):
         rows = np.concatenate(faces[k]) if len(faces[k]) > 1 else faces[k][0]
-        keys, first_copy = np.unique(_keys(rows, num_vertices), return_index=True)
-        arrays.append(rows[first_copy])
-        lookup.append(keys)
+        arrays.append(rows[np.unique(_keys(rows, num_vertices), return_index=True)[1]])
     for rows in arrays:
         rows.flags.writeable = False
     complex_ = object.__new__(SimplicialComplex)
-    complex_.__dict__.update(num_vertices=num_vertices, _arrays=tuple(arrays), _lookup=tuple(lookup))
+    complex_.__dict__.update(num_vertices=num_vertices, _arrays=tuple(arrays))
     return complex_
+
+
+def _refuse_first_offender(simplices, num_vertices: int) -> None:
+    """Raise the ValueError of the first simplex, in input order, that is
+    empty, holds a vertex id that is not an integer, repeats a vertex or
+    has a vertex outside ``0..num_vertices-1``; return if there is none."""
+    for raw in simplices:
+        if not len(raw):
+            raise ValueError("empty simplex tuple")
+        if not all(map(_is_int, raw)):
+            raise ValueError(f"simplex {raw} has a vertex id that is not an integer")
+        if len(set(raw)) < len(raw):
+            raise ValueError(f"degenerate simplex {raw}: repeated vertex")
+        if min(raw) < 0 or max(raw) >= num_vertices:
+            raise ValueError(f"simplex {raw} has a vertex outside 0..{num_vertices - 1}")
 
 
 def standard_basis_chains(complex_: SimplicialComplex, k: int) -> ChainTuple:

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import re
@@ -116,6 +118,35 @@ class TestTrainCommandTable:
         assert run["item_threads"] == len(run["cpu_affinity"]) >= 1
         assert set(run["blas_thread_env"]) == set(THREAD_VARS)
         assert run["wall_s"] > 0 and run["peak_rss_mb"] > 10
+
+    @pytest.mark.parametrize("command", sorted(PINNED_DEFAULTS))
+    def test_copied_defaults_match_the_fields_they_feed(self, command):
+        """The CLI may not import numpy before --threads applies, so it
+        repeats the library's defaults as literals; each must equal the
+        default of the field it feeds, type included."""
+        from kforms.data import PathDatasetSpec, SurfaceDatasetSpec, tu_to_dataset
+        from kforms.model import TrainConfig, kfold_cv
+        from kforms.quadrature import DEFAULT_STEPS
+
+        spec = {"train-paths": PathDatasetSpec, "train-surfaces": SurfaceDatasetSpec}.get(command)
+        fed = [{f.name: f.default for f in dataclasses.fields(cls)}
+               for cls in (TrainConfig, spec) if cls is not None]
+        fed += [{name: p.default for name, p in inspect.signature(fn).parameters.items()}
+                for fn in (tu_to_dataset, kfold_cv) if command == "train-graphs"]
+        _, own, _ = cli._TRAIN_COMMANDS[command]
+        exempt = {"k", "num_forms", "use_head", "readout"}  # each command sets its own
+        unchecked = set()
+        for key, value in {**cli._SHARED_DEFAULTS, **own}.items():
+            name = {"epochs": "max_epochs"}.get(key, key)
+            targets = [defaults[name] for defaults in fed if name in defaults]
+            if key in exempt or not targets:
+                unchecked.add(key)
+                continue
+            for default in targets:
+                assert (type(value), value) == (type(default), default), key
+        # only keys that feed no field go unchecked
+        assert unchecked - {"dataset_dir"} == exempt | {"threads", "out"}
+        assert cli._SHARED_DEFAULTS["steps"] == DEFAULT_STEPS == TrainConfig.steps
 
     @pytest.mark.parametrize("command", sorted(PINNED_FLAGS))
     def test_help_lists_the_pinned_flags(self, runner, command):

@@ -138,6 +138,34 @@ class TestSurfaceGeneration:
             SurfaceDatasetSpec(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "spec, name, value, kind",
+    [(PathDatasetSpec, "samples_per_class", True, "an int"),
+     (PathDatasetSpec, "samples_per_class", 1.5, "an int"),
+     (PathDatasetSpec, "points_per_path", 2.5, "an int"),
+     (PathDatasetSpec, "seed", "1", "an int"),
+     (PathDatasetSpec, "points_per_path", np.int64(3), "an int"),
+     (PathDatasetSpec, "noise", True, "a number"),
+     (PathDatasetSpec, "noise", "0.1", "a number"),
+     (SurfaceDatasetSpec, "grid_size", 3.5, "an int"),
+     (SurfaceDatasetSpec, "samples_per_class", 1.5, "an int"),
+     (SurfaceDatasetSpec, "samples_per_class", False, "an int"),
+     (SurfaceDatasetSpec, "translation", True, "a number"),
+     (SurfaceDatasetSpec, "noise", None, "a number")],
+)
+def test_spec_value_of_the_wrong_type_rejected(spec, name, value, kind):
+    with pytest.raises(ValueError) as info:
+        spec(**{name: value})
+    assert str(info.value) == f"{name} must be {kind}, got {value!r}"
+
+
+def test_specs_take_an_int_or_a_float_subclass_for_a_float():
+    path = PathDatasetSpec(samples_per_class=1, points_per_path=3, noise=0)
+    surface = SurfaceDatasetSpec(grid_size=2, samples_per_class=1, noise=np.float64(0.01),
+                                 translation=1)
+    assert len(gen_paths(path)) == 3 and len(gen_surfaces(surface)) == 2
+
+
 class TestTuParsing:
     def test_write_parse_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)

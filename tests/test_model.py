@@ -202,6 +202,24 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=rf"^{name} must be an int, got True$"):
             TrainConfig(**{name: True})
 
+    @pytest.mark.parametrize(
+        "name, value, kind",
+        [("lr", True, "a number"), ("plateau_factor", True, "a number"),
+         ("val_fraction", False, "a number"), ("lr", "0.1", "a number"), ("lr", None, "a number"),
+         ("use_head", "no", "a bool"), ("use_head", 1, "a bool"), ("use_head", None, "a bool"),
+         ("use_head", np.True_, "a bool"), ("hidden_dim", 2.5, "an int"),
+         ("steps", 5.0, "an int"), ("seed", "0", "an int"), ("hidden_dim", np.int64(4), "an int"),
+         ("val_fraction", np.float32(0.25), "a number")],
+    )
+    def test_value_of_the_wrong_type_rejected(self, name, value, kind):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{name: value})
+        assert str(info.value) == f"{name} must be {kind}, got {value!r}"
+
+    def test_int_and_float_subclass_accepted_for_a_float(self):
+        cfg = TrainConfig(lr=1, plateau_factor=np.float64(0.5), use_head=False)
+        assert (cfg.lr, cfg.plateau_factor, cfg.use_head) == (1, 0.5, False)
+
 
 class TestClassifier:
     def test_headless_needs_matching_classes(self):
@@ -331,13 +349,9 @@ class TestEvaluate:
         data = tiny_paths(samples=4)  # labels 0,1,2 but only 2 head outputs
         data = Dataset(tuple(Item(i.complex, i.embedding, i.chains, i.label % 2) for i in data.items), 2)
         rep = evaluate(clf, data)
-        assert rep.per_class_total == (
-            sum(1 for i in data.items if i.label == 0),
-            sum(1 for i in data.items if i.label == 1),
-        )
-        assert rep.per_class_correct[0] == rep.per_class_total[0]
-        assert rep.per_class_correct[1] == 0
-        assert rep.accuracy == pytest.approx(rep.per_class_total[0] / len(data))
+        class_0 = sum(1 for i in data.items if i.label == 0)
+        assert 0 < class_0 < len(data)
+        assert rep.accuracy == class_0 / len(data)
         expected_loss = np.mean(
             [cross_entropy(np.array([1.0, 0.0]), it.label)[0] for it in data.items]
         )
@@ -446,7 +460,16 @@ class TestTrain:
 
 
 class TestKFoldCv:
-    def test_folds_are_disjoint_and_exhaustive(self):
+    def test_folds_are_disjoint_and_exhaustive(self, monkeypatch):
+        import kforms.model
+
+        partitions = []
+
+        def recorded(*args):
+            partitions.append(stratified_folds(*args))
+            return partitions[-1]
+
+        monkeypatch.setattr(kforms.model, "stratified_folds", recorded)
         data = tiny_paths(samples=5)
         cfg = TrainConfig(max_epochs=1, hidden_dim=3, num_forms=3, use_head=False, seed=1)
         cv = kfold_cv(cfg, data, folds=3)
@@ -454,8 +477,9 @@ class TestKFoldCv:
         accuracies = [f.report.accuracy for f in cv.folds]
         assert cv.mean_accuracy == pytest.approx(np.mean(accuracies))
         assert cv.std_accuracy == pytest.approx(np.std(accuracies))
-        tested = [f.report for f in cv.folds]
-        assert sum(sum(r.per_class_total) for r in tested) == len(data)
+        (partition,) = partitions
+        assert len(partition) == 3
+        assert sorted(np.concatenate(partition).tolist()) == list(range(len(data)))
 
     def test_class_smaller_than_fold_count_rejected(self):
         data = tiny_paths(samples=3)
