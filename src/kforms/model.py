@@ -40,7 +40,7 @@ from .quadrature import (
     integration_matrix_forward,
     mlp_rows,
 )
-from .simplicial import ChainTuple, Embedding, SimplicialComplex, standard_basis_chains
+from .simplicial import ChainTuple, Embedding, SimplicialComplex, _is_int, standard_basis_chains
 
 __all__ = [
     "READOUTS",
@@ -134,10 +134,12 @@ class Dataset:
     def __post_init__(self):
         if not self.items:
             raise ValueError("empty dataset")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be positive")
+        if not _is_int(self.num_classes) or self.num_classes < 1:
+            raise ValueError(f"num_classes must be a positive integer, got {self.num_classes!r}")
         n = self.items[0].embedding.ambient_dim
         for i, it in enumerate(self.items):
+            if not _is_int(it.label):
+                raise ValueError(f"item {i}: label {it.label!r} is not an integer")
             if not 0 <= it.label < self.num_classes:
                 raise ValueError(f"item {i}: label {it.label} outside 0..{self.num_classes - 1}")
             if it.embedding.ambient_dim != n:

@@ -6,14 +6,18 @@ backward pipeline over the layer stack instead of a general tape.  All
 arithmetic is float64 numpy; everything is deterministic given the seed
 used at initialization.
 
-Each Mlp keeps three sets of buffers: hidden activations, layer input
-gradients, and a C-contiguous copy of every ``w.T``, which numpy
-multiplies about twice as fast as the transposed view.  The copy is
-refilled on every pass, because optimizers write ``params`` in place,
-and used only for batches above ``CONTIGUOUS_ROWS`` rows and layers
+Each Mlp keeps four sets of buffers: hidden activations, layer input
+gradients, a C-contiguous copy of every ``w.T``, which numpy multiplies
+about twice as fast as the transposed view, and every bias repeated
+down the rows, which numpy adds to a layer output in one flat pass
+instead of one short loop per row.  Only batches above
+``CONTIGUOUS_ROWS`` rows use the last two, and the copy only on layers
 where it gives the view's bits (``_copy_keeps_bits``: never with a
-width-one side, which numpy hands to gemv).  The bias gradient adds
-the rows in order whatever the upstream's memory layout.
+width-one side, which numpy hands to gemv).  Both are rebuilt only when
+``params`` differs bitwise from its value at the last rebuild, which
+sees every in-place write an optimizer makes, or when a batch has more
+rows than were built.  The bias gradient adds the rows in order
+whatever the upstream's memory layout.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ __all__ = [
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
 # A batch of more than this many rows multiplies by a contiguous copy of
-# w.T, refilled on every pass.  On [3, 16, 8, 6] (one OpenBLAS thread,
-# 2-CPU x86-64) the copy's forward+backward was even at 64-256 rows and
-# 8-16% faster at 512-3,402 rows: below that the refill eats the gain.
+# w.T and adds the bias rows.  On [3, 16, 8, 6] (one OpenBLAS thread,
+# 2-CPU x86-64) the copy's forward+backward, refilled on every pass, was
+# even at 64-256 rows and 8-16% faster at 512-3,402 rows.
 CONTIGUOUS_ROWS = 256
 
 _BLOB_MAGIC = b"KFRM"
@@ -103,8 +107,15 @@ class Mlp:
     each layer's input gradient into a second set, one per layer.  Every
     buffer grows to the largest batch seen and is reused after that.
     A third set holds one (in, out) C-contiguous copy of ``w.T`` per
-    layer.  A batch of more than ``CONTIGUOUS_ROWS`` rows refills it from
-    ``params`` on every pass and multiplies by it; smaller batches, and
+    layer, and a fourth each layer's bias repeated down the rows of the
+    largest batch seen.  A batch of more than ``CONTIGUOUS_ROWS`` rows
+    multiplies by the copy and adds the bias rows to the layer output in
+    one flat ``+=``, the same single addition per entry as broadcasting
+    ``b``.  Such a batch first rebuilds both sets from ``params`` if
+    ``params`` differs bitwise from a snapshot taken at the last rebuild
+    (an optimizer step, a finite difference, ``params[:] = best``, a
+    ``bind``; a bias of -0.0 for +0.0 counts) or if it has more rows than
+    were built.  Smaller batches add ``b`` by broadcasting and, like
     layers where the copy could change bits (a width-one side, which
     numpy hands to gemv; see ``_copy_keeps_bits``), multiply by the
     ``w.T`` view.  ``backward`` copies a non-C-contiguous upstream first,
@@ -113,7 +124,7 @@ class Mlp:
     cache is spent by the next forward pass (see ``forward_cached``).
     One Mlp runs from one thread at a time; to run the same model from
     several threads, give each thread its own ``twin()``, which shares
-    ``params`` but has its own buffers of all three sets.
+    ``params`` but has its own buffers of all four sets.
     """
 
     def __init__(self, weights, biases, activation: str = "relu"):
@@ -140,6 +151,8 @@ class Mlp:
         self._grad_scratch = [np.empty((0, w.shape[1])) for w in self.weights]  # per layer input
         # per layer, (in, out); None where the copy could change bits
         self._wt = [np.empty(w.shape[::-1]) if _copy_keeps_bits(w) else None for w in self.weights]
+        self._bias_rows = [np.empty((0, w.shape[0])) for w in self.weights]  # per layer
+        self._built = None  # the bytes of params when _wt and _bias_rows were last rebuilt
         self._runs = 0  # forward passes so far; a cache records the count it was made at
 
     @classmethod
@@ -230,21 +243,37 @@ class Mlp:
         if not np.isfinite(a).all():
             raise ValueError("non-finite input")
         self._runs += 1
+        rows = a.shape[0]
+        large = rows > CONTIGUOUS_ROWS
+        if large:
+            self._rebuild_if_stale(rows)
         inputs: list[np.ndarray] = []
         last = self.num_layers - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(a)
-            wt = w.T
-            if a.shape[0] > CONTIGUOUS_ROWS and self._wt[l] is not None:
-                wt = self._wt[l]
-                np.copyto(wt, w.T)  # params may have changed in place since the last pass
+            wt = self._wt[l] if large and self._wt[l] is not None else w.T
             if l == last:
                 z = a @ wt
             else:
-                z = np.matmul(a, wt, out=_rows(self._scratch, l, a.shape[0]))
-            z += b
+                z = np.matmul(a, wt, out=_rows(self._scratch, l, rows))
+            z += self._bias_rows[l][:rows] if large else b
             a = _activate(self.activation, z) if l < last else z
         return (a[0] if single else a), (inputs, single, self._runs)
+
+    def _rebuild_if_stale(self, rows: int) -> None:
+        """Refill the ``w.T`` copies and the bias rows from ``params``
+        unless they were built from ``params`` with these very bits and
+        for at least ``rows`` rows."""
+        state = self.params.tobytes()
+        if state == self._built and rows <= self._bias_rows[0].shape[0]:
+            return
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if self._wt[l] is not None:
+                np.copyto(self._wt[l], w.T)
+            if self._bias_rows[l].shape[0] < rows:
+                self._bias_rows[l] = np.empty((rows, b.size))
+            self._bias_rows[l][...] = b
+        self._built = state
 
     def backward(self, cache, upstream, input_grad: bool = True):
         """Exact reverse-mode gradients of ``forward`` at the cached input.

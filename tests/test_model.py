@@ -137,6 +137,27 @@ class TestDataset:
         with pytest.raises(ValueError, match="label"):
             Dataset((small_item(rng, label=5),), num_classes=2)
 
+    @pytest.mark.parametrize("label", [1.0, True, np.float64(0.0), np.bool_(False), "1", None])
+    def test_a_label_that_is_not_an_integer_is_refused(self, label):
+        rng = np.random.default_rng(0)
+        items = (small_item(rng, label=0), small_item(rng, label=label))
+        with pytest.raises(ValueError) as info:
+            Dataset(items, num_classes=2)
+        assert str(info.value) == f"item 1: label {label!r} is not an integer"
+
+    @pytest.mark.parametrize("num_classes", [2.0, True, np.float64(2.0), "2", None])
+    def test_num_classes_that_is_not_an_integer_is_refused(self, num_classes):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError) as info:
+            Dataset((small_item(rng, label=0),), num_classes=num_classes)
+        assert str(info.value) == f"num_classes must be a positive integer, got {num_classes!r}"
+
+    def test_numpy_integer_labels_are_accepted(self):
+        rng = np.random.default_rng(0)
+        items = (small_item(rng, label=np.int64(1)), small_item(rng, label=np.uint8(0)))
+        data = Dataset(items, num_classes=np.int32(2))
+        assert data.labels().tolist() == [1, 0]
+
     def test_ambient_dims_must_agree(self):
         rng = np.random.default_rng(0)
         complex_ = build_complex([(0, 1)], num_vertices=2)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from kforms.data import SurfaceDatasetSpec, gen_surfaces
+from kforms.model import TrainConfig, build_classifier
 from kforms.nn import (
     CONTIGUOUS_ROWS,
     Adam,
@@ -17,6 +19,7 @@ from kforms.nn import (
     _activate_grad,
     _layer_views,
 )
+from kforms.quadrature import mlp_rows
 
 
 def reference_forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
@@ -276,10 +279,29 @@ def plain_pass(mlp: Mlp, x: np.ndarray, upstream: np.ndarray):
     return acts[-1], grad, dz
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bytes: -0.0 and +0.0 differ."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_like_fresh(mlp: Mlp, x: np.ndarray) -> None:
+    """A pass of ``mlp`` over ``x`` gives the bits of a new Mlp with the
+    same parameters, and leaves its ``w.T`` copies and bias rows holding
+    the bits of ``params``."""
+    out = mlp.forward(x)
+    assert same_bits(out, Mlp(mlp.weights, mlp.biases, mlp.activation).forward(x))
+    rows = x.shape[0]
+    for w, b, wt, bias_rows in zip(mlp.weights, mlp.biases, mlp._wt, mlp._bias_rows):
+        assert wt is None or same_bits(wt, np.ascontiguousarray(w.T))
+        assert same_bits(bias_rows[:rows], np.tile(b, (rows, 1)))
+
+
 class TestContiguousProducts:
     """Batches above ``CONTIGUOUS_ROWS`` rows multiply by a contiguous copy
-    of each ``w.T``, refilled on every pass, and ``backward`` sums the bias
-    gradient with einsum; neither may change a bit."""
+    of each ``w.T`` and add each bias from rows of copies, both rebuilt
+    only when ``params`` changes bitwise or the batch outgrows them, and
+    ``backward`` sums the bias gradient with einsum; none may change a
+    bit."""
 
     # the surfaces form MLP; one whose (16, 4) layer keeps w.T and whose
     # width-one layers run through gemv; a width-one hidden layer
@@ -321,15 +343,18 @@ class TestContiguousProducts:
             expected, expected_dx = mlp.backward(cache, np.ascontiguousarray(upstream))
             assert np.array_equal(grad, expected) and np.array_equal(dx, expected_dx)
 
-    def test_twin_has_its_own_transposed_weights(self):
+    def test_twin_has_its_own_transposed_weights_and_bias_rows(self):
         rng = np.random.default_rng(63)
         mlp = Mlp.init([3, 16, 8, 6], "relu", rng)
+        mlp.params += rng.normal(size=mlp.num_params)
         twin = mlp.twin()
-        assert all(wt is not None for wt in mlp._wt + twin._wt)
-        assert not any(np.shares_memory(a, b) for a in mlp._wt for b in twin._wt)
-        assert not any(np.shares_memory(wt, mlp.params) for wt in mlp._wt + twin._wt)
         x = rng.normal(size=(3402, 3))
         assert np.array_equal(twin.forward(x), mlp.forward(x))
+        for own in ("_wt", "_bias_rows"):
+            mine, theirs = getattr(mlp, own), getattr(twin, own)
+            assert all(a is not None and a.shape[0] > 0 for a in mine + theirs)
+            assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+            assert not any(np.shares_memory(a, mlp.params) for a in mine + theirs)
 
     @pytest.mark.parametrize("rows", [CONTIGUOUS_ROWS + 1, 3402])
     def test_in_place_steps_reach_the_next_pass(self, rows):
@@ -345,6 +370,69 @@ class TestContiguousProducts:
         mlp.params[:] = rng.normal(size=mlp.num_params)
         fresh = Mlp(mlp.weights, mlp.biases, mlp.activation)
         assert np.array_equal(mlp.forward(x), fresh.forward(x))
+
+    @pytest.mark.parametrize(
+        "kind, layer, entry",
+        [("weights", 0, (7, 1)), ("weights", 2, (5, 3)), ("biases", 1, 2), ("bind", None, None)],
+    )
+    def test_a_write_between_large_passes_reaches_the_next(self, kind, layer, entry):
+        rng = np.random.default_rng(65)
+        mlp = Mlp.init([3, 16, 8, 6], "tanh", rng)
+        mlp.params += 0.1 * rng.normal(size=mlp.num_params)
+        x = rng.normal(size=(CONTIGUOUS_ROWS + 1, 3))
+        assert_like_fresh(mlp, x)
+        if kind == "bind":
+            mlp.bind(mlp.params + 0.5)
+        else:
+            getattr(mlp, kind)[layer][entry] += 0.25
+        assert_like_fresh(mlp, x)
+
+    def test_a_bias_turned_to_negative_zero_counts_as_a_change(self):
+        mlp = Mlp.init([3, 16, 8, 6], "relu", np.random.default_rng(66))  # +0.0 biases
+        x = np.random.default_rng(67).normal(size=(3402, 3))
+        assert_like_fresh(mlp, x)
+        mlp.biases[0][4] = -0.0
+        assert_like_fresh(mlp, x)
+        assert np.signbit(mlp._bias_rows[0][:, 4]).all()
+
+    def test_a_larger_batch_rebuilds_the_bias_rows(self):
+        rng = np.random.default_rng(68)
+        mlp = Mlp.init([3, 16, 8, 6], "sigmoid", rng)
+        mlp.params += rng.normal(size=mlp.num_params)
+        for rows in (CONTIGUOUS_ROWS + 1, 3402, 1000, 3403):
+            assert_like_fresh(mlp, rng.normal(size=(rows, 3)))
+
+    def test_a_classifier_restoring_its_best_params_gets_fresh_bits(self):
+        cfg = TrainConfig(k=2, num_forms=2)
+        item = gen_surfaces(SurfaceDatasetSpec(samples_per_class=1)).items[0]
+        assert mlp_rows(2, cfg.steps, item.complex.num_simplices(2)) > CONTIGUOUS_ROWS
+        clf = build_classifier(3, 2, cfg, np.random.default_rng(69))
+        best = clf.params.copy()
+        clf.params += 0.01  # the optimizer's steps since the best epoch
+        clf.features(item)
+        clf.params[:] = best
+        fresh = build_classifier(3, 2, cfg, np.random.default_rng(70))
+        fresh.params[:] = best
+        assert same_bits(clf.features(item), fresh.features(item))
+
+    def test_forward_passes_between_steps_do_not_fault_pages(self):
+        resource = pytest.importorskip(
+            "resource", reason="needs resource.getrusage to count minor page faults"
+        )
+        # a surfaces item scored between optimizer steps: every pass rebuilds
+        rng = np.random.default_rng(71)
+        mlp = Mlp.init([3, 16, 8, 6], "relu", rng)
+        x, grad = rng.normal(size=(3402, 3)), rng.normal(size=mlp.num_params)
+        optimizer = Adam(mlp, lr=1e-3)
+        for _ in range(3):
+            mlp.forward(x)
+            optimizer.step(grad)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            mlp.forward(x)
+            optimizer.step(grad)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 500, f"{faults} minor page faults in 50 forward passes"
 
 
 class TestRowIndependence:

@@ -46,6 +46,20 @@ class TestSimplicialComplex:
         assert c.simplices(2) == ()
         assert c.num_simplices(7) == 0
 
+    @pytest.mark.parametrize("k", [1.0, True, False, "1", None, np.float64(1.0), np.bool_(True)])
+    @pytest.mark.parametrize("query", ["simplices", "num_simplices", "vertex_array"])
+    def test_a_dimension_that_is_not_an_integer_is_refused(self, query, k):
+        c = build_complex([(0, 1, 2)], num_vertices=3)
+        with pytest.raises(ValueError) as info:
+            getattr(c, query)(k)
+        assert str(info.value) == f"dimension {k!r} is not an integer"
+
+    @pytest.mark.parametrize("k", [1, np.int64(1), np.uint8(1)])
+    def test_numpy_integer_dimensions_are_accepted(self, k):
+        c = build_complex([(0, 1, 2)], num_vertices=3)
+        assert c.num_simplices(k) == 3 and c.simplices(k) == ((0, 1), (0, 2), (1, 2))
+        assert c.vertex_array(k) is c.vertex_array(1) and c.index_of(k, (1, 2)) == 2
+
     def test_input_arrays_are_copied(self):
         edges = np.array([[0, 1], [1, 2]])
         c = build_complex(edges, 3)
@@ -175,6 +189,12 @@ class TestIndexOf:
         with pytest.raises(ValueError) as info:
             self.c.index_of(k, simplex)
         assert str(info.value) == f"simplex {simplex} is not in the complex"
+
+    @pytest.mark.parametrize("k", [1.0, True])
+    def test_a_dimension_that_is_not_an_integer_is_refused(self, k):
+        with pytest.raises(ValueError) as info:
+            self.c.index_of(k, (0, 1))
+        assert str(info.value) == f"dimension {k!r} is not an integer"
 
     def test_any_sequence_is_accepted(self):
         assert self.c.index_of(1, [1, 2]) == 1
