@@ -14,6 +14,17 @@ numpy products release the interpreter lock, while a pass over a
 smaller item costs less than starting a thread.  Gradients and losses
 are still summed in item order, so every output is bit-identical to a
 one-thread run.
+
+The embedded simplices are fixed data, so ``train`` computes the
+simplex geometry of each split once, before its first evaluation: one
+``prepare_geometry`` call over the split's items that stay on the
+calling thread (at or below ``ROW_BUDGET`` rows), in split order.  Each
+such item becomes a ``_Prepared`` item holding its share of the two
+read-only arrays, which every training pass and every per-epoch
+evaluation then reuses; an evaluation chunk of consecutive items takes
+one slice of them.  Items above the budget compute their geometry on
+every pass, on their lanes.  The arrays are locals of ``train`` and are
+freed when it returns: no classifier or result keeps them.
 """
 
 from __future__ import annotations
@@ -34,11 +45,13 @@ from .nn import Mlp, make_optimizer, mlp_from_header, mlp_header, read_blob, wri
 from .quadrature import (
     DEFAULT_STEPS,
     ROW_BUDGET,
+    Geometry,
     integration_matrices,
     integration_matrix,
     integration_matrix_backward,
     integration_matrix_forward,
     mlp_rows,
+    prepare_geometry,
 )
 from .simplicial import ChainTuple, Embedding, SimplicialComplex, _is_int, standard_basis_chains
 
@@ -124,6 +137,20 @@ class Item:
     embedding: Embedding
     chains: ChainTuple
     label: int
+
+
+@dataclass(frozen=True)
+class _Prepared(Item):
+    """An item of a split ``train`` prepared, with its share of the
+    split's geometry."""
+
+    geometry: Geometry = field(compare=False, repr=False)
+
+
+def _share(item: Item) -> Geometry | None:
+    """The share of its split's geometry ``train`` prepared for
+    ``item``, or None."""
+    return item.geometry if isinstance(item, _Prepared) else None
 
 
 @dataclass(frozen=True)
@@ -296,7 +323,7 @@ class KFormClassifier:
     def features_each(self, items):
         """Yield ``features(item)`` for each item in turn, bit for bit; the
         integrations run in chunks across items (``integration_matrices``)."""
-        settings = ((it.complex, it.embedding, it.chains) for it in items)
+        settings = ((it.complex, it.embedding, it.chains, _share(it)) for it in items)
         for X in integration_matrices(self.form, settings, self.steps):
             yield readout_forward(self.readout, X)
 
@@ -307,7 +334,7 @@ class KFormClassifier:
 
     def forward_cached(self, item: Item):
         X, int_cache = integration_matrix_forward(
-            self.form, item.complex, item.embedding, item.chains, self.steps
+            self.form, item.complex, item.embedding, item.chains, self.steps, _share(item)
         )
         feats = readout_forward(self.readout, X)
         if self.head is None:
@@ -357,6 +384,27 @@ def item_workers() -> int:
         return os.cpu_count() or 1
 
 
+def _large(classifier: KFormClassifier, items: list) -> list:
+    """Positions of the items above ``ROW_BUDGET`` MLP rows."""
+    rows = mlp_rows(classifier.form.k, classifier.steps)
+    return [i for i, item in enumerate(items) if item.chains.used.size * rows > ROW_BUDGET]
+
+
+def _prepared(classifier: KFormClassifier, data: Dataset, indices) -> Dataset:
+    """The items of ``data`` at ``indices``, in order, those at or below
+    ``ROW_BUDGET`` MLP rows as ``_Prepared`` items sharing one
+    ``prepare_geometry`` call (see the module docstring)."""
+    items = [data.items[int(i)] for i in indices]
+    large = set(_large(classifier, items))
+    small = [(it.complex, it.embedding, it.chains) for pos, it in enumerate(items)
+             if pos not in large]
+    shares = iter(prepare_geometry(classifier.form, small, classifier.steps))
+    prepared = [it if pos in large else _Prepared(it.complex, it.embedding, it.chains, it.label,
+                                                  next(shares))
+                for pos, it in enumerate(items)]
+    return Dataset(tuple(prepared), data.num_classes)
+
+
 def _map_items(classifier: KFormClassifier, items: list, each):
     """The results of ``each(classifier, items)``, a generator yielding
     one result per item, in item order, bit for bit.
@@ -371,8 +419,7 @@ def _map_items(classifier: KFormClassifier, items: list, each):
     is raised.  With one lane this is ``each(classifier, items)``, run
     lazily on the calling thread.
     """
-    rows = mlp_rows(classifier.form.k, classifier.steps)
-    large = [i for i, item in enumerate(items) if item.chains.used.size * rows > ROW_BUDGET]
+    large = _large(classifier, items)
     lanes = min(len(large), item_workers()) if large else 1
     if lanes < 2:
         return each(classifier, items)
@@ -480,7 +527,9 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
     """Minibatch training with per-epoch train/val metrics (epoch 0 is
     the untrained model), lr halving on validation plateau, early
     stopping, and restoration of the best-validation parameters.
-    Train/val indices come from a seeded stratified split."""
+    Train/val indices come from a seeded stratified split.  Each split's
+    geometry is computed once, for every pass of the run (see the module
+    docstring)."""
     if data.chain_dim != cfg.k:
         raise ValueError(f"dataset chains have dimension {data.chain_dim}, config k={cfg.k}")
     rng = np.random.default_rng(cfg.seed)
@@ -490,12 +539,15 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
 
     classifier = build_classifier(data.ambient_dim, data.num_classes, cfg, rng)
     opt = make_optimizer(cfg.optimizer, classifier, cfg.lr)
+    train_set = _prepared(classifier, data, train_idx)
+    val_set = _prepared(classifier, data, val_idx)
+    by_index = dict(zip(train_idx.tolist(), train_set.items))
 
     history: list[dict] = []
 
     def record(epoch: int) -> EvalReport:
-        tr = evaluate(classifier, data, train_idx)
-        va = evaluate(classifier, data, val_idx)
+        tr = evaluate(classifier, train_set)
+        va = evaluate(classifier, val_set)
         for split, rep in (("train", tr), ("val", va)):
             history.append(
                 {
@@ -526,7 +578,7 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(train_idx)
         for start in range(0, order.size, cfg.batch_size):
-            batch = [data.items[int(i)] for i in order[start : start + cfg.batch_size]]
+            batch = [by_index[i] for i in order[start : start + cfg.batch_size].tolist()]
             share = 1.0 / len(batch)
             grad = np.zeros_like(classifier.params)
             for item_grad in _map_items(classifier, batch, gradients):

@@ -15,9 +15,10 @@ instead of one short loop per row.  Only batches above
 where it gives the view's bits (``_copy_keeps_bits``: never with a
 width-one side, which numpy hands to gemv).  Both are rebuilt only when
 ``params`` differs bitwise from its value at the last rebuild, which
-sees every in-place write an optimizer makes, or when a batch has more
-rows than were built.  The bias gradient adds the rows in order
-whatever the upstream's memory layout.
+sees every in-place write an optimizer makes, and then only the bias
+rows the batch uses; a larger batch under the same ``params`` fills just
+the rows it adds.  The bias gradient adds the rows in order whatever
+the upstream's memory layout.
 """
 
 from __future__ import annotations
@@ -114,11 +115,12 @@ class Mlp:
     ``b``.  Such a batch first rebuilds both sets from ``params`` if
     ``params`` differs bitwise from a snapshot taken at the last rebuild
     (an optimizer step, a finite difference, ``params[:] = best``, a
-    ``bind``; a bias of -0.0 for +0.0 counts) or if it has more rows than
-    were built.  Smaller batches add ``b`` by broadcasting and, like
-    layers where the copy could change bits (a width-one side, which
-    numpy hands to gemv; see ``_copy_keeps_bits``), multiply by the
-    ``w.T`` view.  ``backward`` copies a non-C-contiguous upstream first,
+    ``bind``; a bias of -0.0 for +0.0 counts), filling only the bias
+    rows the batch uses; a batch with more rows than were filled since
+    then fills just the rows it adds.  Smaller batches add ``b`` by
+    broadcasting and, like layers where the copy could change bits (a
+    width-one side, which numpy hands to gemv; see
+    ``_copy_keeps_bits``), multiply by the ``w.T`` view.  ``backward`` copies a non-C-contiguous upstream first,
     so the bias gradient adds rows in the same order for any layout.
     The forward output and the parameter gradient are fresh arrays.  A
     cache is spent by the next forward pass (see ``forward_cached``).
@@ -153,6 +155,7 @@ class Mlp:
         self._wt = [np.empty(w.shape[::-1]) if _copy_keeps_bits(w) else None for w in self.weights]
         self._bias_rows = [np.empty((0, w.shape[0])) for w in self.weights]  # per layer
         self._built = None  # the bytes of params when _wt and _bias_rows were last rebuilt
+        self._filled = 0  # rows of every _bias_rows[l] filled from those params
         self._runs = 0  # forward passes so far; a cache records the count it was made at
 
     @classmethod
@@ -261,19 +264,25 @@ class Mlp:
         return (a[0] if single else a), (inputs, single, self._runs)
 
     def _rebuild_if_stale(self, rows: int) -> None:
-        """Refill the ``w.T`` copies and the bias rows from ``params``
-        unless they were built from ``params`` with these very bits and
-        for at least ``rows`` rows."""
+        """Make the ``w.T`` copies and the first ``rows`` bias rows hold
+        ``params``: refill the copies and rows ``[0, rows)`` when
+        ``params`` changed bits since the last rebuild, else fill only
+        the rows ``[filled, rows)`` a larger batch adds.  Rows past the
+        filled count are never read."""
         state = self.params.tobytes()
-        if state == self._built and rows <= self._bias_rows[0].shape[0]:
+        if state != self._built:
+            for l, w in enumerate(self.weights):
+                if self._wt[l] is not None:
+                    np.copyto(self._wt[l], w.T)
+            self._built, self._filled = state, 0
+        if rows <= self._filled:
             return
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if self._wt[l] is not None:
-                np.copyto(self._wt[l], w.T)
-            if self._bias_rows[l].shape[0] < rows:
-                self._bias_rows[l] = np.empty((rows, b.size))
-            self._bias_rows[l][...] = b
-        self._built = state
+        if self._bias_rows[0].shape[0] < rows:  # every layer has as many rows
+            self._bias_rows = [np.empty((rows, b.size)) for b in self.biases]
+            self._filled = 0
+        for bias_rows, b in zip(self._bias_rows, self.biases):
+            bias_rows[self._filled : rows] = b
+        self._filled = rows
 
     def backward(self, cache, upstream, input_grad: bool = True):
         """Exact reverse-mode gradients of ``forward`` at the cached input.

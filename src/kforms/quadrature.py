@@ -12,21 +12,32 @@ node of weight 1/0! = 1: a 0-form integrates to its value at the vertex.
 
 One body computes every integration matrix.  It gathers items
 (complex, embedding, chains) in order into chunks of at most
-``ROW_BUDGET`` MLP rows, and per chunk runs one gather of the vertex
-coordinates (S, k+1, n) of the simplices the chains use, whose vertex
-differences are the affine Jacobians; one ``epsilon_all`` call for
-their column volumes (S, C); one broadcast matmul pushing the
-quadrature nodes into ambient space; and one MLP call.  The output is
-split at the item offsets, and per item a contraction of its own rows
-with the weights and volumes gives the per-simplex integrals, which its
-chain coefficients combine linearly.  An item whose chains are all empty
-uses no simplex and adds zero rows; its coefficients times the empty
-table are a zero matrix.  Items share nothing, so an item's matrix is
+``ROW_BUDGET`` MLP rows and runs each chunk in two steps.  The geometry
+step gathers the vertex coordinates (S, k+1, n) of the simplices the
+chains use, whose vertex differences are the affine Jacobians, and
+makes one ``epsilon_all`` call for their column volumes (S, C) and one
+broadcast matmul pushing the quadrature nodes into ambient space.  The
+contraction step makes one MLP call on the pushed nodes, splits its
+output at the item offsets and, per item, contracts its own rows with
+the weights and volumes into the per-simplex integrals, which its chain
+coefficients combine linearly.  An item whose chains are all empty uses
+no simplex and adds zero rows; its coefficients times the empty table
+are a zero matrix.  Items share nothing, so an item's matrix is
 bit-identical whichever chunk it lands in while ``Mlp.rows_independent``
 holds; otherwise every item runs alone.  The budget is fixed: larger
-chunks ran slower per item, the MLP being memory-bound.
-The used simplices, their coefficient matrix and the simplex vertex
-indices are read from the data objects, which build them once.
+chunks ran slower per item, the MLP being memory-bound.  The used
+simplices, their coefficient matrix and the simplex vertex indices are
+read from the data objects, which build them once.
+
+Embedded simplices are fixed data, so their geometry never changes
+while a form learns.  ``prepare_geometry`` runs the geometry step once
+over many items and hands each its ``Geometry``: its share of one
+read-only array of pushed nodes and one of column volumes.  An item
+given its ``Geometry`` skips the geometry step, and a chunk of items
+whose shares follow one another in the same arrays takes one slice of
+each, with no gather or concatenation; the slices hold the bits the
+step would compute.  Training prepares each split this way once per
+run (``kforms.model.train``).
 
 There is one pass: the MLP always runs ``Mlp.forward_cached``, and
 the body returns a cache ``(lam, weights, eps, mlp_cache)`` per item:
@@ -45,6 +56,7 @@ import itertools
 import math
 import numbers
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +71,8 @@ __all__ = [
     "integration_matrix_forward",
     "integration_matrix_backward",
     "mlp_rows",
+    "Geometry",
+    "prepare_geometry",
 ]
 
 DEFAULT_STEPS = 5
@@ -147,12 +161,25 @@ def integrate_simplex(
     return float(np.einsum("t,tr,r->", weights, scal[:, j, :], eps))
 
 
+class Geometry(NamedTuple):
+    """One item's share of ``prepare_geometry``'s arrays: simplices
+    ``start:stop`` of the read-only pushed quadrature nodes ``points``
+    (simplices * N, n), N nodes per simplex, and column volumes ``eps``
+    (simplices, C)."""
+
+    points: np.ndarray
+    eps: np.ndarray
+    start: int
+    stop: int
+
+
 def integration_matrix_forward(
     form: NeuralKForm,
     complex_: SimplicialComplex,
     embedding: Embedding,
     chains,
     h: int = DEFAULT_STEPS,
+    geometry: Geometry | None = None,
 ):
     """Integration matrix X with X[i, j] = integral of form j over chain
     i, plus a cache for the backward pass.
@@ -164,8 +191,11 @@ def integration_matrix_forward(
     integrals.  For k = 0 the rule is one node of weight 1 and every
     column volume is 1, so X holds the MLP values at the vertices bit for
     bit; only a vertex coordinate of -0.0 reaches the MLP as +0.0.
+    ``geometry``, the item's share of a ``prepare_geometry`` call with
+    this form and h, replaces the geometry step; X keeps its bits.
     """
-    ((X, cache),) = _integrate(form, h, [_entry(form, complex_, embedding, chains)])
+    entry = _entry(form, complex_, embedding, chains, geometry)
+    ((X, cache),) = _integrate(form, h, [entry])
     return X, cache
 
 
@@ -183,15 +213,36 @@ def integration_matrix(
 
 def integration_matrices(form: NeuralKForm, settings, h: int = DEFAULT_STEPS):
     """Yield ``integration_matrix(form, *setting, h)`` for each
-    (complex, embedding, chains) setting in turn, bit for bit."""
+    (complex, embedding, chains) setting in turn, bit for bit.  A
+    setting may end in the item's ``Geometry`` (see
+    ``integration_matrix_forward``)."""
     for chunk in _chunks(form, settings, h):
         for X, _ in _integrate(form, h, chunk):
             yield X
 
 
-def _entry(form, complex_, embedding, chains):
+def prepare_geometry(form: NeuralKForm, settings, h: int = DEFAULT_STEPS) -> list:
+    """The ``Geometry`` of each (complex, embedding, chains) setting, in
+    order: one geometry step over them all, whose two arrays are made
+    read-only and shared by every setting's ``Geometry``.  They take
+    about 8 * n bytes per MLP row the settings run."""
+    entries = [_entry(form, *setting) for setting in settings]
+    if not entries:
+        return []
+    points, eps = _geometry(form, quadrature_rule(form.k, h)[0], entries)
+    points.setflags(write=False)
+    eps.setflags(write=False)
+    shares, start = [], 0
+    for _, _, used, _, _ in entries:
+        shares.append(Geometry(points, eps, start, start + used.size))
+        start += used.size
+    return shares
+
+
+def _entry(form, complex_, embedding, chains, geometry=None):
     """Check one item; return its vertex coordinates, the vertex indices
-    of the simplices its chains use and ``lam``."""
+    of the complex's k-simplices, the simplices its chains use, ``lam``
+    and ``geometry``."""
     if not isinstance(chains, ChainTuple):
         chains = ChainTuple(tuple(chains))
     k = form.k
@@ -202,7 +253,11 @@ def _entry(form, complex_, embedding, chains):
     num_simplices = complex_.num_simplices(k)
     if used.size and used[-1] >= num_simplices:
         raise ValueError(f"chain references simplex {used[-1]}, complex has {num_simplices}")
-    return embedding.coords, complex_.vertex_array(k)[used], chains.lam
+    if geometry is not None and geometry.stop - geometry.start != used.size:
+        raise ValueError(
+            f"geometry of {geometry.stop - geometry.start} simplices for chains using {used.size}"
+        )
+    return embedding.coords, complex_.vertex_array(k), used, chains.lam, geometry
 
 
 def mlp_rows(k: int, h: int, num_simplices: int = 1) -> int:
@@ -211,9 +266,19 @@ def mlp_rows(k: int, h: int, num_simplices: int = 1) -> int:
     return num_simplices * len(quadrature_rule(k, h)[1])
 
 
+def _follows(before, after) -> bool:
+    """Whether an item of geometry ``after`` may join a chunk ending in
+    one of geometry ``before``: both are computed in the chunk, or
+    ``after`` is the next share of the same prepared arrays."""
+    if before is None or after is None:
+        return before is after
+    return after.points is before.points and after.start == before.stop
+
+
 def _chunks(form, settings, h):
     """Yield the checked items of ``settings`` in order, in lists of at
-    most ``ROW_BUDGET`` MLP rows.  An item larger than the budget is a
+    most ``ROW_BUDGET`` MLP rows whose geometry is computed together or
+    is one run of prepared shares.  An item larger than the budget is a
     chunk of its own; so are a one-row item (BLAS gemv) and every item of
     an MLP without ``Mlp.rows_independent``: there a row's value can
     depend on the rows around it."""
@@ -222,8 +287,9 @@ def _chunks(form, settings, h):
     chunk, rows = [], 0
     for setting in settings:
         entry = _entry(form, *setting)
-        size = entry[1].shape[0] * nodes
-        if chunk and (rows + size > budget or 1 in (rows, size)):
+        size = entry[2].size * nodes
+        if chunk and (rows + size > budget or 1 in (rows, size)
+                      or not _follows(chunk[-1][4], entry[4])):
             yield chunk
             chunk, rows = [], 0
         chunk.append(entry)
@@ -232,21 +298,34 @@ def _chunks(form, settings, h):
         yield chunk
 
 
+def _geometry(form, nodes, chunk):
+    """The geometry step over the simplices of a chunk's items, in order:
+    the quadrature ``nodes`` (N, k) pushed into ambient space (S*N, n)
+    and column volumes (S, C)."""
+    gathered = [coords[simplices[used]] for coords, simplices, used, _, _ in chunk]
+    V = gathered[0] if len(gathered) == 1 else np.concatenate(gathered)  # (S, k+1, n)
+    Dt = V[:, 1:] - V[:, :1]  # (S, k, n): transposed Jacobians
+    eps = epsilon_all(Dt.swapaxes(1, 2), form.table)  # (S, C)
+    points = (V[:, :1] + nodes @ Dt).reshape(V.shape[0] * len(nodes), form.n)
+    return points, eps
+
+
 def _integrate(form, h, chunk) -> list:
     """(X, cache) per item of a chunk (see the module docstring).  The
     chunk shares one MLP cache, so a cache can go to the backward pass
     only when the chunk holds one item."""
-    gathered = [coords[verts] for coords, verts, _ in chunk]
-    V = gathered[0] if len(gathered) == 1 else np.concatenate(gathered)  # (S, k+1, n)
     nodes, weights = quadrature_rule(form.k, h)
     N, width = len(weights), form.psi.out_dim
-    Dt = V[:, 1:] - V[:, :1]  # (S, k, n): transposed Jacobians
-    eps = epsilon_all(Dt.swapaxes(1, 2), form.table)  # (S, C)
-    points = (V[:, :1] + nodes @ Dt).reshape(V.shape[0] * N, form.n)  # (S*N, n)
+    first, last = chunk[0][4], chunk[-1][4]
+    if first is None:
+        points, eps = _geometry(form, nodes, chunk)
+    else:  # one run of prepared shares (_chunks)
+        points = first.points[first.start * N : last.stop * N]
+        eps = first.eps[first.start : last.stop]
     out, mlp_cache = form.psi.forward_cached(points)
     results, start = [], 0
-    for _, verts, lam in chunk:
-        S = verts.shape[0]
+    for _, _, used, lam, _ in chunk:
+        S = used.size
         stop = start + S
         # np.tensordot(weights, scal, (0, 1)) for scal (S, N, l, C), as the
         # one np.dot call it makes, without its per-call Python overhead

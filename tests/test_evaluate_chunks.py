@@ -255,3 +255,55 @@ def test_chunked_features_match_per_item_on_random_complexes(case, budget, activ
         assert_chunked_matches_per_item(classifier, items)
     finally:
         quadrature.ROW_BUDGET = saved
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_prepared_geometry_keeps_the_bits_and_the_chunks(form_calls, k):
+    items = mixed_items(np.random.default_rng(13), k)
+    form = classifier_for(k, "tanh", "column_l1", use_head=True).form
+    settings = [(it.complex, it.embedding, it.chains) for it in items]
+    form_calls.clear()
+    expected = list(quadrature.integration_matrices(form, settings))
+    computed_calls = list(form_calls)
+    shares = quadrature.prepare_geometry(form, settings)
+    assert [s.stop - s.start for s in shares] == [it.chains.used.size for it in items]
+    assert len({id(s.points) for s in shares}) == 1  # one pass over every item
+    form_calls.clear()
+    prepared = list(quadrature.integration_matrices(
+        form, [(*setting, share) for setting, share in zip(settings, shares)]))
+    assert form_calls == computed_calls  # one slice per chunk of the same items
+    assert all(same_bits(X, Y) for X, Y in zip(prepared, expected))
+    for setting, share, X in zip(settings, shares, expected):
+        Y, _ = quadrature.integration_matrix_forward(form, *setting, quadrature.DEFAULT_STEPS, share)
+        assert same_bits(Y, X)
+
+
+def test_shares_out_of_order_or_mixed_with_computed_items_run_apart(form_calls):
+    items = mixed_items(np.random.default_rng(14), 1)
+    form = classifier_for(1, "relu", "column_sum", use_head=False).form
+    settings = [(it.complex, it.embedding, it.chains) for it in items]
+    expected = [quadrature.integration_matrix(form, *setting) for setting in settings]
+    shares = quadrature.prepare_geometry(form, settings)
+    order = [1, 2, 0, 5, 6, 9, 10, 4]
+    mixed = [(*settings[i], shares[i] if i % 3 else None) for i in order]
+    form_calls.clear()
+    matrices = list(quadrature.integration_matrices(form, mixed))
+    assert all(same_bits(X, expected[i]) for X, i in zip(matrices, order))
+    # 2 follows on from 1 and 9 is computed with 6; no other pair shares a chunk
+    rows = [item_rows(item, 1) for item in items]
+    assert form_calls == [rows[1] + rows[2], rows[0], rows[5], rows[6] + rows[9], rows[10], rows[4]]
+
+
+def test_geometry_of_another_item_is_refused():
+    items = mixed_items(np.random.default_rng(15), 1)
+    form = classifier_for(1, "relu", "column_sum", use_head=False).form
+    settings = [(it.complex, it.embedding, it.chains) for it in items[:3]]
+    shares = quadrature.prepare_geometry(form, settings)
+    with pytest.raises(ValueError, match="geometry of"):
+        quadrature.integration_matrix_forward(form, *settings[0], quadrature.DEFAULT_STEPS,
+                                              shares[1])
+    assert quadrature.prepare_geometry(form, []) == []

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -24,8 +26,11 @@ from kforms.model import (
     stratified_split,
     train,
 )
+import kforms.model as model
+import kforms.quadrature as quadrature
 from kforms.nn import Adam, Mlp, Sgd, read_blob
 from kforms.simplicial import Embedding, apply_matrix_left, build_complex, standard_basis_chains
+from test_pinned_training import CONFIG as MIXED_CONFIG, mixed_dataset
 
 
 def tiny_paths(samples=8, points=6, seed=0) -> Dataset:
@@ -478,6 +483,51 @@ class TestTrain:
         )
         with pytest.raises(TrainingDivergence):
             train(cfg, data)
+
+
+class TestPreparedGeometry:
+    """``train`` computes each split's geometry once, in read-only arrays
+    that live only while it runs."""
+
+    def test_one_geometry_step_per_split(self, monkeypatch):
+        steps = []
+        original = quadrature.epsilon_all
+        monkeypatch.setattr(quadrature, "epsilon_all",
+                            lambda *args: steps.append(1) or original(*args))
+        train(TrainConfig(max_epochs=3, hidden_dim=4, num_forms=3, use_head=False), tiny_paths())
+        assert len(steps) == 2  # every item of tiny paths is below ROW_BUDGET
+
+    def test_arrays_are_read_only_and_freed_when_train_returns(self, monkeypatch):
+        monkeypatch.setattr(model, "item_workers", lambda: 2)  # twins for the large items
+        arrays, alive = [], []
+        prepare, evaluate_ = model.prepare_geometry, model.evaluate
+
+        def recording_prepare(*args):
+            shares = prepare(*args)
+            for array in (shares[0].points, shares[0].eps):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+                arrays.append(weakref.ref(array))
+            return shares
+
+        def recording_evaluate(*args):
+            alive.append(all(ref() is not None for ref in arrays))
+            return evaluate_(*args)
+
+        monkeypatch.setattr(model, "prepare_geometry", recording_prepare)
+        monkeypatch.setattr(model, "evaluate", recording_evaluate)
+        result = train(MIXED_CONFIG, mixed_dataset())
+        assert len(result.classifier._twins) == 1
+        assert len(arrays) == 4 and len(alive) == 2 * (MIXED_CONFIG.max_epochs + 1) and all(alive)
+        gc.collect()
+        assert [ref() for ref in arrays] == [None] * 4  # not even the result holds them
+
+    def test_two_runs_on_one_dataset_are_byte_identical(self):
+        data = mixed_dataset()
+        first, second = train(MIXED_CONFIG, data), train(MIXED_CONFIG, data)
+        assert first.history == second.history
+        assert first.classifier.params.tobytes() == second.classifier.params.tobytes()
+        assert (first.best_epoch, first.best_val_loss) == (second.best_epoch, second.best_val_loss)
 
 
 class TestKFoldCv:

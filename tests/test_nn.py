@@ -402,6 +402,21 @@ class TestContiguousProducts:
         for rows in (CONTIGUOUS_ROWS + 1, 3402, 1000, 3403):
             assert_like_fresh(mlp, rng.normal(size=(rows, 3)))
 
+    def test_a_step_refills_only_the_bias_rows_a_batch_uses(self):
+        rng = np.random.default_rng(71)
+        mlp = Mlp.init([3, 16, 8, 6], "relu", rng)
+        mlp.params += 0.1 * rng.normal(size=mlp.num_params)
+        x = rng.normal(size=(2048, 3))
+        assert_like_fresh(mlp, x)
+        before = [b.copy() for b in mlp.biases]
+        Adam(mlp, 0.01).step(rng.normal(size=mlp.num_params))
+        assert_like_fresh(mlp, x[:300])
+        for old, bias_rows in zip(before, mlp._bias_rows):
+            assert same_bits(bias_rows[300:], np.tile(old, (2048 - 300, 1)))  # left as they were
+            bias_rows[300:] = np.nan  # a pass that read them would return NaN
+        assert_like_fresh(mlp, x[:300])
+        assert_like_fresh(mlp, x)  # the same params: fills rows 300..2047 only
+
     def test_a_classifier_restoring_its_best_params_gets_fresh_bits(self):
         cfg = TrainConfig(k=2, num_forms=2)
         item = gen_surfaces(SurfaceDatasetSpec(samples_per_class=1)).items[0]
