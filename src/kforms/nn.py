@@ -8,12 +8,12 @@ used at initialization.
 
 Each Mlp keeps four sets of buffers: hidden activations, layer input
 gradients, a C-contiguous copy of every ``w.T``, which numpy multiplies
-about twice as fast as the transposed view, and every bias repeated
-down the rows, which numpy adds to a layer output in one flat pass
-instead of one short loop per row.  Only batches above
-``CONTIGUOUS_ROWS`` rows use the last two, and the copy only on layers
-where it gives the view's bits (``_copy_keeps_bits``: never with a
-width-one side, which numpy hands to gemv).  Both are rebuilt only when
+faster than the transposed view, and every bias repeated down the rows,
+which numpy adds to a layer output in one flat pass instead of one short
+loop per row.  Every batch of two or more rows uses the last two, and
+the copy only on layers where it gives the view's bits
+(``_copy_keeps_bits``); a one-row batch, which numpy hands to gemv,
+keeps the view and the broadcast bias.  Both are rebuilt only when
 ``params`` differs bitwise from its value at the last rebuild, which
 sees every in-place write an optimizer makes, and then only the bias
 rows the batch uses; a larger batch under the same ``params`` fills just
@@ -42,11 +42,6 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
-# A batch of more than this many rows multiplies by a contiguous copy of
-# w.T and adds the bias rows.  On [3, 16, 8, 6] (one OpenBLAS thread,
-# 2-CPU x86-64) the copy's forward+backward, refilled on every pass, was
-# even at 64-256 rows and 8-16% faster at 512-3,402 rows.
-CONTIGUOUS_ROWS = 256
 
 _BLOB_MAGIC = b"KFRM"
 
@@ -109,19 +104,19 @@ class Mlp:
     buffer grows to the largest batch seen and is reused after that.
     A third set holds one (in, out) C-contiguous copy of ``w.T`` per
     layer, and a fourth each layer's bias repeated down the rows of the
-    largest batch seen.  A batch of more than ``CONTIGUOUS_ROWS`` rows
-    multiplies by the copy and adds the bias rows to the layer output in
-    one flat ``+=``, the same single addition per entry as broadcasting
-    ``b``.  Such a batch first rebuilds both sets from ``params`` if
-    ``params`` differs bitwise from a snapshot taken at the last rebuild
-    (an optimizer step, a finite difference, ``params[:] = best``, a
-    ``bind``; a bias of -0.0 for +0.0 counts), filling only the bias
-    rows the batch uses; a batch with more rows than were filled since
-    then fills just the rows it adds.  Smaller batches add ``b`` by
-    broadcasting and, like layers where the copy could change bits (a
-    width-one side, which numpy hands to gemv; see
-    ``_copy_keeps_bits``), multiply by the ``w.T`` view.  ``backward`` copies a non-C-contiguous upstream first,
-    so the bias gradient adds rows in the same order for any layout.
+    largest batch seen.  A batch of two or more rows multiplies by the
+    copy and adds the bias rows to the layer output in one flat ``+=``,
+    the same single addition per entry as broadcasting ``b``.  Such a
+    batch first rebuilds both sets from ``params`` if ``params`` differs
+    bitwise from a snapshot taken at the last rebuild (an optimizer
+    step, a finite difference, ``params[:] = best``, a ``bind``; a bias
+    of -0.0 for +0.0 counts), filling only the bias rows the batch uses;
+    a batch with more rows than were filled since then fills just the
+    rows it adds.  A one-row batch adds ``b`` by broadcasting and, like
+    layers where the copy could change bits (see ``_copy_keeps_bits``),
+    multiplies by the ``w.T`` view.  ``backward`` copies a
+    non-C-contiguous upstream first, so the bias gradient adds rows in
+    the same order for any layout.
     The forward output and the parameter gradient are fresh arrays.  A
     cache is spent by the next forward pass (see ``forward_cached``).
     One Mlp runs from one thread at a time; to run the same model from
@@ -247,19 +242,19 @@ class Mlp:
             raise ValueError("non-finite input")
         self._runs += 1
         rows = a.shape[0]
-        large = rows > CONTIGUOUS_ROWS
-        if large:
+        multi = rows > 1
+        if multi:
             self._rebuild_if_stale(rows)
         inputs: list[np.ndarray] = []
         last = self.num_layers - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(a)
-            wt = self._wt[l] if large and self._wt[l] is not None else w.T
+            wt = self._wt[l] if multi and self._wt[l] is not None else w.T
             if l == last:
                 z = a @ wt
             else:
                 z = np.matmul(a, wt, out=_rows(self._scratch, l, rows))
-            z += self._bias_rows[l][:rows] if large else b
+            z += self._bias_rows[l][:rows] if multi else b
             a = _activate(self.activation, z) if l < last else z
         return (a[0] if single else a), (inputs, single, self._runs)
 
@@ -323,9 +318,9 @@ class Mlp:
 
 def _copy_keeps_bits(w: np.ndarray) -> bool:
     """Whether ``a @ wt``, for ``wt`` a C-contiguous copy of ``w.T``, is
-    known to give the bits of ``a @ w.T`` for batches of more than
-    ``CONTIGUOUS_ROWS`` rows.  A width-one side makes numpy call BLAS
-    gemv, whose value for a row can depend on the rows around it.
+    known to give the bits of ``a @ w.T`` for batches of two or more
+    rows.  A width-one side makes numpy call BLAS gemv, whose value for
+    a row can depend on the rows around it.
     OpenBLAS's dgemm (0.3.31, SkylakeX kernels) runs the two layouts
     through kernels that round differently when the fan-in is 16 or more
     and the fan-out is not a multiple of 8; below 16, or at a multiple of

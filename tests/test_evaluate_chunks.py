@@ -20,7 +20,7 @@ from kforms.model import (
     cross_entropy,
     evaluate,
 )
-from kforms.nn import CONTIGUOUS_ROWS, Mlp
+from kforms.nn import Mlp
 from kforms.simplicial import Chain, ChainTuple, Embedding, build_complex, standard_basis_chains
 
 NUM_CLASSES = 3
@@ -153,17 +153,19 @@ def test_default_budget_with_an_oversized_item(form_calls):
 
 @pytest.mark.parametrize("hidden_dim", [16, 24, 64])
 def test_chunks_on_contiguous_weights_match_per_item(form_calls, hidden_dim):
-    """A chunk of more than ``CONTIGUOUS_ROWS`` rows multiplies by
-    contiguous copies of the weights and a small item alone by ``w.T``;
-    the bits agree, also at hidden width 24, whose (24, 12) layer keeps
-    ``w.T`` because a copy would not give its bits, and at hidden width
-    64, whose fan-in makes every item run alone."""
+    """A chunk of several items multiplies by contiguous copies of the
+    weights, as does each multi-row item alone; the bits agree, also at
+    hidden width 24, whose (24, 12) layer keeps ``w.T`` because a copy
+    would not give its bits, and at hidden width 64, whose fan-in makes
+    every item run alone."""
     items = mixed_items(np.random.default_rng(11), 1)
     classifier = classifier_for(1, "tanh", "column_l2", use_head=True, hidden_dim=hidden_dim)
     form_calls.clear()
     list(classifier.features_each(items))
-    assert max(form_calls) > CONTIGUOUS_ROWS
-    assert any(0 < item_rows(item, 1) <= CONTIGUOUS_ROWS for item in items)
+    sizes = {item_rows(item, 1) for item in items} - {0, 1}
+    assert len(sizes) > 1  # multi-row items of different sizes ...
+    if classifier.form.psi.rows_independent:
+        assert max(form_calls) > max(sizes)  # ... sharing a chunk
     assert_chunked_matches_per_item(classifier, items)
 
 

@@ -4,7 +4,6 @@ import pytest
 from kforms.data import SurfaceDatasetSpec, gen_surfaces
 from kforms.model import TrainConfig, build_classifier
 from kforms.nn import (
-    CONTIGUOUS_ROWS,
     Adam,
     Mlp,
     Sgd,
@@ -297,8 +296,8 @@ def assert_like_fresh(mlp: Mlp, x: np.ndarray) -> None:
 
 
 class TestContiguousProducts:
-    """Batches above ``CONTIGUOUS_ROWS`` rows multiply by a contiguous copy
-    of each ``w.T`` and add each bias from rows of copies, both rebuilt
+    """Batches of two or more rows multiply by a contiguous copy of each
+    ``w.T`` and add each bias from rows of copies, both rebuilt
     only when ``params`` changes bitwise or the batch outgrows them, and
     ``backward`` sums the bias gradient with einsum; none may change a
     bit."""
@@ -307,7 +306,7 @@ class TestContiguousProducts:
     # width-one layers run through gemv; a width-one hidden layer
     DIMS = ([3, 16, 8, 6], [3, 16, 4, 1], [2, 1, 16, 3])
 
-    @pytest.mark.parametrize("rows", [1, CONTIGUOUS_ROWS, CONTIGUOUS_ROWS + 1, 3402])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 186, 257, 3402])
     @pytest.mark.parametrize("dims", DIMS)
     @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
     def test_pass_matches_plain_products_bit_for_bit(self, act, dims, rows):
@@ -320,6 +319,31 @@ class TestContiguousProducts:
         assert np.array_equal(out, expected_out)
         assert np.array_equal(grad, expected_grad)
         assert np.array_equal(dx, expected_dx)
+
+    # the default form MLPs of paths, surfaces and graphs, and a graphs head
+    WORKLOAD_DIMS = ([2, 16, 8, 3], [3, 16, 8, 6], [3, 16, 8, 24], [8, 16, 8, 2])
+
+    @pytest.mark.parametrize("dims", WORKLOAD_DIMS)
+    def test_every_small_batch_matches_plain_products_bit_for_bit(self, dims):
+        rng = np.random.default_rng(72)
+        mlp = Mlp.init(dims, "relu", rng)
+        mlp.params += 0.1 * rng.normal(size=mlp.num_params)  # nonzero biases
+        x = rng.normal(size=(300, dims[0]))
+        upstream = rng.normal(size=(300, dims[-1]))
+        for rows in range(2, 301):
+            out, _, grad, dx = train_pass(mlp, x[:rows], upstream[:rows])
+            expected_out, expected_grad, expected_dx = plain_pass(mlp, x[:rows], upstream[:rows])
+            assert same_bits(out, expected_out), rows
+            assert same_bits(grad, expected_grad), rows
+            assert same_bits(dx, expected_dx), rows
+
+    @pytest.mark.parametrize("rows", [1, 2, 186])
+    def test_a_multi_row_pass_fills_the_bias_rows_and_a_one_row_pass_does_not(self, rows):
+        mlp = Mlp.init([2, 16, 8, 3], "relu", np.random.default_rng(73))
+        mlp.forward_cached(np.random.default_rng(74).normal(size=(rows, 2)))
+        multi = rows > 1
+        assert (mlp._filled == rows) is multi
+        assert (mlp._built is not None) is multi
 
     def test_copies_only_where_the_bits_hold(self):
         mlp = Mlp.init([3, 16, 8, 4, 1, 8], "relu", np.random.default_rng(61))
@@ -356,7 +380,7 @@ class TestContiguousProducts:
             assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
             assert not any(np.shares_memory(a, mlp.params) for a in mine + theirs)
 
-    @pytest.mark.parametrize("rows", [CONTIGUOUS_ROWS + 1, 3402])
+    @pytest.mark.parametrize("rows", [2, 186, 3402])
     def test_in_place_steps_reach_the_next_pass(self, rows):
         rng = np.random.default_rng(64)
         mlp = Mlp.init([3, 16, 8, 6], "sigmoid", rng)
@@ -375,11 +399,11 @@ class TestContiguousProducts:
         "kind, layer, entry",
         [("weights", 0, (7, 1)), ("weights", 2, (5, 3)), ("biases", 1, 2), ("bind", None, None)],
     )
-    def test_a_write_between_large_passes_reaches_the_next(self, kind, layer, entry):
+    def test_a_write_between_passes_reaches_the_next(self, kind, layer, entry):
         rng = np.random.default_rng(65)
         mlp = Mlp.init([3, 16, 8, 6], "tanh", rng)
         mlp.params += 0.1 * rng.normal(size=mlp.num_params)
-        x = rng.normal(size=(CONTIGUOUS_ROWS + 1, 3))
+        x = rng.normal(size=(186, 3))
         assert_like_fresh(mlp, x)
         if kind == "bind":
             mlp.bind(mlp.params + 0.5)
@@ -399,7 +423,7 @@ class TestContiguousProducts:
         rng = np.random.default_rng(68)
         mlp = Mlp.init([3, 16, 8, 6], "sigmoid", rng)
         mlp.params += rng.normal(size=mlp.num_params)
-        for rows in (CONTIGUOUS_ROWS + 1, 3402, 1000, 3403):
+        for rows in (2, 186, 3402, 1000, 3403):
             assert_like_fresh(mlp, rng.normal(size=(rows, 3)))
 
     def test_a_step_refills_only_the_bias_rows_a_batch_uses(self):
@@ -420,7 +444,7 @@ class TestContiguousProducts:
     def test_a_classifier_restoring_its_best_params_gets_fresh_bits(self):
         cfg = TrainConfig(k=2, num_forms=2)
         item = gen_surfaces(SurfaceDatasetSpec(samples_per_class=1)).items[0]
-        assert mlp_rows(2, cfg.steps, item.complex.num_simplices(2)) > CONTIGUOUS_ROWS
+        assert mlp_rows(2, cfg.steps, item.complex.num_simplices(2)) > 1
         clf = build_classifier(3, 2, cfg, np.random.default_rng(69))
         best = clf.params.copy()
         clf.params += 0.01  # the optimizer's steps since the best epoch

@@ -2,12 +2,12 @@
 contiguous ``w.T`` copies and broadcast each bias on every pass.
 
 ``data/pinned_large_batch.json`` holds SHA-256 digests of what that
-commit computed on batches far above ``CONTIGUOUS_ROWS``: the
-integration matrices of the 200 seed-0 default ``gen_surfaces`` items
-(3,402 MLP rows each) under ``data/form.kfc`` at 5 steps, and a seeded
+commit computed on batches of thousands of rows: the integration
+matrices of the 200 seed-0 default ``gen_surfaces`` items (3,402 MLP
+rows each) under ``data/form.kfc`` at 5 steps, and a seeded
 ``[3, 16, 8, 6]`` relu MLP on 3,402 seeded rows, before and after its
 parameters are rewritten in place.  The digests were written once and
-are never regenerated: a change to the large-batch path must reproduce
+are never regenerated: a change to the multi-row path must reproduce
 every bit.
 
     PYTHONPATH=src python3 tests/test_pinned_large_batch.py
