@@ -13,21 +13,40 @@ node of weight 1/0! = 1: a 0-form integrates to its value at the vertex.
 One body computes every integration matrix.  It gathers items
 (complex, embedding, chains) in order into chunks of at most
 ``ROW_BUDGET`` MLP rows and runs each chunk in two steps.  The geometry
-step gathers the vertex coordinates (S, k+1, n) of the simplices the
-chains use, whose vertex differences are the affine Jacobians, and
-makes one ``epsilon_all`` call for their column volumes (S, C) and one
-broadcast matmul pushing the quadrature nodes into ambient space.  The
-contraction step makes one MLP call on the pushed nodes, splits its
-output at the item offsets and, per item, contracts its own rows with
-the weights and volumes into the per-simplex integrals, which its chain
-coefficients combine linearly.  An item whose chains are all empty uses
-no simplex and adds zero rows; its coefficients times the empty table
-are a zero matrix.  Items share nothing, so an item's matrix is
-bit-identical whichever chunk it lands in while ``Mlp.rows_independent``
-holds; otherwise every item runs alone.  The budget is fixed: larger
-chunks ran slower per item, the MLP being memory-bound.  The used
-simplices, their coefficient matrix and the simplex vertex indices are
-read from the data objects, which build them once.
+step gathers the vertex coordinates (k+1, S, n) of the simplices the
+chains use, vertex first, whose differences from vertex 0 are the
+transposed affine Jacobians (k, S, n).  It makes one ``epsilon_all``
+call on a transposed view of them for the column volumes (S, C), and per
+item one GEMM pushing the quadrature nodes (N, k) into ambient space:
+the nodes times the item's Jacobians (k, S_i * n), plus its base
+vertices, is the item's block of N * S_i rows of n coordinates, node
+first (row t * S_i + s is node t on simplex s).  The contraction step
+makes one MLP call on the pushed nodes and, per item, contracts its own
+rows with the weights, one dot of (1, N) with (N, S_i * l * C), and with
+the volumes into the per-simplex integrals, which its chain coefficients
+combine linearly.  An item whose chains are all empty uses no simplex
+and adds zero rows; its coefficients times the empty table are a zero
+matrix.  Items share nothing, so an item's matrix is bit-identical
+whichever chunk it lands in while ``Mlp.rows_independent`` holds;
+otherwise every item runs alone.  The budget is fixed: larger chunks ran
+slower per item, the MLP being memory-bound.  The used simplices, their
+coefficient matrix and the simplex vertex indices are read from the data
+objects, which build them once.
+
+The row order differs by pass.  A forward-only pass
+(``integration_matrix``, ``integration_matrices``) runs the MLP on the
+node-first rows, so each item's block of the MLP output already is the
+(N, S_i * l * C) operand of its dot: a view, no copy.  A training pass
+(``integration_matrix_forward``, whose cache reaches ``Mlp.backward``)
+transposes its item's points to simplex-first rows (row s * N + t) and
+copies the MLP output back to node first for the dot: the weight
+gradient ``dz.T @ inputs`` sums the rows in order, and another order
+would change the gradient's bits.  An MLP without
+``Mlp.rows_independent``, where a row's bits can depend on its
+neighbours, runs every pass on simplex-first rows.  So X has the same
+bits on either pass.  The dot stays one per item: with OpenBLAS 0.3.31,
+one dot over a whole chunk, or over a strided column slice of the MLP
+output, changed bits.
 
 Embedded simplices are fixed data, so their geometry never changes
 while a form learns.  ``prepare_geometry`` runs the geometry step once
@@ -35,19 +54,20 @@ over many items and hands each its ``Geometry``: its share of one
 read-only array of pushed nodes and one of column volumes.  An item
 given its ``Geometry`` skips the geometry step, and a chunk of items
 whose shares follow one another in the same arrays takes one slice of
-each, with no gather or concatenation; the slices hold the bits the
-step would compute.  Training prepares each split this way once per
-run (``kforms.model.train``).
+each, with no gather or concatenation; the slices hold the bits, and
+the node-first rows, the step would compute.  Training prepares each
+split this way once per run (``kforms.model.train``).
 
-There is one pass: the MLP always runs ``Mlp.forward_cached``, and
-the body returns a cache ``(lam, weights, eps, mlp_cache)`` per item:
-chain coefficients over the used simplices (None for the identity),
-quadrature weights, column volumes per simplex and the MLP's cache,
-all a loss gradient needs to reach the MLP parameters (embeddings are
-fixed data and receive no gradient).  ``integration_matrix_forward``
-returns one item's matrix and cache; ``integration_matrix`` is its
-matrix alone, and ``integration_matrices`` yields many items' matrices,
-dropping the caches.
+The MLP always runs ``Mlp.forward_cached``, and the body returns a
+cache ``(lam, weights, eps, mlp_cache)`` per item: chain coefficients
+over the used simplices (None for the identity), quadrature weights,
+column volumes per simplex and the MLP's cache, all a loss gradient
+needs to reach the MLP parameters (embeddings are fixed data and
+receive no gradient).  ``integration_matrix_forward`` returns one
+item's matrix and cache from a training pass; ``integration_matrix``
+is the same matrix from a forward-only pass, and
+``integration_matrices`` yields many items' matrices, dropping the
+caches.
 """
 
 from __future__ import annotations
@@ -165,7 +185,10 @@ class Geometry(NamedTuple):
     """One item's share of ``prepare_geometry``'s arrays: simplices
     ``start:stop`` of the read-only pushed quadrature nodes ``points``
     (simplices * N, n), N nodes per simplex, and column volumes ``eps``
-    (simplices, C)."""
+    (simplices, C).  The item's points are rows ``start * N`` to
+    ``stop * N``, node first: row ``start * N + t * (stop - start) + s``
+    is node t on its simplex s.  A training pass transposes them to
+    simplex-first rows (see the module docstring)."""
 
     points: np.ndarray
     eps: np.ndarray
@@ -194,8 +217,8 @@ def integration_matrix_forward(
     ``geometry``, the item's share of a ``prepare_geometry`` call with
     this form and h, replaces the geometry step; X keeps its bits.
     """
-    entry = _entry(form, complex_, embedding, chains, geometry)
-    ((X, cache),) = _integrate(form, h, [entry])
+    entry = _entry(form, h, complex_, embedding, chains, geometry)
+    ((X, cache),) = _integrate(form, h, [entry], cached=True)
     return X, cache
 
 
@@ -207,8 +230,10 @@ def integration_matrix(
     h: int = DEFAULT_STEPS,
 ) -> np.ndarray:
     """X[i, j] = integral of form j over chain i, shape (m, num_forms):
-    ``integration_matrix_forward`` with its cache dropped."""
-    return integration_matrix_forward(form, complex_, embedding, chains, h)[0]
+    the matrix of ``integration_matrix_forward``, bit for bit, from a
+    forward-only pass."""
+    ((X, _),) = _integrate(form, h, [_entry(form, h, complex_, embedding, chains)])
+    return X
 
 
 def integration_matrices(form: NeuralKForm, settings, h: int = DEFAULT_STEPS):
@@ -226,7 +251,7 @@ def prepare_geometry(form: NeuralKForm, settings, h: int = DEFAULT_STEPS) -> lis
     order: one geometry step over them all, whose two arrays are made
     read-only and shared by every setting's ``Geometry``.  They take
     about 8 * n bytes per MLP row the settings run."""
-    entries = [_entry(form, *setting) for setting in settings]
+    entries = [_entry(form, h, *setting) for setting in settings]
     if not entries:
         return []
     points, eps = _geometry(form, quadrature_rule(form.k, h)[0], entries)
@@ -239,10 +264,10 @@ def prepare_geometry(form: NeuralKForm, settings, h: int = DEFAULT_STEPS) -> lis
     return shares
 
 
-def _entry(form, complex_, embedding, chains, geometry=None):
-    """Check one item; return its vertex coordinates, the vertex indices
-    of the complex's k-simplices, the simplices its chains use, ``lam``
-    and ``geometry``."""
+def _entry(form, h, complex_, embedding, chains, geometry=None):
+    """Check one item for an integration at resolution h; return its
+    vertex coordinates, the vertex indices of the complex's k-simplices,
+    the simplices its chains use, ``lam`` and ``geometry``."""
     if not isinstance(chains, ChainTuple):
         chains = ChainTuple(tuple(chains))
     k = form.k
@@ -253,10 +278,18 @@ def _entry(form, complex_, embedding, chains, geometry=None):
     num_simplices = complex_.num_simplices(k)
     if used.size and used[-1] >= num_simplices:
         raise ValueError(f"chain references simplex {used[-1]}, complex has {num_simplices}")
-    if geometry is not None and geometry.stop - geometry.start != used.size:
-        raise ValueError(
-            f"geometry of {geometry.stop - geometry.start} simplices for chains using {used.size}"
-        )
+    if geometry is not None:
+        if geometry.stop - geometry.start != used.size:
+            raise ValueError(f"geometry of {geometry.stop - geometry.start} simplices "
+                             f"for chains using {used.size}")
+        (rows, n), (simplices, C) = geometry.points.shape, geometry.eps.shape
+        N = mlp_rows(k, h)
+        if (rows, n, C) != (N * simplices, form.n, form.num_components):  # another h or form
+            raise ValueError(
+                f"geometry of {rows} points in R^{n} and {C} volumes over {simplices} simplices "
+                f"does not fit {N} nodes per simplex in R^{form.n} "
+                f"and {form.num_components} volumes"
+            )
     return embedding.coords, complex_.vertex_array(k), used, chains.lam, geometry
 
 
@@ -286,7 +319,7 @@ def _chunks(form, settings, h):
     budget = ROW_BUDGET if form.psi.rows_independent else 0
     chunk, rows = [], 0
     for setting in settings:
-        entry = _entry(form, *setting)
+        entry = _entry(form, h, *setting)
         size = entry[2].size * nodes
         if chunk and (rows + size > budget or 1 in (rows, size)
                       or not _follows(chunk[-1][4], entry[4])):
@@ -300,20 +333,33 @@ def _chunks(form, settings, h):
 
 def _geometry(form, nodes, chunk):
     """The geometry step over the simplices of a chunk's items, in order:
-    the quadrature ``nodes`` (N, k) pushed into ambient space (S*N, n)
-    and column volumes (S, C)."""
-    gathered = [coords[simplices[used]] for coords, simplices, used, _, _ in chunk]
-    V = gathered[0] if len(gathered) == 1 else np.concatenate(gathered)  # (S, k+1, n)
-    Dt = V[:, 1:] - V[:, :1]  # (S, k, n): transposed Jacobians
-    eps = epsilon_all(Dt.swapaxes(1, 2), form.table)  # (S, C)
-    points = (V[:, :1] + nodes @ Dt).reshape(V.shape[0] * len(nodes), form.n)
+    the quadrature ``nodes`` (N, k) pushed into ambient space, one
+    node-first block (N * S_i, n) per item, and column volumes (S, C)."""
+    gathered = [coords[simplices[used].T] for coords, simplices, used, _, _ in chunk]
+    G = gathered[0] if len(gathered) == 1 else np.concatenate(gathered, axis=1)  # (k+1, S, n)
+    Dt = G[1:] - G[:1]  # (k, S, n): transposed Jacobians
+    eps = epsilon_all(Dt.transpose(1, 2, 0), form.table)  # (S, C)
+    k, S, n = Dt.shape
+    N = len(nodes)
+    points = np.empty((N * S, n))
+    start = 0
+    for _, _, used, _, _ in chunk:
+        stop = start + used.size
+        cols = used.size * n
+        block = points[start * N : stop * N].reshape(N, cols)  # row t: node t on each simplex
+        np.matmul(nodes, Dt[:, start:stop].reshape(k, cols), out=block)
+        block += G[0, start:stop].reshape(1, cols)
+        start = stop
     return points, eps
 
 
-def _integrate(form, h, chunk) -> list:
+def _integrate(form, h, chunk, cached: bool = False) -> list:
     """(X, cache) per item of a chunk (see the module docstring).  The
     chunk shares one MLP cache, so a cache can go to the backward pass
-    only when the chunk holds one item."""
+    only when the chunk holds one item and ``cached`` is set: then the
+    MLP runs on simplex-first rows, the order its gradient sums them in.
+    So does every chunk of an MLP without ``Mlp.rows_independent``,
+    whose chunks hold one item or items of no rows (``_chunks``)."""
     nodes, weights = quadrature_rule(form.k, h)
     N, width = len(weights), form.psi.out_dim
     first, last = chunk[0][4], chunk[-1][4]
@@ -322,21 +368,38 @@ def _integrate(form, h, chunk) -> list:
     else:  # one run of prepared shares (_chunks)
         points = first.points[first.start * N : last.stop * N]
         eps = first.eps[first.start : last.stop]
+    node_first = not cached and form.psi.rows_independent
+    if not node_first:
+        points = points.take(_transposed(N, len(eps)), axis=0)
     out, mlp_cache = form.psi.forward_cached(points)
+    if not node_first:  # back to node first, in a copy
+        out = out.take(_transposed(len(eps), N), axis=0)
     results, start = [], 0
     for _, _, used, lam, _ in chunk:
         S = used.size
         stop = start + S
         # np.tensordot(weights, scal, (0, 1)) for scal (S, N, l, C), as the
-        # one np.dot call it makes, without its per-call Python overhead
-        nodes_first = out[start * N : stop * N].reshape(S, N, width).swapaxes(0, 1)
-        scaled = np.dot(weights.reshape(1, N), nodes_first.reshape(N, S * width))
+        # one np.dot call it makes, without its per-call Python overhead;
+        # the item's node-first block of the MLP output is its operand
+        scaled = np.dot(weights.reshape(1, N), out[start * N : stop * N].reshape(N, S * width))
         scaled = scaled.reshape(S, form.num_forms, form.num_components)
         per_simplex = (scaled * eps[start:stop, None, :]).sum(axis=2)  # (S, l)
         X = per_simplex if lam is None else lam @ per_simplex
         results.append((X, (lam, weights, eps[start:stop], mlp_cache)))
         start = stop
     return results
+
+
+@lru_cache(maxsize=None)
+def _transposed(rows: int, cols: int) -> np.ndarray:
+    """Read-only row order that transposes a grid of rows: taken from an
+    array whose row ``r * cols + c`` holds grid cell (r, c), it puts that
+    cell at row ``c * rows + r``.  One ``take`` copies whole rows, about
+    twice as fast as a transposed ``reshape``; one order per item size
+    is kept."""
+    order = np.arange(rows * cols).reshape(rows, cols).T.ravel()
+    order.setflags(write=False)
+    return order
 
 
 def integration_matrix_backward(form: NeuralKForm, cache: tuple, upstream: np.ndarray) -> np.ndarray:

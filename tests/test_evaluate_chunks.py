@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import kforms.quadrature as quadrature
 from kforms.data import PathDatasetSpec, gen_paths
+from kforms.forms import NeuralKForm
 from kforms.model import (
     Dataset,
     EvalReport,
@@ -309,3 +310,46 @@ def test_geometry_of_another_item_is_refused():
         quadrature.integration_matrix_forward(form, *settings[0], quadrature.DEFAULT_STEPS,
                                               shares[1])
     assert quadrature.prepare_geometry(form, []) == []
+
+
+def test_geometry_of_another_resolution_or_ambient_space_is_refused():
+    """A share prepared at h = 5 holds 6 nodes per edge; at h = 4 it would
+    silently integrate the wrong points."""
+    data = gen_paths(PathDatasetSpec(samples_per_class=1, points_per_path=3, seed=0))
+    item = data.items[0]
+    form = classifier_for(1, "relu", "column_sum", use_head=False, n=2).form
+    setting = (item.complex, item.embedding, item.chains)
+    (share,) = quadrature.prepare_geometry(form, [setting], 5)
+    X, _ = quadrature.integration_matrix_forward(form, *setting, 5, share)
+    assert same_bits(X, quadrature.integration_matrix(form, *setting, 5))
+    with pytest.raises(ValueError, match="^geometry of 12 points in R\\^2 .* fit 5 nodes"):
+        quadrature.integration_matrix_forward(form, *setting, 4, share)
+    with pytest.raises(ValueError, match="fit 5 nodes"):
+        list(quadrature.integration_matrices(form, [(*setting, share)], 4))
+    # a two-edge item in R^3 hands its share to the two-edge path in R^2
+    ring = graph_item(np.random.default_rng(16), 4, 1, 0)
+    two_edges = (ring.complex, ring.embedding, ChainTuple((Chain(1, ((0, 1.0), (2, -1.0))),)))
+    (other,) = quadrature.prepare_geometry(classifier_for(1, "relu", "column_sum", False).form,
+                                           [two_edges], 5)
+    with pytest.raises(ValueError, match="points in R\\^3 and 3 volumes .* in R\\^2 and 2"):
+        quadrature.integration_matrix_forward(form, *setting, 5, other)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_forward_only_rows_of_a_dependent_mlp_keep_the_training_order(k):
+    """A row of an MLP without ``Mlp.rows_independent`` can change bits
+    when its neighbours change, so a forward-only pass runs such an MLP
+    on the training pass's simplex-first rows, not node-first ones.  On
+    strips of 1 to 9 simplices, node-first rows changed the matrix of the
+    3-simplex strip at k = 1 and 2 with OpenBLAS 0.3.31."""
+    rng = np.random.default_rng(17)
+    form = NeuralKForm.init(3, k, 3, (16, 1), "tanh", rng)
+    form.psi.params += 0.1 * rng.normal(size=form.psi.num_params)
+    assert not form.psi.rows_independent
+    for v in range(k + 2, 12):
+        strip = build_complex([tuple(range(i, i + k + 1)) for i in range(v - k)], v)
+        setting = (strip, Embedding(rng.normal(size=(v, 3))), standard_basis_chains(strip, k))
+        X, _ = quadrature.integration_matrix_forward(form, *setting)
+        assert same_bits(quadrature.integration_matrix(form, *setting), X)
+        (Y,) = quadrature.integration_matrices(form, [setting])
+        assert same_bits(Y, X)
