@@ -72,6 +72,8 @@ class PathDatasetSpec:
             raise ValueError("a path needs at least 2 points")
         if not 0 <= self.noise <= sys.float_info.max:
             raise ValueError(f"noise must be nonnegative and finite, got {self.noise!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _path_template(cls: int, t: np.ndarray) -> np.ndarray:
@@ -127,6 +129,8 @@ class SurfaceDatasetSpec:
             value = getattr(self, name)
             if not 0 <= value <= sys.float_info.max:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _grid_complex(g: int) -> SimplicialComplex:

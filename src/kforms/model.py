@@ -243,6 +243,8 @@ class TrainConfig:
         _check_field_types(self)
         if self.k < 0:
             raise ValueError("k must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if min(self.num_forms, self.hidden_dim, self.steps, self.batch_size) < 1:
             raise ValueError("num_forms, hidden_dim, steps and batch_size must be positive")
         if self.max_epochs < 0:
@@ -307,10 +309,6 @@ class KFormClassifier:
         twin.head = None if self.head is None else self.head.twin()
         twin._twins = []
         return twin
-
-    @property
-    def num_classes(self) -> int:
-        return self.head.out_dim if self.head is not None else self.form.num_forms
 
     def features(self, item: Item) -> np.ndarray:
         X = integration_matrix(self.form, item.complex, item.embedding, item.chains, self.steps)
@@ -464,16 +462,13 @@ class EvalReport:
     accuracy: float
 
 
-def evaluate(classifier: KFormClassifier, data: Dataset, indices=None) -> EvalReport:
-    """Mean loss and accuracy; argmax ties go to the lowest class index.
-    The items' logits come from ``KFormClassifier.forward_each``; items
-    above ``ROW_BUDGET`` MLP rows are spread over threads (see the module
-    docstring)."""
-    if indices is None:
-        indices = range(len(data))
-    items = [data.items[int(i)] for i in indices]
-    if not items:
-        raise ValueError("cannot evaluate on an empty index set")
+def evaluate(classifier: KFormClassifier, data: Dataset) -> EvalReport:
+    """Mean loss and accuracy over every item of ``data`` (for some of
+    them, pass ``data.subset(indices)``); argmax ties go to the lowest
+    class index.  The items' logits come from
+    ``KFormClassifier.forward_each``; items above ``ROW_BUDGET`` MLP rows
+    are spread over threads (see the module docstring)."""
+    items = data.items
     loss_sum, hits = 0.0, 0
     for item, logits in zip(items, _map_items(classifier, items, KFormClassifier.forward_each)):
         loss_sum += _nll(logits, item.label)[0]
@@ -541,7 +536,6 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
     opt = make_optimizer(cfg.optimizer, classifier, cfg.lr)
     train_set = _prepared(classifier, data, train_idx)
     val_set = _prepared(classifier, data, val_idx)
-    by_index = dict(zip(train_idx.tolist(), train_set.items))
 
     history: list[dict] = []
 
@@ -561,10 +555,8 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
 
     val_report = record(0)
     best_val_loss, best_val_acc = val_report.loss, val_report.accuracy
-    best_epoch = 0
+    best_epoch = halved = 0  # halved: the epoch of the last lr halving
     best_params = classifier.params.copy()
-    stale_plateau = 0
-    stale_stop = 0
 
     def gradients(model: KFormClassifier, items):
         """Per item: forward pass, loss, and the loss gradient."""
@@ -576,9 +568,9 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
             yield model.backward(cache, d_logits)
 
     for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(train_idx)
+        order = rng.permutation(len(train_set))
         for start in range(0, order.size, cfg.batch_size):
-            batch = [by_index[i] for i in order[start : start + cfg.batch_size].tolist()]
+            batch = [train_set.items[i] for i in order[start : start + cfg.batch_size].tolist()]
             share = 1.0 / len(batch)
             grad = np.zeros_like(classifier.params)
             for item_grad in _map_items(classifier, batch, gradients):
@@ -593,15 +585,10 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
             best_val_loss, best_val_acc = val_report.loss, val_report.accuracy
             best_epoch = epoch
             best_params = classifier.params.copy()
-            stale_plateau = 0
-            stale_stop = 0
-        else:
-            stale_plateau += 1
-            stale_stop += 1
-        if stale_plateau >= cfg.plateau_patience:
+        if epoch - max(best_epoch, halved) >= cfg.plateau_patience:
             opt.lr *= cfg.plateau_factor
-            stale_plateau = 0
-        if stale_stop >= cfg.early_stop_patience:
+            halved = epoch
+        if epoch - best_epoch >= cfg.early_stop_patience:
             break
 
     classifier.params[:] = best_params
@@ -652,12 +639,10 @@ def kfold_cv(cfg: TrainConfig, data: Dataset, folds: int = 5) -> CvResult:
     return CvResult(tuple(results), float(accs.mean()), float(accs.std()))
 
 
-def finite_difference_error(
-    classifier: KFormClassifier, item: Item, eps: float = 1e-5, corrupt: bool = False
-) -> float:
+def finite_difference_error(classifier: KFormClassifier, item: Item, corrupt: bool = False) -> float:
     """Worst relative disagreement between analytic and central-difference
-    gradients of the per-item loss, over every parameter of the form MLP
-    and the head.
+    gradients (step 1e-5) of the per-item loss, over every parameter of
+    the form MLP and the head.
 
     ``corrupt=True`` perturbs one analytic entry first — a negative
     control proving the comparison can fail.
@@ -671,7 +656,7 @@ def finite_difference_error(
     def loss_now() -> float:
         return _nll(classifier.forward(item), item.label)[0]
 
-    theta = classifier.params
+    theta, eps = classifier.params, 1e-5
     worst = 0.0
     for p in range(theta.size):
         saved = theta[p]

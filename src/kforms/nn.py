@@ -364,14 +364,14 @@ class Sgd:
 
 class Adam:
     """Adam with bias correction, in place, on the ``params`` vector of a
-    model: an Mlp or a KFormClassifier.  State lives with the optimizer."""
+    model: an Mlp or a KFormClassifier.  State lives with the optimizer;
+    only the lr is set per run, β1, β2 and ε are the usual constants."""
 
-    def __init__(self, model, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, model, lr: float):
         self.params = model.params
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = np.zeros_like(self.params)
         self._v = np.zeros_like(self.params)
@@ -380,14 +380,14 @@ class Adam:
         if not np.isfinite(grad).all():
             raise FloatingPointError("non-finite gradients: training diverged")
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - self.BETA1**self.t
+        c2 = 1.0 - self.BETA2**self.t
         m, v = self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        self.params -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m *= self.BETA1
+        m += (1.0 - self.BETA1) * grad
+        v *= self.BETA2
+        v += (1.0 - self.BETA2) * grad * grad
+        self.params -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
 
 
 def make_optimizer(name: str, model, lr: float):

@@ -293,10 +293,10 @@ def _entry(form, h, complex_, embedding, chains, geometry=None):
     return embedding.coords, complex_.vertex_array(k), used, chains.lam, geometry
 
 
-def mlp_rows(k: int, h: int, num_simplices: int = 1) -> int:
-    """MLP rows an integration over ``num_simplices`` k-simplices runs at
-    resolution h: one per quadrature node per simplex."""
-    return num_simplices * len(quadrature_rule(k, h)[1])
+def mlp_rows(k: int, h: int) -> int:
+    """MLP rows an integration runs per k-simplex at resolution h: one
+    per quadrature node.  Multiply by the simplex count for an item."""
+    return len(quadrature_rule(k, h)[1])
 
 
 def _follows(before, after) -> bool:

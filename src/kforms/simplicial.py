@@ -39,8 +39,19 @@ __all__ = [
 ]
 
 
+class _ByBytes:
+    """Equality and hash by ``_key()``, which holds an instance's arrays
+    as bytes with what fixes their shapes; other classes compare unequal."""
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
 @dataclass(frozen=True, eq=False, init=False)
-class SimplicialComplex:
+class SimplicialComplex(_ByBytes):
     """Vertex set plus oriented simplices, closed under taking faces.
 
     Made only by ``build_complex``; calling the class raises TypeError.
@@ -95,12 +106,6 @@ class SimplicialComplex:
     def _key(self):
         return self.num_vertices, tuple(a.tobytes() for a in self._arrays)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialComplex) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
 
 def _is_int(value) -> bool:
     """True for a Python or numpy integer that is not a bool."""
@@ -117,8 +122,8 @@ def _keys(rows: np.ndarray, num_vertices: int) -> np.ndarray:
     return rows.astype(dtype, copy=False) @ powers
 
 
-@dataclass(frozen=True)
-class Embedding:
+@dataclass(frozen=True, eq=False)
+class Embedding(_ByBytes):
     """One point in R^n per vertex; realizes simplices affinely."""
 
     coords: np.ndarray  # (num_vertices, n), float64, read-only
@@ -140,6 +145,9 @@ class Embedding:
     @property
     def ambient_dim(self) -> int:
         return self.coords.shape[1]
+
+    def _key(self):
+        return self.coords.shape, self.coords.tobytes()
 
 
 @dataclass(frozen=True)
@@ -177,7 +185,7 @@ class Chain:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class ChainTuple:
+class ChainTuple(_ByBytes):
     """Ordered tuple of m >= 1 chains of one dimension, kept as the linear
     map they define: chain i = sum_s lam[i, s] * simplex used[s].  ``used``
     is sorted, read-only intp; ``lam`` is read-only (m, S) float64 with no
@@ -215,12 +223,6 @@ class ChainTuple:
     def _key(self):
         lam = None if self.lam is None else (self.lam.shape, self.lam.tobytes())
         return self.dim, self.used.tobytes(), lam
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChainTuple) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 def _store(ct: ChainTuple, dim: int, used: np.ndarray, lam: np.ndarray | None) -> ChainTuple:

@@ -271,6 +271,18 @@ def _config_files(draw) -> tuple:
                      "overflow": text.replace(b"Infinity", b"1e999")}[blob]
 
 
+@pytest.mark.parametrize("command", sorted(PINNED_DEFAULTS))
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_exits_2_naming_the_key(runner, tmp_path, tu_dir, command, source):
+    payload = {"dataset_dir": str(tu_dir)} if command == "train-graphs" else {}
+    if source == "config":
+        payload["seed"] = -1
+    args = ["--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path / "run")]
+    result = runner.invoke(main, [command, *args, *(["--seed", "-1"] if source == "flag" else [])])
+    assert_one_error_line(result, "seed must be nonnegative, got -1")
+    assert not (tmp_path / "run").exists()
+
+
 class TestConfigFuzz:
     @settings(max_examples=300)
     @given(case=_config_files())
@@ -387,6 +399,12 @@ class TestTrainPaths:
     def test_invalid_readout_rejected(self, runner):
         result = runner.invoke(main, ["train-paths", "--readout", "max"])
         assert result.exit_code == 2
+
+    def test_invalid_readout_in_config_exits_2_with_one_line(self, runner, tmp_path):
+        cfg = write_config(tmp_path, {**TINY_PATHS, "readout": "max"})
+        result = runner.invoke(main, ["train-paths", "--config", str(cfg),
+                                      "--out", str(tmp_path / "run")])
+        assert_one_error_line(result, "readout must be one of ['l1', 'l2', 'sum']")
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
     def test_non_finite_lr_flag_exits_2_with_one_line(self, runner, tmp_path, lr):
@@ -584,6 +602,16 @@ class TestExportField:
         )
         assert result.exit_code == 0, result.output
         assert len(out.read_text().splitlines()) == 1 + 9
+
+    def test_mlp_checkpoint_exits_2_with_one_line(self, runner, tmp_path):
+        from kforms.nn import Mlp, save_mlp
+
+        ckpt = tmp_path / "mlp.kfc"
+        save_mlp(Mlp.init([2, 3], rng=np.random.default_rng(0)), ckpt)
+        result = runner.invoke(main, ["export-field", "--checkpoint", str(ckpt),
+                                      "--out", str(tmp_path / "f.csv")])
+        assert_one_error_line(result, "no k-form inside (kind='mlp')")
+        assert not (tmp_path / "f.csv").exists()
 
     def test_missing_checkpoint_rejected(self, runner, tmp_path):
         result = runner.invoke(

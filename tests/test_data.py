@@ -46,6 +46,15 @@ class TestPathGeneration:
             assert x.chains == y.chains
             assert x.complex == y.complex
 
+    def test_regenerated_items_are_equal_with_equal_hashes(self):
+        spec = PathDatasetSpec(samples_per_class=2, points_per_path=6, seed=9)
+        a, b = gen_paths(spec), gen_paths(spec)
+        assert a.items[0].embedding is not b.items[0].embedding
+        assert a == b and hash(a) == hash(b)
+        for x, y in zip(a.items, b.items):
+            assert x == y and hash(x) == hash(y)
+        assert a != gen_paths(PathDatasetSpec(samples_per_class=2, points_per_path=6, seed=8))
+
     def test_different_seeds_differ(self):
         a = gen_paths(PathDatasetSpec(samples_per_class=2, points_per_path=6, seed=0))
         b = gen_paths(PathDatasetSpec(samples_per_class=2, points_per_path=6, seed=1))
@@ -90,6 +99,12 @@ class TestPathGeneration:
             PathDatasetSpec(noise=noise)
 
 
+@pytest.mark.parametrize("spec", [PathDatasetSpec, SurfaceDatasetSpec])
+def test_negative_seed_rejected(spec):
+    with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+        spec(seed=-1)
+
+
 class TestSurfaceGeneration:
     def test_counts_shapes_and_shared_complex(self):
         data = gen_surfaces(SurfaceDatasetSpec(grid_size=6, samples_per_class=3))
@@ -126,6 +141,8 @@ class TestSurfaceGeneration:
             assert np.array_equal(x.embedding.coords, y.embedding.coords)
 
     def test_spec_validation(self):
+        with pytest.raises(ValueError, match="^need at least one sample per class$"):
+            SurfaceDatasetSpec(samples_per_class=0)
         with pytest.raises(ValueError):
             SurfaceDatasetSpec(grid_size=1)
         with pytest.raises(ValueError):

@@ -136,7 +136,7 @@ def test_chunked_logits_and_report_match_per_item(monkeypatch, form_calls, activ
     assert 2 < len(form_calls) < sum(r > 0 for r in rows)
     assert report == reference_report(classifier, data, range(len(items)))
     indices = np.array([12, 0, 5, 3, 7, 8, 1])
-    assert evaluate(classifier, data, indices) == reference_report(classifier, data, indices)
+    assert evaluate(classifier, data.subset(indices)) == reference_report(classifier, data, indices)
     assert_chunked_matches_per_item(classifier, items)
 
 
@@ -223,8 +223,8 @@ def test_evaluate_makes_few_mlp_calls(form_calls):
 
 def test_evaluate_rejects_an_empty_index_set():
     data = Dataset(tuple(mixed_items(np.random.default_rng(0), 1)), NUM_CLASSES)
-    with pytest.raises(ValueError, match="empty index set"):
-        evaluate(classifier_for(1, "relu", "column_sum", use_head=False), data, [])
+    with pytest.raises(ValueError, match="empty dataset"):
+        evaluate(classifier_for(1, "relu", "column_sum", use_head=False), data.subset([]))
 
 
 @st.composite

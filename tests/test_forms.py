@@ -157,6 +157,11 @@ class TestNeuralKForm:
         with pytest.raises(ValueError):
             NeuralKForm(psi, n=3, k=1, num_forms=2)
 
+    def test_no_forms_rejected(self):
+        psi = Mlp.init([3, 3], rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^need at least one form$"):
+            NeuralKForm(psi, n=3, k=1, num_forms=0)
+
     def test_dims_checked_before_the_table_is_built(self, monkeypatch):
         import kforms.forms as forms
 

@@ -242,6 +242,10 @@ class TestTrainConfig:
             TrainConfig(**{name: value})
         assert str(info.value) == f"{name} must be {kind}, got {value!r}"
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+            TrainConfig(seed=-1)
+
     def test_int_and_float_subclass_accepted_for_a_float(self):
         cfg = TrainConfig(lr=1, plateau_factor=np.float64(0.5), use_head=False)
         assert (cfg.lr, cfg.plateau_factor, cfg.use_head) == (1, 0.5, False)
@@ -252,6 +256,14 @@ class TestClassifier:
         cfg = TrainConfig(num_forms=3, use_head=False)
         with pytest.raises(ValueError, match="headless"):
             build_classifier(2, 2, cfg, np.random.default_rng(0))
+
+    def test_unknown_readout_rejected(self):
+        from kforms.forms import NeuralKForm
+        from kforms.model import KFormClassifier
+
+        form = NeuralKForm.init(2, 1, 3, (4,), "tanh", np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"^readout must be one of \('column_sum', "):
+            KFormClassifier(form, None, "column_max")
 
     def test_head_input_dim_checked(self):
         from kforms.forms import NeuralKForm
@@ -387,8 +399,8 @@ class TestEvaluate:
         rng = np.random.default_rng(11)
         cfg = TrainConfig(num_forms=2, hidden_dim=3)
         clf = build_classifier(2, 2, cfg, rng)
-        with pytest.raises(ValueError):
-            evaluate(clf, tiny_paths(samples=2), indices=[])
+        with pytest.raises(ValueError, match="empty dataset"):
+            evaluate(clf, tiny_paths(samples=2).subset([]))
 
 
 class TestSplits:
@@ -454,7 +466,7 @@ class TestTrain:
         data = tiny_paths()
         cfg = TrainConfig(max_epochs=4, hidden_dim=4, num_forms=3, use_head=False, seed=2)
         result = train(cfg, data)
-        rep = evaluate(result.classifier, data, result.val_indices)
+        rep = evaluate(result.classifier, data.subset(result.val_indices))
         assert rep.loss == result.best_val_loss
 
     def test_chain_dimension_checked(self):
@@ -474,6 +486,21 @@ class TestTrain:
         n = len(short.history)
         assert n == 2 * 3  # epochs 0..2, two rows each
         assert short.history == long.history[:n]
+
+    def test_a_split_without_items_is_refused(self):
+        data = tiny_paths(samples=1)  # one item per class: nothing to hold out
+        with pytest.raises(ValueError, match="^empty train or validation split$"):
+            train(TrainConfig(max_epochs=1, hidden_dim=4, num_forms=3, use_head=False), data)
+
+    def test_non_finite_gradients_are_reported_as_divergence(self, monkeypatch):
+        # a finite loss whose gradient is not: the optimizer refuses the step
+        def nan_gradient(self, cache, d_logits):
+            return np.full(self.params.size, np.nan)
+
+        monkeypatch.setattr(model.KFormClassifier, "backward", nan_gradient)
+        cfg = TrainConfig(max_epochs=1, hidden_dim=4, num_forms=3, use_head=False)
+        with pytest.raises(TrainingDivergence, match="^non-finite gradients: training diverged$"):
+            train(cfg, tiny_paths(samples=4))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_reported(self):

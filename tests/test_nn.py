@@ -92,6 +92,22 @@ class TestForward:
         with pytest.raises(ValueError):
             Mlp(weights=[], biases=[])
 
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match=r"^activation must be one of \('relu', "):
+            Mlp(weights=[np.zeros((2, 3))], biases=[np.zeros(2)], activation="gelu")
+
+    @pytest.mark.parametrize("slot", ["weight", "bias"])
+    def test_non_finite_parameters_rejected(self, slot):
+        weights, biases = [np.zeros((2, 3)), np.zeros((1, 2))], [np.zeros(2), np.zeros(1)]
+        (weights if slot == "weight" else biases)[1][0] = np.inf
+        with pytest.raises(ValueError, match="^layer 1: non-finite parameters$"):
+            Mlp(weights, biases)
+
+    @pytest.mark.parametrize("dims", [[], [3]])
+    def test_init_needs_an_input_and_an_output_size(self, dims):
+        with pytest.raises(ValueError, match="^dims needs at least input and output size$"):
+            Mlp.init(dims, rng=np.random.default_rng(0))
+
     def test_glorot_bounds_and_zero_biases(self):
         rng = np.random.default_rng(0)
         mlp = Mlp.init([10, 20, 5], "relu", rng)
@@ -444,7 +460,7 @@ class TestContiguousProducts:
     def test_a_classifier_restoring_its_best_params_gets_fresh_bits(self):
         cfg = TrainConfig(k=2, num_forms=2)
         item = gen_surfaces(SurfaceDatasetSpec(samples_per_class=1)).items[0]
-        assert mlp_rows(2, cfg.steps, item.complex.num_simplices(2)) > 1
+        assert mlp_rows(2, cfg.steps) * item.complex.num_simplices(2) > 1
         clf = build_classifier(3, 2, cfg, np.random.default_rng(69))
         best = clf.params.copy()
         clf.params += 0.01  # the optimizer's steps since the best epoch
@@ -749,6 +765,15 @@ class TestCheckpoints:
         write_blob(path, {"kind": "something-else"}, np.zeros(1))
         with pytest.raises(ValueError, match="mlp"):
             load_mlp(path)
+
+    @pytest.mark.parametrize("dims", [[3], [3, 0], [3, 2.0], [3, True], "3,2", None], ids=repr)
+    def test_malformed_header_dims_rejected(self, dims):
+        header = {**mlp_header(Mlp.init([3, 2], rng=np.random.default_rng(0))), "dims": dims}
+        with pytest.raises(ValueError) as info:
+            mlp_from_header(header, np.zeros(8))
+        assert str(info.value) == (
+            f"checkpoint dims {dims!r} are not a list of at least two positive ints"
+        )
 
     def test_damaged_checkpoint_rejected(self, tmp_path, damage):
         path = tmp_path / "mlp.kfc"

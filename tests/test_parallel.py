@@ -38,7 +38,7 @@ def mixed_surfaces() -> Dataset:
 
 
 def rows_of(item, steps=5) -> int:
-    return mlp_rows(item.chains.dim, steps, item.chains.used.size)
+    return mlp_rows(item.chains.dim, steps) * item.chains.used.size
 
 
 def test_mixed_dataset_straddles_the_budget():
@@ -53,7 +53,7 @@ def run_digest(cfg: TrainConfig, data: Dataset, tmp_path) -> tuple:
     clf = result.classifier
     path = tmp_path / "checkpoint.kfc"
     save_classifier(clf, path)
-    reports = [evaluate(clf, data), evaluate(clf, data, result.val_indices)]
+    reports = [evaluate(clf, data), evaluate(clf, data.subset(result.val_indices))]
     features = b"".join(f.tobytes() for f in clf.features_each(data.items))
     return (
         json.dumps(result.history).encode(),

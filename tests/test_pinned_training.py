@@ -84,7 +84,7 @@ def training_digests() -> dict:
 
 def test_dataset_straddles_the_budget():
     data = mixed_dataset()
-    rows = [mlp_rows(1, CONFIG.steps, item.chains.used.size) for item in data.items]
+    rows = [mlp_rows(1, CONFIG.steps) * item.chains.used.size for item in data.items]
     assert min(rows) == 0 and 6 in rows and max(rows) > ROW_BUDGET
     assert sum(r > ROW_BUDGET for r in rows) == SIZES.count(28)
     rng = np.random.default_rng(CONFIG.seed)  # the split train draws first

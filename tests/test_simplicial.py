@@ -225,6 +225,13 @@ class TestEquality:
 
 
 class TestEmbedding:
+    def test_equality_and_hash_are_by_shape_and_bytes(self):
+        a, b = Embedding(np.zeros((3, 2))), Embedding(np.zeros((3, 2)))
+        assert a == b and hash(a) == hash(b)
+        assert a != Embedding(np.zeros((2, 3)))
+        assert a != Embedding(np.array([[0.0, 0.0], [0.0, 0.0], [0.0, -0.0]]))
+        assert a != a.coords
+
     def test_coords_are_frozen(self):
         emb = Embedding(np.zeros((3, 2)))
         with pytest.raises(ValueError):
@@ -260,6 +267,10 @@ class TestChain:
         c = Chain(1, ((0, 1.0), (0, -1.0), (2, 3.0)))
         assert c.terms == ((2, 3.0),)
         assert len(c) == 1
+
+    def test_rejects_a_negative_dimension(self):
+        with pytest.raises(ValueError, match="^chain dimension must be nonnegative$"):
+            Chain(-1, ())
 
     def test_rejects_bad_terms(self):
         with pytest.raises(ValueError):
