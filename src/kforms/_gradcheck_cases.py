@@ -7,6 +7,8 @@ comparison is not polluted by relu kinks.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .model import Item, TrainConfig, build_classifier
@@ -16,7 +18,8 @@ from .simplicial import ChainTuple, build_complex, standard_basis_chains, Embedd
 def build_cases(seed: int):
     """Return a list of ``(label, classifier, item)`` triples covering
     degrees 0, 1 and 2 under both a signed and a norm readout."""
-    rng = np.random.default_rng(seed)
+    base = TrainConfig(num_forms=2, hidden_dim=6, steps=2, seed=seed, activation="tanh")
+    rng = np.random.default_rng(seed)  # after TrainConfig, which names a negative seed
     complex_ = build_complex([(0, 1, 2), (1, 2, 3)], num_vertices=4)
     coords = rng.normal(0.0, 1.0, size=(4, 3))
     embedding = Embedding(np.asarray(coords))
@@ -26,16 +29,7 @@ def build_cases(seed: int):
         chains = ChainTuple(list(basis)[:2])
         item = Item(complex_, embedding, chains, label=1)
         for readout in ("column_sum", "column_l2"):
-            cfg = TrainConfig(
-                k=k,
-                num_forms=2,
-                hidden_dim=6,
-                steps=2,
-                seed=seed,
-                readout=readout,
-                activation="tanh",
-                use_head=True,
-            )
+            cfg = dataclasses.replace(base, k=k, readout=readout)
             classifier = build_classifier(3, 3, cfg, np.random.default_rng(seed + k))
             cases.append((f"k={k} readout={readout}", classifier, item))
     return cases

@@ -16,15 +16,15 @@ are still summed in item order, so every output is bit-identical to a
 one-thread run.
 
 The embedded simplices are fixed data, so ``train`` computes the
-simplex geometry of each split once, before its first evaluation: one
-``prepare_geometry`` call over the split's items that stay on the
-calling thread (at or below ``ROW_BUDGET`` rows), in split order.  Each
-such item becomes a ``_Prepared`` item holding its share of the two
-read-only arrays, which every training pass and every per-epoch
-evaluation then reuses; an evaluation chunk of consecutive items takes
-one slice of them.  Items above the budget compute their geometry on
-every pass, on their lanes.  The arrays are locals of ``train`` and are
-freed when it returns: no classifier or result keeps them.
+simplex geometry of its items once, before its first evaluation: one
+``prepared_geometry`` block over the items of both splits that stay on
+the calling thread (at or below ``ROW_BUDGET`` rows), in split order,
+around every training pass and every per-epoch evaluation of the run.
+Those items are found in the block by their objects; an evaluation
+chunk of consecutive items takes one slice of its arrays.  Items above
+the budget compute their geometry on every pass, on their lanes.  The
+arrays are released when ``train`` returns or raises: no classifier or
+result keeps them.
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ from .nn import Mlp, make_optimizer, mlp_from_header, mlp_header, read_blob, wri
 from .quadrature import (
     DEFAULT_STEPS,
     ROW_BUDGET,
-    Geometry,
     integration_matrices,
     integration_matrix,
     integration_matrix_backward,
     integration_matrix_forward,
     mlp_rows,
-    prepare_geometry,
+    prepared_geometry,
 )
 from .simplicial import ChainTuple, Embedding, SimplicialComplex, _is_int, standard_basis_chains
 
@@ -137,20 +136,6 @@ class Item:
     embedding: Embedding
     chains: ChainTuple
     label: int
-
-
-@dataclass(frozen=True)
-class _Prepared(Item):
-    """An item of a split ``train`` prepared, with its share of the
-    split's geometry."""
-
-    geometry: Geometry = field(compare=False, repr=False)
-
-
-def _share(item: Item) -> Geometry | None:
-    """The share of its split's geometry ``train`` prepared for
-    ``item``, or None."""
-    return item.geometry if isinstance(item, _Prepared) else None
 
 
 @dataclass(frozen=True)
@@ -321,7 +306,7 @@ class KFormClassifier:
     def features_each(self, items):
         """Yield ``features(item)`` for each item in turn, bit for bit; the
         integrations run in chunks across items (``integration_matrices``)."""
-        settings = ((it.complex, it.embedding, it.chains, _share(it)) for it in items)
+        settings = ((it.complex, it.embedding, it.chains) for it in items)
         for X in integration_matrices(self.form, settings, self.steps):
             yield readout_forward(self.readout, X)
 
@@ -332,7 +317,7 @@ class KFormClassifier:
 
     def forward_cached(self, item: Item):
         X, int_cache = integration_matrix_forward(
-            self.form, item.complex, item.embedding, item.chains, self.steps, _share(item)
+            self.form, item.complex, item.embedding, item.chains, self.steps
         )
         feats = readout_forward(self.readout, X)
         if self.head is None:
@@ -388,21 +373,6 @@ def _large(classifier: KFormClassifier, items: list) -> list:
     return [i for i, item in enumerate(items) if item.chains.used.size * rows > ROW_BUDGET]
 
 
-def _prepared(classifier: KFormClassifier, data: Dataset, indices) -> Dataset:
-    """The items of ``data`` at ``indices``, in order, those at or below
-    ``ROW_BUDGET`` MLP rows as ``_Prepared`` items sharing one
-    ``prepare_geometry`` call (see the module docstring)."""
-    items = [data.items[int(i)] for i in indices]
-    large = set(_large(classifier, items))
-    small = [(it.complex, it.embedding, it.chains) for pos, it in enumerate(items)
-             if pos not in large]
-    shares = iter(prepare_geometry(classifier.form, small, classifier.steps))
-    prepared = [it if pos in large else _Prepared(it.complex, it.embedding, it.chains, it.label,
-                                                  next(shares))
-                for pos, it in enumerate(items)]
-    return Dataset(tuple(prepared), data.num_classes)
-
-
 def _map_items(classifier: KFormClassifier, items: list, each):
     """The results of ``each(classifier, items)``, a generator yielding
     one result per item, in item order, bit for bit.
@@ -439,7 +409,7 @@ def _map_items(classifier: KFormClassifier, items: list, each):
             errors[indices[done]] = exc
 
     # each thread runs in a copy of the caller's context, so that the
-    # caller's np.errstate holds for every item
+    # caller's np.errstate and prepared_geometry block hold for every item
     threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, *pair),
                                 name="kforms-items")
                for pair in zip(classifier._twins, members[1:])]
@@ -522,9 +492,9 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
     """Minibatch training with per-epoch train/val metrics (epoch 0 is
     the untrained model), lr halving on validation plateau, early
     stopping, and restoration of the best-validation parameters.
-    Train/val indices come from a seeded stratified split.  Each split's
-    geometry is computed once, for every pass of the run (see the module
-    docstring)."""
+    Train/val indices come from a seeded stratified split.  The
+    geometry of the items is computed once, for every pass of the run
+    (see the module docstring)."""
     if data.chain_dim != cfg.k:
         raise ValueError(f"dataset chains have dimension {data.chain_dim}, config k={cfg.k}")
     rng = np.random.default_rng(cfg.seed)
@@ -534,8 +504,10 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
 
     classifier = build_classifier(data.ambient_dim, data.num_classes, cfg, rng)
     opt = make_optimizer(cfg.optimizer, classifier, cfg.lr)
-    train_set = _prepared(classifier, data, train_idx)
-    val_set = _prepared(classifier, data, val_idx)
+    train_set, val_set = data.subset(train_idx), data.subset(val_idx)
+    both = train_set.items + val_set.items
+    large = set(_large(classifier, both))
+    small = [(it.complex, it.embedding, it.chains) for i, it in enumerate(both) if i not in large]
 
     history: list[dict] = []
 
@@ -553,11 +525,6 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
             )
         return va
 
-    val_report = record(0)
-    best_val_loss, best_val_acc = val_report.loss, val_report.accuracy
-    best_epoch = halved = 0  # halved: the epoch of the last lr halving
-    best_params = classifier.params.copy()
-
     def gradients(model: KFormClassifier, items):
         """Per item: forward pass, loss, and the loss gradient."""
         for item in items:
@@ -567,29 +534,35 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
                 raise TrainingDivergence(f"non-finite loss at epoch {epoch}")
             yield model.backward(cache, d_logits)
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(len(train_set))
-        for start in range(0, order.size, cfg.batch_size):
-            batch = [train_set.items[i] for i in order[start : start + cfg.batch_size].tolist()]
-            share = 1.0 / len(batch)
-            grad = np.zeros_like(classifier.params)
-            for item_grad in _map_items(classifier, batch, gradients):
-                grad += share * item_grad
-            try:
-                opt.step(grad)
-            except FloatingPointError as exc:
-                raise TrainingDivergence(str(exc)) from exc
+    with prepared_geometry(classifier.form, small, classifier.steps):
+        val_report = record(0)
+        best_val_loss, best_val_acc = val_report.loss, val_report.accuracy
+        best_epoch = halved = 0  # halved: the epoch of the last lr halving
+        best_params = classifier.params.copy()
 
-        val_report = record(epoch)
-        if val_report.loss < best_val_loss:
-            best_val_loss, best_val_acc = val_report.loss, val_report.accuracy
-            best_epoch = epoch
-            best_params = classifier.params.copy()
-        if epoch - max(best_epoch, halved) >= cfg.plateau_patience:
-            opt.lr *= cfg.plateau_factor
-            halved = epoch
-        if epoch - best_epoch >= cfg.early_stop_patience:
-            break
+        for epoch in range(1, cfg.max_epochs + 1):
+            order = rng.permutation(len(train_set))
+            for start in range(0, order.size, cfg.batch_size):
+                batch = [train_set.items[i] for i in order[start : start + cfg.batch_size].tolist()]
+                share = 1.0 / len(batch)
+                grad = np.zeros_like(classifier.params)
+                for item_grad in _map_items(classifier, batch, gradients):
+                    grad += share * item_grad
+                try:
+                    opt.step(grad)
+                except FloatingPointError as exc:
+                    raise TrainingDivergence(str(exc)) from exc
+
+            val_report = record(epoch)
+            if val_report.loss < best_val_loss:
+                best_val_loss, best_val_acc = val_report.loss, val_report.accuracy
+                best_epoch = epoch
+                best_params = classifier.params.copy()
+            if epoch - max(best_epoch, halved) >= cfg.plateau_patience:
+                opt.lr *= cfg.plateau_factor
+                halved = epoch
+            if epoch - best_epoch >= cfg.early_stop_patience:
+                break
 
     classifier.params[:] = best_params
     return TrainResult(

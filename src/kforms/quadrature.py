@@ -49,14 +49,18 @@ one dot over a whole chunk, or over a strided column slice of the MLP
 output, changed bits.
 
 Embedded simplices are fixed data, so their geometry never changes
-while a form learns.  ``prepare_geometry`` runs the geometry step once
-over many items and hands each its ``Geometry``: its share of one
-read-only array of pushed nodes and one of column volumes.  An item
-given its ``Geometry`` skips the geometry step, and a chunk of items
-whose shares follow one another in the same arrays takes one slice of
-each, with no gather or concatenation; the slices hold the bits, and
-the node-first rows, the step would compute.  Training prepares each
-split this way once per run (``kforms.model.train``).
+while a form learns.  Inside a ``prepared_geometry(form, settings, h)``
+block, the geometry step has run once over the given items, into one
+read-only array of pushed nodes and one of column volumes.  An item is
+found there by the ids of its complex, embedding and ``ChainTuple``
+objects and by the (h, n, k, C) it was prepared for; a found item skips
+its checks and the geometry step, and a chunk of found items whose
+shares follow one another in the arrays takes one slice of each, with
+no gather or concatenation.  The slices hold the bits, and the
+node-first rows, the step would compute, so a block changes only
+speed.  Any other item computes its geometry as outside a block.
+Training prepares its items this way once per run
+(``kforms.model.train``).
 
 The MLP always runs ``Mlp.forward_cached``, and the body returns a
 cache ``(lam, weights, eps, mlp_cache)`` per item: chain coefficients
@@ -75,8 +79,9 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -91,12 +96,13 @@ __all__ = [
     "integration_matrix_forward",
     "integration_matrix_backward",
     "mlp_rows",
-    "Geometry",
-    "prepare_geometry",
+    "prepared_geometry",
 ]
 
 DEFAULT_STEPS = 5
 ROW_BUDGET = 2048  # the most MLP rows a chunk of several items runs in one call
+# the innermost open prepared_geometry block's entries, by _key
+_PREPARED: ContextVar[dict | None] = ContextVar("prepared_geometry", default=None)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: h=3.0 must not hit the entry of h=3
@@ -181,28 +187,12 @@ def integrate_simplex(
     return float(np.einsum("t,tr,r->", weights, scal[:, j, :], eps))
 
 
-class Geometry(NamedTuple):
-    """One item's share of ``prepare_geometry``'s arrays: simplices
-    ``start:stop`` of the read-only pushed quadrature nodes ``points``
-    (simplices * N, n), N nodes per simplex, and column volumes ``eps``
-    (simplices, C).  The item's points are rows ``start * N`` to
-    ``stop * N``, node first: row ``start * N + t * (stop - start) + s``
-    is node t on its simplex s.  A training pass transposes them to
-    simplex-first rows (see the module docstring)."""
-
-    points: np.ndarray
-    eps: np.ndarray
-    start: int
-    stop: int
-
-
 def integration_matrix_forward(
     form: NeuralKForm,
     complex_: SimplicialComplex,
     embedding: Embedding,
     chains,
     h: int = DEFAULT_STEPS,
-    geometry: Geometry | None = None,
 ):
     """Integration matrix X with X[i, j] = integral of form j over chain
     i, plus a cache for the backward pass.
@@ -214,10 +204,8 @@ def integration_matrix_forward(
     integrals.  For k = 0 the rule is one node of weight 1 and every
     column volume is 1, so X holds the MLP values at the vertices bit for
     bit; only a vertex coordinate of -0.0 reaches the MLP as +0.0.
-    ``geometry``, the item's share of a ``prepare_geometry`` call with
-    this form and h, replaces the geometry step; X keeps its bits.
     """
-    entry = _entry(form, h, complex_, embedding, chains, geometry)
+    entry = _entry(form, h, complex_, embedding, chains)
     ((X, cache),) = _integrate(form, h, [entry], cached=True)
     return X, cache
 
@@ -238,36 +226,62 @@ def integration_matrix(
 
 def integration_matrices(form: NeuralKForm, settings, h: int = DEFAULT_STEPS):
     """Yield ``integration_matrix(form, *setting, h)`` for each
-    (complex, embedding, chains) setting in turn, bit for bit.  A
-    setting may end in the item's ``Geometry`` (see
-    ``integration_matrix_forward``)."""
+    (complex, embedding, chains) setting in turn, bit for bit."""
     for chunk in _chunks(form, settings, h):
         for X, _ in _integrate(form, h, chunk):
             yield X
 
 
-def prepare_geometry(form: NeuralKForm, settings, h: int = DEFAULT_STEPS) -> list:
-    """The ``Geometry`` of each (complex, embedding, chains) setting, in
-    order: one geometry step over them all, whose two arrays are made
-    read-only and shared by every setting's ``Geometry``.  They take
-    about 8 * n bytes per MLP row the settings run."""
+@contextmanager
+def prepared_geometry(form: NeuralKForm, settings, h: int = DEFAULT_STEPS):
+    """Run the geometry step once over the (complex, embedding, chains)
+    settings, in order, for every integration at resolution h with a
+    form of this n and k inside the block (see the module docstring).
+    Only a setting whose chains are a ``ChainTuple`` is found again:
+    another sequence could change while the block is open.  The two
+    read-only arrays take about 8 * n bytes per MLP row the settings
+    run and are released when the block exits.  The block holds in the
+    context it is entered in and in copies of it, not in a thread
+    started with a fresh context; when blocks nest, the innermost holds
+    alone."""
+    settings = [tuple(setting) for setting in settings]
     entries = [_entry(form, h, *setting) for setting in settings]
-    if not entries:
-        return []
-    points, eps = _geometry(form, quadrature_rule(form.k, h)[0], entries)
-    points.setflags(write=False)
-    eps.setflags(write=False)
-    shares, start = [], 0
-    for _, _, used, _, _ in entries:
-        shares.append(Geometry(points, eps, start, start + used.size))
+    prepared, start = {}, 0
+    if entries:
+        points, eps = _geometry(form, quadrature_rule(form.k, h)[0], entries)
+        points.setflags(write=False)
+        eps.setflags(write=False)
+    for setting, (coords, simplices, used, lam, _) in zip(settings, entries):
+        share = (points, eps, start, start + used.size)
+        if isinstance(setting[2], ChainTuple):
+            # the entry holds the setting: while it exists, no other
+            # object can take the ids of the setting's objects
+            prepared[_key(form, h, *setting)] = setting, (coords, simplices, used, lam, share)
         start += used.size
-    return shares
+    token = _PREPARED.set(prepared)
+    try:
+        yield
+    finally:
+        _PREPARED.reset(token)
+        prepared.clear()  # a context copied in the block may outlive it
 
 
-def _entry(form, h, complex_, embedding, chains, geometry=None):
+def _key(form, h, complex_, embedding, chains) -> tuple:
+    return id(complex_), id(embedding), id(chains), h, form.n, form.k, form.num_components
+
+
+def _entry(form, h, complex_, embedding, chains):
     """Check one item for an integration at resolution h; return its
     vertex coordinates, the vertex indices of the complex's k-simplices,
-    the simplices its chains use, ``lam`` and ``geometry``."""
+    the simplices its chains use, ``lam`` and its share of prepared
+    geometry: ``(points, eps, start, stop)``, its simplices being
+    ``start:stop`` of the arrays, or None.  An item of an open
+    ``prepared_geometry`` block returns its entry there, unchecked."""
+    prepared = _PREPARED.get()
+    if prepared:
+        hit = prepared.get(_key(form, h, complex_, embedding, chains))
+        if hit is not None:
+            return hit[1]
     if not isinstance(chains, ChainTuple):
         chains = ChainTuple(tuple(chains))
     k = form.k
@@ -278,19 +292,7 @@ def _entry(form, h, complex_, embedding, chains, geometry=None):
     num_simplices = complex_.num_simplices(k)
     if used.size and used[-1] >= num_simplices:
         raise ValueError(f"chain references simplex {used[-1]}, complex has {num_simplices}")
-    if geometry is not None:
-        if geometry.stop - geometry.start != used.size:
-            raise ValueError(f"geometry of {geometry.stop - geometry.start} simplices "
-                             f"for chains using {used.size}")
-        (rows, n), (simplices, C) = geometry.points.shape, geometry.eps.shape
-        N = mlp_rows(k, h)
-        if (rows, n, C) != (N * simplices, form.n, form.num_components):  # another h or form
-            raise ValueError(
-                f"geometry of {rows} points in R^{n} and {C} volumes over {simplices} simplices "
-                f"does not fit {N} nodes per simplex in R^{form.n} "
-                f"and {form.num_components} volumes"
-            )
-    return embedding.coords, complex_.vertex_array(k), used, chains.lam, geometry
+    return embedding.coords, complex_.vertex_array(k), used, chains.lam, None
 
 
 def mlp_rows(k: int, h: int) -> int:
@@ -300,12 +302,12 @@ def mlp_rows(k: int, h: int) -> int:
 
 
 def _follows(before, after) -> bool:
-    """Whether an item of geometry ``after`` may join a chunk ending in
-    one of geometry ``before``: both are computed in the chunk, or
+    """Whether an item of share ``after`` may join a chunk ending in one
+    of share ``before`` (``_entry``): both are computed in the chunk, or
     ``after`` is the next share of the same prepared arrays."""
     if before is None or after is None:
         return before is after
-    return after.points is before.points and after.start == before.stop
+    return after[0] is before[0] and after[2] == before[3]
 
 
 def _chunks(form, settings, h):
@@ -366,8 +368,8 @@ def _integrate(form, h, chunk, cached: bool = False) -> list:
     if first is None:
         points, eps = _geometry(form, nodes, chunk)
     else:  # one run of prepared shares (_chunks)
-        points = first.points[first.start * N : last.stop * N]
-        eps = first.eps[first.start : last.stop]
+        points, eps, start, _ = first
+        points, eps = points[start * N : last[3] * N], eps[start : last[3]]
     node_first = not cached and form.psi.rows_independent
     if not node_first:
         points = points.take(_transposed(N, len(eps)), axis=0)

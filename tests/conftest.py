@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import kforms.quadrature as quadrature
 from kforms.data import TuDataset, write_tu
 
 # Property tests draw the same examples on every run and keep no example
@@ -62,6 +63,16 @@ def make_tu(rng: np.random.Generator, num_graphs: int = 12, with_attrs: bool = T
         node_attributes=np.array(attrs, dtype=np.float64) if with_attrs else None,
         node_labels=np.array(node_labels, dtype=np.int64) if with_node_labels else None,
     )
+
+
+@pytest.fixture
+def geometry_steps(monkeypatch):
+    """One entry per geometry step (an ``epsilon_all`` call over a chunk's
+    or a prepared block's simplices), from any thread."""
+    steps = []
+    original = quadrature.epsilon_all
+    monkeypatch.setattr(quadrature, "epsilon_all", lambda *args: steps.append(1) or original(*args))
+    return steps
 
 
 @pytest.fixture

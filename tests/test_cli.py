@@ -734,6 +734,10 @@ class TestGradcheckCommand:
         assert result.exit_code == 1
         assert "FAIL" in result.output
 
+    def test_negative_seed_exits_2_naming_the_seed(self, runner):
+        result = runner.invoke(main, ["gradcheck", "--seed", "-1"])
+        assert_one_error_line(result, "seed must be nonnegative, got -1")
+
 
 class TestGroup:
     def test_no_arguments_shows_usage(self, runner):

@@ -1,8 +1,13 @@
 """Chunked evaluation: items whose MLP rows share one call must get the
 logits of their own per-item forward pass, bit for bit."""
 
+import contextvars
+import functools
+import gc
 import itertools
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -264,75 +269,161 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def settings_of(items) -> list:
+    return [(it.complex, it.embedding, it.chains) for it in items]
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_prepared_geometry_keeps_the_bits_and_the_chunks(form_calls, k):
+def test_prepared_geometry_keeps_the_bits_and_the_chunks(form_calls, geometry_steps, k):
     items = mixed_items(np.random.default_rng(13), k)
     form = classifier_for(k, "tanh", "column_l1", use_head=True).form
-    settings = [(it.complex, it.embedding, it.chains) for it in items]
+    settings = settings_of(items)
     form_calls.clear()
     expected = list(quadrature.integration_matrices(form, settings))
     computed_calls = list(form_calls)
-    shares = quadrature.prepare_geometry(form, settings)
-    assert [s.stop - s.start for s in shares] == [it.chains.used.size for it in items]
-    assert len({id(s.points) for s in shares}) == 1  # one pass over every item
-    form_calls.clear()
-    prepared = list(quadrature.integration_matrices(
-        form, [(*setting, share) for setting, share in zip(settings, shares)]))
-    assert form_calls == computed_calls  # one slice per chunk of the same items
-    assert all(same_bits(X, Y) for X, Y in zip(prepared, expected))
-    for setting, share, X in zip(settings, shares, expected):
-        Y, _ = quadrature.integration_matrix_forward(form, *setting, quadrature.DEFAULT_STEPS, share)
-        assert same_bits(Y, X)
+    geometry_steps.clear()
+    with quadrature.prepared_geometry(form, settings):
+        assert geometry_steps == [1]  # one pass over every item
+        form_calls.clear()
+        prepared = list(quadrature.integration_matrices(form, settings))
+        assert form_calls == computed_calls  # one slice per chunk of the same items
+        assert all(same_bits(X, Y) for X, Y in zip(prepared, expected))
+        for setting, X in zip(settings, expected):
+            assert same_bits(quadrature.integration_matrix_forward(form, *setting)[0], X)
+        assert geometry_steps == [1]
+    assert quadrature.integration_matrix(form, *settings[0]) is not None
+    assert geometry_steps == [1, 1]  # found no more after the block
 
 
-def test_shares_out_of_order_or_mixed_with_computed_items_run_apart(form_calls):
+def test_prepared_items_out_of_order_or_mixed_with_computed_items_run_apart(form_calls):
     items = mixed_items(np.random.default_rng(14), 1)
     form = classifier_for(1, "relu", "column_sum", use_head=False).form
-    settings = [(it.complex, it.embedding, it.chains) for it in items]
+    settings = settings_of(items)
     expected = [quadrature.integration_matrix(form, *setting) for setting in settings]
-    shares = quadrature.prepare_geometry(form, settings)
     order = [1, 2, 0, 5, 6, 9, 10, 4]
-    mixed = [(*settings[i], shares[i] if i % 3 else None) for i in order]
-    form_calls.clear()
-    matrices = list(quadrature.integration_matrices(form, mixed))
+    with quadrature.prepared_geometry(form, [s for i, s in enumerate(settings) if i % 3]):
+        form_calls.clear()
+        matrices = list(quadrature.integration_matrices(form, [settings[i] for i in order]))
     assert all(same_bits(X, expected[i]) for X, i in zip(matrices, order))
     # 2 follows on from 1 and 9 is computed with 6; no other pair shares a chunk
     rows = [item_rows(item, 1) for item in items]
     assert form_calls == [rows[1] + rows[2], rows[0], rows[5], rows[6] + rows[9], rows[10], rows[4]]
 
 
-def test_geometry_of_another_item_is_refused():
-    items = mixed_items(np.random.default_rng(15), 1)
-    form = classifier_for(1, "relu", "column_sum", use_head=False).form
-    settings = [(it.complex, it.embedding, it.chains) for it in items[:3]]
-    shares = quadrature.prepare_geometry(form, settings)
-    with pytest.raises(ValueError, match="geometry of"):
-        quadrature.integration_matrix_forward(form, *settings[0], quadrature.DEFAULT_STEPS,
-                                              shares[1])
-    assert quadrature.prepare_geometry(form, []) == []
-
-
-def test_geometry_of_another_resolution_or_ambient_space_is_refused():
-    """A share prepared at h = 5 holds 6 nodes per edge; at h = 4 it would
-    silently integrate the wrong points."""
-    data = gen_paths(PathDatasetSpec(samples_per_class=1, points_per_path=3, seed=0))
-    item = data.items[0]
+def test_an_item_of_a_prepared_items_size_gets_its_own_bits(geometry_steps):
+    """Two default paths of 31 edges each: only the prepared one is found."""
+    data = gen_paths(PathDatasetSpec(seed=0))
+    settings = settings_of(data.items[:4])
+    assert settings[3][2].used.size == settings[0][2].used.size == 31
     form = classifier_for(1, "relu", "column_sum", use_head=False, n=2).form
-    setting = (item.complex, item.embedding, item.chains)
-    (share,) = quadrature.prepare_geometry(form, [setting], 5)
-    X, _ = quadrature.integration_matrix_forward(form, *setting, 5, share)
-    assert same_bits(X, quadrature.integration_matrix(form, *setting, 5))
-    with pytest.raises(ValueError, match="^geometry of 12 points in R\\^2 .* fit 5 nodes"):
-        quadrature.integration_matrix_forward(form, *setting, 4, share)
-    with pytest.raises(ValueError, match="fit 5 nodes"):
-        list(quadrature.integration_matrices(form, [(*setting, share)], 4))
-    # a two-edge item in R^3 hands its share to the two-edge path in R^2
+    expected = {i: quadrature.integration_matrix_forward(form, *settings[i])[0] for i in (0, 3)}
+    with quadrature.prepared_geometry(form, settings[3:]):
+        geometry_steps.clear()
+        assert same_bits(quadrature.integration_matrix_forward(form, *settings[3])[0], expected[3])
+        assert geometry_steps == []
+        assert same_bits(quadrature.integration_matrix_forward(form, *settings[0])[0], expected[0])
+        assert geometry_steps == [1]
+        copy = (settings[3][0], settings[3][1], ChainTuple(tuple(settings[3][2])))
+        assert same_bits(quadrature.integration_matrix(form, *copy), expected[3])
+        assert geometry_steps == [1, 1]  # equal chains, but other objects
+        with quadrature.prepared_geometry(form, []):
+            assert same_bits(quadrature.integration_matrix(form, *settings[3]), expected[3])
+        assert geometry_steps == [1, 1, 1]  # an empty block finds nothing
+
+
+def test_another_resolution_or_ambient_space_gets_its_own_bits(geometry_steps):
+    """Items prepared at h = 5 hold 6 nodes per edge; a pass at h = 4, or
+    with a form of another n, computes its own geometry."""
+    path = gen_paths(PathDatasetSpec(samples_per_class=1, points_per_path=3, seed=0)).items[0]
     ring = graph_item(np.random.default_rng(16), 4, 1, 0)
-    two_edges = (ring.complex, ring.embedding, ChainTuple((Chain(1, ((0, 1.0), (2, -1.0))),)))
-    (other,) = quadrature.prepare_geometry(classifier_for(1, "relu", "column_sum", False).form,
-                                           [two_edges], 5)
-    with pytest.raises(ValueError, match="points in R\\^3 and 3 volumes .* in R\\^2 and 2"):
-        quadrature.integration_matrix_forward(form, *setting, 5, other)
+    path_setting, ring_setting = settings_of([path, ring])
+    form2 = classifier_for(1, "relu", "column_sum", use_head=False, n=2).form
+    form3 = classifier_for(1, "relu", "column_sum", use_head=False).form
+    at4 = quadrature.integration_matrix_forward(form2, *path_setting, 4)[0]
+    in_r3 = quadrature.integration_matrix_forward(form3, *ring_setting)[0]
+    with pytest.raises(ValueError, match="embedding lives in R\\^3, form in R\\^2"):
+        with quadrature.prepared_geometry(form2, [path_setting, ring_setting]):
+            pass
+    with quadrature.prepared_geometry(form2, [path_setting], 5):
+        geometry_steps.clear()
+        assert same_bits(quadrature.integration_matrix_forward(form2, *path_setting, 4)[0], at4)
+        (X,) = quadrature.integration_matrices(form2, [path_setting], 4)
+        assert same_bits(X, at4)
+        assert same_bits(quadrature.integration_matrix_forward(form3, *ring_setting)[0], in_r3)
+        assert len(geometry_steps) == 3
+        with pytest.raises(ValueError, match="embedding lives in R\\^2, form in R\\^3"):
+            quadrature.integration_matrix_forward(form3, *path_setting, 5)
+
+
+def test_a_list_of_chains_is_never_found(geometry_steps):
+    """A list can change after the block opens; its item computes its
+    geometry, from the chains it holds at the pass."""
+    rng = np.random.default_rng(18)
+    item = graph_item(rng, 6, 1, 0)
+    form = classifier_for(1, "tanh", "column_sum", use_head=False).form
+    chains = list(item.chains)
+    with quadrature.prepared_geometry(form, [(item.complex, item.embedding, chains)]):
+        geometry_steps.clear()
+        X = quadrature.integration_matrix(form, item.complex, item.embedding, chains)
+        del chains[2:]
+        Y = quadrature.integration_matrix(form, item.complex, item.embedding, chains)
+        assert len(geometry_steps) == 2
+    assert same_bits(X, quadrature.integration_matrix(form, *settings_of([item])[0]))
+    assert Y.shape[0] == 2
+    assert same_bits(Y, quadrature.integration_matrix(form, item.complex, item.embedding, chains))
+
+
+def test_the_innermost_block_holds_alone(geometry_steps):
+    rng = np.random.default_rng(19)
+    a, b = settings_of([graph_item(rng, 5, 1, 0), graph_item(rng, 7, 1, 1)])
+    form = classifier_for(1, "relu", "column_l2", use_head=False).form
+    expected = [quadrature.integration_matrix(form, *s) for s in (a, b)]
+    with quadrature.prepared_geometry(form, [a, b]):
+        with quadrature.prepared_geometry(form, [b]):
+            geometry_steps.clear()
+            assert same_bits(quadrature.integration_matrix(form, *b), expected[1])
+            assert geometry_steps == []
+            assert same_bits(quadrature.integration_matrix(form, *a), expected[0])
+            assert geometry_steps == [1]
+        assert same_bits(quadrature.integration_matrix(form, *a), expected[0])
+        assert geometry_steps == [1]  # found in the outer block again
+
+
+def test_a_bare_thread_computes_its_own_geometry_and_a_copied_context_finds_it(geometry_steps):
+    item = graph_item(np.random.default_rng(20), 6, 2, 0)
+    form = classifier_for(2, "sigmoid", "column_sum", use_head=False).form
+    (setting,) = settings_of([item])
+    expected = quadrature.integration_matrix_forward(form, *setting)[0]
+    results = []
+
+    def integrate():
+        results.append(quadrature.integration_matrix_forward(form, *setting)[0])
+
+    with quadrature.prepared_geometry(form, [setting]):
+        geometry_steps.clear()
+        for target in (integrate, functools.partial(contextvars.copy_context().run, integrate)):
+            thread = threading.Thread(target=target)
+            thread.start()
+            thread.join()
+    assert geometry_steps == [1]  # the bare thread's
+    assert len(results) == 2 and all(same_bits(X, expected) for X in results)
+
+
+def test_a_context_copied_in_a_block_finds_nothing_after_it_exits(geometry_steps):
+    item = graph_item(np.random.default_rng(21), 5, 1, 0)
+    form = classifier_for(1, "tanh", "column_sum", use_head=False).form
+    (setting,) = settings_of([item])
+    expected = quadrature.integration_matrix(form, *setting)
+    with quadrature.prepared_geometry(form, [setting]):
+        context = contextvars.copy_context()
+        (entry,) = context.run(quadrature._PREPARED.get).values()
+        arrays = [weakref.ref(array) for array in entry[1][4][:2]]
+        del entry
+    geometry_steps.clear()
+    assert same_bits(context.run(quadrature.integration_matrix, form, *setting), expected)
+    assert geometry_steps == [1]
+    gc.collect()
+    assert [ref() for ref in arrays] == [None, None]  # though the context is alive
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -15,9 +15,9 @@ from kforms.quadrature import (
     integration_matrices,
     integration_matrix,
     integration_matrix_forward,
-    prepare_geometry,
+    prepared_geometry,
 )
-from kforms.simplicial import Chain, Embedding, build_complex, standard_basis_chains
+from kforms.simplicial import Chain, ChainTuple, Embedding, build_complex, standard_basis_chains
 
 ORACLE_RTOL = 1e-9
 COORDS = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False, width=32)
@@ -131,17 +131,17 @@ def test_forward_only_matrices_are_the_training_pass_bits(k, n, h, data):
     form = NeuralKForm.init(n, k, data.draw(st.integers(1, 3)), hidden, activation, rng)
     form.psi.params += 0.1 * rng.normal(size=form.psi.num_params)  # nonzero biases
     trained = [integration_matrix_forward(form, *s, h)[0] for s in settings_]
-    shares = prepare_geometry(form, settings_, h)
+    settings_ = [(complex_, emb, ChainTuple(chains)) for complex_, emb, chains in settings_]
     prepared = data.draw(st.lists(st.booleans(), min_size=len(settings_), max_size=len(settings_)))
-    mixed = [(*s, share if keep else None) for s, share, keep in zip(settings_, shares, prepared)]
 
     def same_bits(a, b):
         return a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    for X, s, share in zip(trained, settings_, shares):
-        assert same_bits(integration_matrix(form, *s, h), X)
-        assert same_bits(integration_matrix_forward(form, *s, h, share)[0], X)
-    matrices = list(integration_matrices(form, mixed, h))
+    with prepared_geometry(form, [s for s, keep in zip(settings_, prepared) if keep], h):
+        for X, s in zip(trained, settings_):
+            assert same_bits(integration_matrix(form, *s, h), X)
+            assert same_bits(integration_matrix_forward(form, *s, h)[0], X)
+        matrices = list(integration_matrices(form, settings_, h))
     assert len(matrices) == len(trained)
     assert all(same_bits(Y, X) for Y, X in zip(matrices, trained))
 

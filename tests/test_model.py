@@ -513,41 +513,69 @@ class TestTrain:
 
 
 class TestPreparedGeometry:
-    """``train`` computes each split's geometry once, in read-only arrays
-    that live only while it runs."""
+    """``train`` computes the geometry of its items once, in read-only
+    arrays that live only while it runs."""
 
-    def test_one_geometry_step_per_split(self, monkeypatch):
-        steps = []
-        original = quadrature.epsilon_all
-        monkeypatch.setattr(quadrature, "epsilon_all",
-                            lambda *args: steps.append(1) or original(*args))
-        train(TrainConfig(max_epochs=3, hidden_dim=4, num_forms=3, use_head=False), tiny_paths())
-        assert len(steps) == 2  # every item of tiny paths is below ROW_BUDGET
-
-    def test_arrays_are_read_only_and_freed_when_train_returns(self, monkeypatch):
-        monkeypatch.setattr(model, "item_workers", lambda: 2)  # twins for the large items
+    @pytest.fixture
+    def block_arrays(self, monkeypatch):
+        """Weak references to the open block's arrays, taken at the first
+        evaluation; then, per evaluation, whether they are all alive."""
         arrays, alive = [], []
-        prepare, evaluate_ = model.prepare_geometry, model.evaluate
-
-        def recording_prepare(*args):
-            shares = prepare(*args)
-            for array in (shares[0].points, shares[0].eps):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 0.0
-                arrays.append(weakref.ref(array))
-            return shares
+        evaluate_ = model.evaluate
 
         def recording_evaluate(*args):
+            if not arrays:
+                shares = [entry[4] for _, entry in quadrature._PREPARED.get().values()]
+                points, eps = shares[0][:2]
+                assert all(share[0] is points and share[1] is eps for share in shares)
+                for array in (points, eps):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 0.0
+                    arrays.append(weakref.ref(array))
             alive.append(all(ref() is not None for ref in arrays))
             return evaluate_(*args)
 
-        monkeypatch.setattr(model, "prepare_geometry", recording_prepare)
         monkeypatch.setattr(model, "evaluate", recording_evaluate)
+        return arrays, alive
+
+    def test_one_geometry_step_per_run(self, geometry_steps):
+        train(TrainConfig(max_epochs=3, hidden_dim=4, num_forms=3, use_head=False), tiny_paths())
+        assert geometry_steps == [1]  # every item of tiny paths is below ROW_BUDGET
+
+    def test_arrays_are_read_only_and_freed_when_train_returns(self, monkeypatch, block_arrays):
+        monkeypatch.setattr(model, "item_workers", lambda: 2)  # twins for the large items
+        arrays, alive = block_arrays
         result = train(MIXED_CONFIG, mixed_dataset())
         assert len(result.classifier._twins) == 1
-        assert len(arrays) == 4 and len(alive) == 2 * (MIXED_CONFIG.max_epochs + 1) and all(alive)
+        assert len(arrays) == 2 and len(alive) == 2 * (MIXED_CONFIG.max_epochs + 1) and all(alive)
         gc.collect()
-        assert [ref() for ref in arrays] == [None] * 4  # not even the result holds them
+        assert [ref() for ref in arrays] == [None] * 2  # not even the result holds them
+        assert quadrature._PREPARED.get() is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_arrays_are_freed_when_train_diverges(self, block_arrays):
+        arrays, alive = block_arrays
+        cfg = TrainConfig(max_epochs=10, hidden_dim=4, num_forms=3, optimizer="sgd", lr=1e12)
+        with pytest.raises(TrainingDivergence):
+            train(cfg, tiny_paths(samples=4))
+        assert len(arrays) == 2 and all(alive)
+        gc.collect()  # the traceback's frames held the last pass's cache
+        assert [ref() for ref in arrays] == [None] * 2
+        assert quadrature._PREPARED.get() is None
+
+    def test_worker_lanes_find_prepared_items(self, monkeypatch, geometry_steps):
+        """Items above the lanes' budget run on worker threads, whose
+        copied contexts find the block's items."""
+        data = tiny_paths(samples=4)
+        classifier = build_classifier(2, 3, TrainConfig(hidden_dim=4), np.random.default_rng(0))
+        expected = evaluate(classifier, data)
+        monkeypatch.setattr(model, "item_workers", lambda: 2)
+        monkeypatch.setattr(model, "ROW_BUDGET", 0)  # every item leaves the calling thread
+        settings = [(it.complex, it.embedding, it.chains) for it in data.items]
+        with quadrature.prepared_geometry(classifier.form, settings, classifier.steps):
+            geometry_steps.clear()
+            assert evaluate(classifier, data) == expected
+        assert len(classifier._twins) == 1 and geometry_steps == []
 
     def test_two_runs_on_one_dataset_are_byte_identical(self):
         data = mixed_dataset()
