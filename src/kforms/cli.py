@@ -150,13 +150,11 @@ def _write_representations(path: Path, classifier, data) -> None:
 
 
 def _write_run(out_dir: Path, started: float) -> None:
-    """run.json: versions, CPUs, threads, wall seconds since ``started``
-    and the process's peak RSS."""
+    """run.json: versions, CPUs, BLAS thread variables, wall seconds since
+    ``started`` and the process's peak RSS."""
     import resource
 
     import numpy as np
-
-    from .model import item_workers
 
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
     _write_json(out_dir / "run.json", {
@@ -164,7 +162,6 @@ def _write_run(out_dir: Path, started: float) -> None:
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "cpu_affinity": sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
-        "item_threads": item_workers(),
         "blas_thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
         "wall_s": time.perf_counter() - started,
         "peak_rss_mb": peak / (2**20 if sys.platform == "darwin" else 2**10),

@@ -6,36 +6,26 @@ learning-rate-on-plateau schedule, early stopping on validation loss,
 and best-validation checkpointing; everything is deterministic given the
 config seed.
 
-Items share nothing but the parameters, so ``_map_items`` spreads the
-per-item passes of a training batch or an evaluation over one thread
-per CPU, each extra thread running a ``KFormClassifier.twin``.  Only
-items above ``ROW_BUDGET`` MLP rows leave the calling thread: their
-numpy products release the interpreter lock, while a pass over a
-smaller item costs less than starting a thread.  Gradients and losses
-are still summed in item order, so every output is bit-identical to a
-one-thread run.
+Every training and evaluation pass runs on the calling thread, in item
+order.
 
 The embedded simplices are fixed data, so ``train`` computes the
 simplex geometry of its items once, before its first evaluation: one
-``prepared_geometry`` block over the items of both splits that stay on
-the calling thread (at or below ``ROW_BUDGET`` rows), in split order,
-around every training pass and every per-epoch evaluation of the run.
-Those items are found in the block by their objects; an evaluation
-chunk of consecutive items takes one slice of its arrays.  Items above
-the budget compute their geometry on every pass, on their lanes.  The
-arrays are released when ``train`` returns or raises: no classifier or
-result keeps them.
+``prepared_geometry`` block over the items of both splits at or below
+``ROW_BUDGET`` MLP rows, in split order, around every training pass and
+every per-epoch evaluation of the run.  Those items are found in the
+block by their objects; an evaluation chunk of consecutive items takes
+one slice of its arrays.  Items above the budget compute their geometry
+on every pass.  The arrays are released when ``train`` returns or
+raises: no classifier or result keeps them.
 """
 
 from __future__ import annotations
 
-import contextvars
-import copy
 import dataclasses
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +61,6 @@ __all__ = [
     "build_classifier",
     "train",
     "evaluate",
-    "item_workers",
     "kfold_cv",
     "stratified_split",
     "stratified_folds",
@@ -259,15 +248,13 @@ class KFormClassifier:
     MLP is re-bound to a view of it.  So an optimizer built on one of
     them before that steps an array the model no longer uses, and one
     Mlp must not be shared between classifiers.  Like its MLPs, a
-    classifier runs from one thread at a time; ``twin()`` gives another
-    thread its own."""
+    classifier runs from one thread at a time."""
 
     form: NeuralKForm
     head: Mlp | None
     readout: str
     steps: int = DEFAULT_STEPS
     params: np.ndarray = field(init=False, compare=False, repr=False)
-    _twins: list = field(init=False, default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
         if self.readout not in READOUTS:
@@ -284,16 +271,6 @@ class KFormClassifier:
         self.form.psi.bind(self.params[:split])
         if self.head is not None:
             self.head.bind(self.params[split:])
-
-    def twin(self) -> "KFormClassifier":
-        """A classifier bound to this one's ``params`` (views, no copy)
-        whose form MLP and head are ``Mlp.twin``s: it computes what this
-        one computes, and may do so in another thread at the same time."""
-        twin = copy.copy(self)
-        twin.form = dataclasses.replace(self.form, psi=self.form.psi.twin())
-        twin.head = None if self.head is None else self.head.twin()
-        twin._twins = []
-        return twin
 
     def features(self, item: Item) -> np.ndarray:
         X = integration_matrix(self.form, item.complex, item.embedding, item.chains, self.steps)
@@ -358,72 +335,10 @@ def build_classifier(
     return KFormClassifier(form, head, cfg.readout, cfg.steps)
 
 
-def item_workers() -> int:
-    """Threads that share one call's items above ``ROW_BUDGET``: one per
-    CPU this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
 def _large(classifier: KFormClassifier, items: list) -> list:
     """Positions of the items above ``ROW_BUDGET`` MLP rows."""
     rows = mlp_rows(classifier.form.k, classifier.steps)
     return [i for i, item in enumerate(items) if item.chains.used.size * rows > ROW_BUDGET]
-
-
-def _map_items(classifier: KFormClassifier, items: list, each):
-    """The results of ``each(classifier, items)``, a generator yielding
-    one result per item, in item order, bit for bit.
-
-    Items above ``ROW_BUDGET`` MLP rows are dealt round-robin to
-    min(``item_workers()``, their number) lanes: the calling thread with
-    the classifier, which also takes every smaller item, and one thread
-    per other lane with a twin (kept on the classifier for later calls).
-    Each lane runs ``each`` over its own items; an item's result depends
-    only on the item and ``params``, never on its lane.  The threads are
-    joined before this returns, and the first exception in item order
-    is raised.  With one lane this is ``each(classifier, items)``, run
-    lazily on the calling thread.
-    """
-    large = _large(classifier, items)
-    lanes = min(len(large), item_workers()) if large else 1
-    if lanes < 2:
-        return each(classifier, items)
-    lane_of = [0] * len(items)
-    for position, i in enumerate(large):
-        lane_of[i] = position % lanes
-    members = [[i for i, lane in enumerate(lane_of) if lane == l] for l in range(lanes)]
-    while len(classifier._twins) < lanes - 1:
-        classifier._twins.append(classifier.twin())
-    results, errors = [None] * len(items), {}
-
-    def run(model, indices):
-        done = 0
-        try:
-            for result in each(model, [items[i] for i in indices]):
-                results[indices[done]] = result
-                done += 1
-        except BaseException as exc:  # re-raised on the calling thread, in item order
-            errors[indices[done]] = exc
-
-    # each thread runs in a copy of the caller's context, so that the
-    # caller's np.errstate and prepared_geometry block hold for every item
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, *pair),
-                                name="kforms-items")
-               for pair in zip(classifier._twins, members[1:])]
-    try:
-        for thread in threads:
-            thread.start()
-        run(classifier, members[0])
-    finally:
-        for thread in threads:
-            if thread.ident is not None:  # started
-                thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
 
 
 @dataclass(frozen=True)
@@ -436,11 +351,10 @@ def evaluate(classifier: KFormClassifier, data: Dataset) -> EvalReport:
     """Mean loss and accuracy over every item of ``data`` (for some of
     them, pass ``data.subset(indices)``); argmax ties go to the lowest
     class index.  The items' logits come from
-    ``KFormClassifier.forward_each``; items above ``ROW_BUDGET`` MLP rows
-    are spread over threads (see the module docstring)."""
+    ``KFormClassifier.forward_each``."""
     items = data.items
     loss_sum, hits = 0.0, 0
-    for item, logits in zip(items, _map_items(classifier, items, KFormClassifier.forward_each)):
+    for item, logits in zip(items, classifier.forward_each(items)):
         loss_sum += _nll(logits, item.label)[0]
         hits += int(np.argmax(logits) == item.label)
     return EvalReport(loss=loss_sum / len(items), accuracy=hits / len(items))
@@ -525,15 +439,6 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
             )
         return va
 
-    def gradients(model: KFormClassifier, items):
-        """Per item: forward pass, loss, and the loss gradient."""
-        for item in items:
-            logits, cache = model.forward_cached(item)
-            loss, d_logits = cross_entropy(logits, item.label)
-            if not math.isfinite(loss):
-                raise TrainingDivergence(f"non-finite loss at epoch {epoch}")
-            yield model.backward(cache, d_logits)
-
     with prepared_geometry(classifier.form, small, classifier.steps):
         val_report = record(0)
         best_val_loss, best_val_acc = val_report.loss, val_report.accuracy
@@ -546,8 +451,12 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
                 batch = [train_set.items[i] for i in order[start : start + cfg.batch_size].tolist()]
                 share = 1.0 / len(batch)
                 grad = np.zeros_like(classifier.params)
-                for item_grad in _map_items(classifier, batch, gradients):
-                    grad += share * item_grad
+                for item in batch:
+                    logits, cache = classifier.forward_cached(item)
+                    loss, d_logits = cross_entropy(logits, item.label)
+                    if not math.isfinite(loss):
+                        raise TrainingDivergence(f"non-finite loss at epoch {epoch}")
+                    grad += share * classifier.backward(cache, d_logits)
                 try:
                     opt.step(grad)
                 except FloatingPointError as exc:

@@ -23,7 +23,6 @@ the upstream's memory layout.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -119,9 +118,7 @@ class Mlp:
     the same order for any layout.
     The forward output and the parameter gradient are fresh arrays.  A
     cache is spent by the next forward pass (see ``forward_cached``).
-    One Mlp runs from one thread at a time; to run the same model from
-    several threads, give each thread its own ``twin()``, which shares
-    ``params`` but has its own buffers of all four sets.
+    One Mlp runs from one thread at a time: its passes share the buffers.
     """
 
     def __init__(self, weights, biases, activation: str = "relu"):
@@ -141,9 +138,6 @@ class Mlp:
         self.activation = activation
         self.weights = weights  # bind reads the layer shapes from here
         self.bind(np.concatenate([p.ravel() for pair in zip(weights, biases) for p in pair]))
-        self._own_buffers()
-
-    def _own_buffers(self) -> None:
         self._scratch = [np.empty((0, w.shape[0])) for w in self.weights[:-1]]  # per hidden layer
         self._grad_scratch = [np.empty((0, w.shape[1])) for w in self.weights]  # per layer input
         # per layer, (in, out); None where the copy could change bits
@@ -207,17 +201,6 @@ class Mlp:
         neighbours at fan-out 1 from fan-in 8, and at every fan-out from
         fan-in 32; never at fan-out 2 or more with fan-in below 32."""
         return all(w.shape[0] > 1 and w.shape[1] < 32 for w in self.weights)
-
-    def twin(self) -> "Mlp":
-        """An Mlp bound to this one's ``params`` (views, no copy), with its
-        own scratch buffers and run counter.  A step on either's
-        ``params`` moves both; forward and backward passes on one never
-        touch the other's buffers or spend its caches, so the two may run
-        in two threads at once."""
-        twin = copy.copy(self)
-        twin.bind(self.params)
-        twin._own_buffers()
-        return twin
 
     def forward(self, x) -> np.ndarray:
         """Evaluate at a point (d_in,) or batch (B, d_in): the output of

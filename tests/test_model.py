@@ -1,12 +1,14 @@
 import gc
+import json
 import math
+import threading
 import weakref
 
 import mpmath
 import numpy as np
 import pytest
 
-from kforms.data import PathDatasetSpec, gen_paths
+from kforms.data import PathDatasetSpec, SurfaceDatasetSpec, gen_paths, gen_surfaces
 from kforms.model import (
     Dataset,
     Item,
@@ -28,6 +30,7 @@ from kforms.model import (
 )
 import kforms.model as model
 import kforms.quadrature as quadrature
+from kforms.quadrature import ROW_BUDGET, mlp_rows
 from kforms.nn import Adam, Mlp, Sgd, read_blob
 from kforms.simplicial import Embedding, apply_matrix_left, build_complex, standard_basis_chains
 from test_pinned_training import CONFIG as MIXED_CONFIG, mixed_dataset
@@ -542,11 +545,9 @@ class TestPreparedGeometry:
         train(TrainConfig(max_epochs=3, hidden_dim=4, num_forms=3, use_head=False), tiny_paths())
         assert geometry_steps == [1]  # every item of tiny paths is below ROW_BUDGET
 
-    def test_arrays_are_read_only_and_freed_when_train_returns(self, monkeypatch, block_arrays):
-        monkeypatch.setattr(model, "item_workers", lambda: 2)  # twins for the large items
+    def test_arrays_are_read_only_and_freed_when_train_returns(self, block_arrays):
         arrays, alive = block_arrays
         result = train(MIXED_CONFIG, mixed_dataset())
-        assert len(result.classifier._twins) == 1
         assert len(arrays) == 2 and len(alive) == 2 * (MIXED_CONFIG.max_epochs + 1) and all(alive)
         gc.collect()
         assert [ref() for ref in arrays] == [None] * 2  # not even the result holds them
@@ -563,26 +564,85 @@ class TestPreparedGeometry:
         assert [ref() for ref in arrays] == [None] * 2
         assert quadrature._PREPARED.get() is None
 
-    def test_worker_lanes_find_prepared_items(self, monkeypatch, geometry_steps):
-        """Items above the lanes' budget run on worker threads, whose
-        copied contexts find the block's items."""
-        data = tiny_paths(samples=4)
-        classifier = build_classifier(2, 3, TrainConfig(hidden_dim=4), np.random.default_rng(0))
-        expected = evaluate(classifier, data)
-        monkeypatch.setattr(model, "item_workers", lambda: 2)
-        monkeypatch.setattr(model, "ROW_BUDGET", 0)  # every item leaves the calling thread
-        settings = [(it.complex, it.embedding, it.chains) for it in data.items]
-        with quadrature.prepared_geometry(classifier.form, settings, classifier.steps):
-            geometry_steps.clear()
-            assert evaluate(classifier, data) == expected
-        assert len(classifier._twins) == 1 and geometry_steps == []
-
     def test_two_runs_on_one_dataset_are_byte_identical(self):
         data = mixed_dataset()
         first, second = train(MIXED_CONFIG, data), train(MIXED_CONFIG, data)
         assert first.history == second.history
         assert first.classifier.params.tobytes() == second.classifier.params.tobytes()
         assert (first.best_epoch, first.best_val_loss) == (second.best_epoch, second.best_val_loss)
+
+
+def mixed_surfaces() -> Dataset:
+    """Surfaces on a 4 x 4 grid (18 triangles, 378 MLP rows at h=5) and
+    on an 8 x 8 grid (98 triangles, 2,058 rows), interleaved."""
+    small = gen_surfaces(SurfaceDatasetSpec(grid_size=4, samples_per_class=5, seed=1)).items
+    large = gen_surfaces(SurfaceDatasetSpec(grid_size=8, samples_per_class=5, seed=2)).items
+    return Dataset(tuple(item for pair in zip(small, large) for item in pair), 2)
+
+
+def rows_of(item, steps=5) -> int:
+    return mlp_rows(item.chains.dim, steps) * item.chains.used.size
+
+
+def run_digest(cfg: TrainConfig, data: Dataset, tmp_path) -> tuple:
+    """Everything a seeded run produces, as bytes: history, parameters,
+    checkpoint, evaluation reports and features."""
+    result = train(cfg, data)
+    clf = result.classifier
+    path = tmp_path / "checkpoint.kfc"
+    save_classifier(clf, path)
+    reports = [evaluate(clf, data), evaluate(clf, data.subset(result.val_indices))]
+    features = b"".join(f.tobytes() for f in clf.features_each(data.items))
+    return (
+        json.dumps(result.history).encode(),
+        clf.params.tobytes(),
+        path.read_bytes(),
+        repr(reports).encode(),
+        features,
+    )
+
+
+class _Refused(threading.Thread):
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread was started")
+
+
+class TestMixedSurfaces:
+    """Surfaces on both sides of ``ROW_BUDGET``: the large items compute
+    their geometry on every pass, the small ones take it from the block."""
+
+    def test_mixed_dataset_straddles_the_budget(self):
+        rows = {rows_of(item) for item in mixed_surfaces().items}
+        assert rows == {378, 2058} and min(rows) <= ROW_BUDGET < max(rows)
+
+    def test_train_and_evaluate_start_no_thread(self, monkeypatch):
+        data = mixed_surfaces()
+        monkeypatch.setattr(threading, "Thread", _Refused)
+        result = train(TrainConfig(k=2, num_forms=2, hidden_dim=4, max_epochs=1, use_head=False,
+                                   readout="column_l2"), data)
+        evaluate(result.classifier, data)
+
+    @pytest.mark.parametrize("use_head", [False, True], ids=["headless", "head"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    def test_two_runs_are_byte_identical(self, tmp_path, activation, use_head):
+        data = mixed_surfaces()
+        cfg = TrainConfig(k=2, num_forms=2, hidden_dim=6, max_epochs=2, batch_size=3, seed=5,
+                          activation=activation, use_head=use_head, readout="column_l2")
+        assert run_digest(cfg, data, tmp_path) == run_digest(cfg, data, tmp_path)
+
+    def test_divergence_on_a_large_item_names_the_epoch(self, monkeypatch):
+        data = mixed_surfaces()
+        cfg = TrainConfig(k=2, num_forms=2, hidden_dim=6, max_epochs=2, use_head=False,
+                          readout="column_l2", seed=2)
+        original = model.KFormClassifier.forward_cached
+
+        def forward_cached(self, item):
+            logits, cache = original(self, item)
+            return (logits * np.nan if rows_of(item) > ROW_BUDGET else logits), cache
+
+        monkeypatch.setattr(model.KFormClassifier, "forward_cached", forward_cached)
+        with pytest.raises(TrainingDivergence, match="^non-finite loss at epoch 1$"):
+            train(cfg, data)
 
 
 class TestKFoldCv:

@@ -383,19 +383,6 @@ class TestContiguousProducts:
             expected, expected_dx = mlp.backward(cache, np.ascontiguousarray(upstream))
             assert np.array_equal(grad, expected) and np.array_equal(dx, expected_dx)
 
-    def test_twin_has_its_own_transposed_weights_and_bias_rows(self):
-        rng = np.random.default_rng(63)
-        mlp = Mlp.init([3, 16, 8, 6], "relu", rng)
-        mlp.params += rng.normal(size=mlp.num_params)
-        twin = mlp.twin()
-        x = rng.normal(size=(3402, 3))
-        assert np.array_equal(twin.forward(x), mlp.forward(x))
-        for own in ("_wt", "_bias_rows"):
-            mine, theirs = getattr(mlp, own), getattr(twin, own)
-            assert all(a is not None and a.shape[0] > 0 for a in mine + theirs)
-            assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
-            assert not any(np.shares_memory(a, mlp.params) for a in mine + theirs)
-
     @pytest.mark.parametrize("rows", [2, 186, 3402])
     def test_in_place_steps_reach_the_next_pass(self, rows):
         rng = np.random.default_rng(64)
