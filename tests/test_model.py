@@ -1,13 +1,17 @@
 import gc
 import json
 import math
+import subprocess
+import sys
 import threading
 import weakref
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import kforms
 from kforms.data import PathDatasetSpec, SurfaceDatasetSpec, gen_paths, gen_surfaces
 from kforms.model import (
     Dataset,
@@ -643,6 +647,118 @@ class TestMixedSurfaces:
         monkeypatch.setattr(model.KFormClassifier, "forward_cached", forward_cached)
         with pytest.raises(TrainingDivergence, match="^non-finite loss at epoch 1$"):
             train(cfg, data)
+
+    @pytest.mark.parametrize("use_head", [False, True], ids=["headless", "head"])
+    @pytest.mark.parametrize("readout", model.READOUTS)
+    def test_train_evaluations_match_per_item_forward(self, readout, use_head):
+        """Epoch 0 of the history (prepared small items, computed large
+        ones, chunked) reads the losses of plain per-item ``forward``."""
+        data = mixed_surfaces()
+        cfg = TrainConfig(k=2, num_forms=2, hidden_dim=6, max_epochs=0, seed=4,
+                          use_head=use_head, readout=readout)
+        result = train(cfg, data)
+        clf = result.classifier
+        for split, indices in (("train", result.train_indices), ("val", result.val_indices)):
+            items = data.subset(indices).items
+            logits = [clf.forward(item) for item in items]
+            loss = sum(model._nll(z, item.label)[0] for z, item in zip(logits, items))
+            hits = sum(int(np.argmax(z) == item.label) for z, item in zip(logits, items))
+            entry = next(h for h in result.history if h["split"] == split)
+            assert (entry["loss"], entry["accuracy"]) == (loss / len(items), hits / len(items))
+
+    def test_the_block_holds_the_small_items_of_both_splits(self, monkeypatch):
+        data = mixed_surfaces()
+        held = []
+        original = model.prepared_geometry
+
+        def recording(form, settings, h):
+            held.extend(chains for _, _, chains in settings)
+            return original(form, settings, h)
+
+        monkeypatch.setattr(model, "prepared_geometry", recording)
+        train(TrainConfig(k=2, num_forms=2, hidden_dim=4, max_epochs=1, use_head=False,
+                          readout="column_l2"), data)
+        small = [item.chains for item in data.items if rows_of(item) <= ROW_BUDGET]
+        assert len(held) == len(small) == 10
+        assert {id(chains) for chains in held} == {id(chains) for chains in small}
+
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    def test_items_run_in_the_callers_errstate(self, monkeypatch, run):
+        data = mixed_surfaces()
+        cfg = TrainConfig(k=2, num_forms=2, hidden_dim=4, max_epochs=1, use_head=False,
+                          readout="column_l2")
+        seen = []
+        original = model.readout_forward
+
+        def recording(kind, X):
+            seen.append(np.geterr()["over"])
+            return original(kind, X)
+
+        monkeypatch.setattr(model, "readout_forward", recording)
+        with np.errstate(over="raise"):
+            if run == "train":
+                train(cfg, data)
+            else:
+                evaluate(build_classifier(3, 2, cfg, np.random.default_rng(3)), data)
+        assert len(seen) >= len(data.items) and set(seen) == {"raise"}
+
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    def test_the_first_failing_item_stops_the_pass(self, monkeypatch, run):
+        data = mixed_surfaces()
+        cfg = TrainConfig(k=2, num_forms=2, hidden_dim=4, max_epochs=1, use_head=False,
+                          readout="column_l2")
+        index_of = {id(item): i for i, item in enumerate(data.items)}
+        poisoned = [i for i, item in enumerate(data.items) if rows_of(item) > ROW_BUDGET][1:3]
+        seen = []
+
+        def check(item):
+            seen.append(index_of[id(item)])
+            if seen[-1] in poisoned:
+                raise ValueError(f"item {seen[-1]}")
+
+        if run == "train":
+            original = model.KFormClassifier.forward_cached
+
+            def forward_cached(self, item):
+                check(item)
+                return original(self, item)
+
+            monkeypatch.setattr(model.KFormClassifier, "forward_cached", forward_cached)
+            with pytest.raises(ValueError) as info:
+                train(cfg, data)
+        else:
+            original = model.KFormClassifier.features_each
+
+            def features_each(self, items):
+                for item, feats in zip(items, original(self, items)):
+                    check(item)
+                    yield feats
+
+            monkeypatch.setattr(model.KFormClassifier, "features_each", features_each)
+            with pytest.raises(ValueError) as info:
+                evaluate(build_classifier(3, 2, cfg, np.random.default_rng(3)), data)
+            assert seen == list(range(poisoned[0] + 1))  # in item order
+        assert str(info.value) == f"item {seen[-1]}"
+        assert seen[-1] in poisoned and not set(seen[:-1]) & set(poisoned)
+
+    def test_no_pool_module_is_imported(self):
+        script = """
+import sys
+import threading
+import kforms.model as model
+from kforms.data import SurfaceDatasetSpec, gen_surfaces
+data = gen_surfaces(SurfaceDatasetSpec(grid_size=8, samples_per_class=2))
+result = model.train(model.TrainConfig(k=2, num_forms=2, hidden_dim=4, max_epochs=1,
+                                       use_head=False), data)
+model.evaluate(result.classifier, data)
+print(threading.active_count(), [m for m in ("concurrent.futures", "multiprocessing")
+                                 if m in sys.modules])
+"""
+        src = str(Path(kforms.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={"PATH": "", "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1 []"
 
 
 class TestKFoldCv:
