@@ -26,7 +26,8 @@ from .simplicial import (
     Embedding,
     SimplicialComplex,
     build_complex,
-    embedded_path,
+    build_complexes,
+    embedded_paths,
     standard_basis_chains,
 )
 
@@ -88,16 +89,18 @@ def _path_template(cls: int, t: np.ndarray) -> np.ndarray:
 
 def gen_paths(spec: PathDatasetSpec) -> Dataset:
     """Sample the three templates, add pointwise Gaussian jitter and a
-    per-path uniform translation of up to 0.1."""
+    per-path uniform translation of up to 0.1, drawn path by path; then
+    embed the stacked paths with one ``embedded_paths`` call."""
     rng = np.random.default_rng(spec.seed)
     t = np.linspace(0.0, 1.0, spec.points_per_path)
-    items = []
+    points = np.empty((3, spec.samples_per_class, spec.points_per_path, 2))
     for cls in range(3):
         base = _path_template(cls, t)
-        for _ in range(spec.samples_per_class):
-            pts = base + rng.normal(0.0, spec.noise, size=base.shape)
+        for pts in points[cls]:
+            np.add(base, rng.normal(0.0, spec.noise, size=base.shape), out=pts)
             pts += rng.uniform(-0.1, 0.1, size=2)
-            items.append(Item(*embedded_path(pts), cls))
+    paths = embedded_paths(points.reshape(-1, spec.points_per_path, 2))
+    items = (Item(*path, i // spec.samples_per_class) for i, path in enumerate(paths))
     return Dataset(tuple(items), 3)
 
 
@@ -288,30 +291,36 @@ def parse_tu(directory: str | os.PathLike, name: str | None = None) -> TuDataset
     nl_path = directory / f"{name}_node_labels.txt"
     node_labels = _read_rows(nl_path, int, 1).reshape(-1) if nl_path.is_file() else None
 
-    num_nodes = indicator.shape[0]
+    tu = TuDataset(name, edges, indicator, labels, node_attributes, node_labels)
+    _check_references(tu, f"{directory}/{name}")
+    return tu
+
+
+def _check_references(tu: TuDataset, files: str | None = None) -> None:
+    """Raise the DataFormatError of the first cross-reference ``tu``
+    breaks: no node, graph ids not contiguous from 1, not one label per
+    graph, an edge end outside the nodes, not one attribute or label row
+    per node.  The message names ``files`` + the file's suffix, or
+    ``tu.name`` when ``files`` is None."""
+
+    def refuse(suffix: str, message: str):
+        raise DataFormatError(f"{tu.name if files is None else files + suffix}: {message}")
+
+    num_nodes = tu.num_nodes
     if num_nodes == 0:
-        raise DataFormatError(f"{directory}/{name}_graph_indicator.txt: no nodes")
-    graph_ids = np.unique(indicator)
+        refuse("_graph_indicator.txt", "no nodes")
+    graph_ids = np.unique(tu.graph_indicator)
     if graph_ids[0] != 1 or graph_ids[-1] != graph_ids.shape[0]:
-        raise DataFormatError(
-            f"{directory}/{name}_graph_indicator.txt: graph ids not contiguous from 1"
-        )
-    if labels.shape[0] != graph_ids.shape[0]:
-        raise DataFormatError(
-            f"{directory}/{name}_graph_labels.txt: {labels.shape[0]} labels "
-            f"for {graph_ids.shape[0]} graphs"
-        )
+        refuse("_graph_indicator.txt", "graph ids not contiguous from 1")
+    if tu.num_graphs != graph_ids.shape[0]:
+        refuse("_graph_labels.txt", f"{tu.num_graphs} labels for {graph_ids.shape[0]} graphs")
+    edges = tu.edges
     if edges.size and (edges.min() < 1 or edges.max() > num_nodes):
         bad = int(edges.min()) if edges.min() < 1 else int(edges.max())
-        raise DataFormatError(
-            f"{directory}/{name}_A.txt: node {bad} outside 1..{num_nodes}"
-        )
-    for arr, label in ((node_attributes, "node_attributes"), (node_labels, "node_labels")):
+        refuse("_A.txt", f"node {bad} outside 1..{num_nodes}")
+    for arr, label in ((tu.node_attributes, "node_attributes"), (tu.node_labels, "node_labels")):
         if arr is not None and arr.shape[0] != num_nodes:
-            raise DataFormatError(
-                f"{directory}/{name}_{label}.txt: {arr.shape[0]} rows for {num_nodes} nodes"
-            )
-    return TuDataset(name, edges, indicator, labels, node_attributes, node_labels)
+            refuse(f"_{label}.txt", f"{arr.shape[0]} rows for {num_nodes} nodes")
 
 
 def _one_hot(values: np.ndarray) -> np.ndarray:
@@ -328,7 +337,10 @@ def tu_to_dataset(
     (optionally a column subset) concatenated with one-hot node labels;
     undirected deduplicated edges; chains = the standard edge basis (a
     graph with no edges gets one empty chain and a zero representation).
-    Graph labels are remapped to 0..C-1 in sorted original order."""
+    Graph labels are remapped to 0..C-1 in sorted original order.  The
+    cross-references ``parse_tu`` checks are checked first, and every
+    graph's complex is built by one ``build_complexes`` call."""
+    _check_references(tu)
     blocks = []
     if tu.node_attributes is not None:
         attrs = tu.node_attributes
@@ -364,23 +376,20 @@ def tu_to_dataset(
     place = np.empty_like(by_graph)
     place[by_graph] = np.arange(tu.num_nodes)
     starts = np.searchsorted(tu.graph_indicator[by_graph], np.arange(1, tu.num_graphs + 2))
-    # undirected edges without self-loops, once each, in place order: by
-    # graph, then lexicographic in the graph's own vertex numbering
+    # undirected edges without self-loops in place order, grouped by graph;
+    # build_complexes takes each graph's in its own vertex ids, repeats and all
     ends = np.sort(place[edges[edges[:, 0] != edges[:, 1]]], axis=1)
-    keys = np.unique(ends[:, 0] * tu.num_nodes + ends[:, 1])
-    ends = np.stack(np.divmod(keys, tu.num_nodes), axis=1)
+    ends = ends[np.argsort(ends[:, 0])]
     edge_starts = np.searchsorted(ends[:, 0], starts)
+    local = ends - np.repeat(starts[:-1], np.diff(edge_starts))[:, None]
+    complexes = build_complexes(local, edge_starts, np.diff(starts).tolist())
 
     items = []
-    for g, (lo, hi, first, last) in enumerate(
-        zip(starts[:-1].tolist(), starts[1:].tolist(), edge_starts[:-1], edge_starts[1:])
-    ):
-        complex_ = build_complex(ends[first:last] - lo, hi - lo)
-        if complex_.num_simplices(1):
-            chains = standard_basis_chains(complex_, 1)
-        else:
-            chains = ChainTuple((Chain(1, ()),))
-        items.append(Item(complex_, Embedding(feats[by_graph[lo:hi]]), chains, int(labels[g])))
+    for complex_, coords, label in zip(complexes, np.split(feats[by_graph], starts[1:-1]),
+                                       labels.tolist()):
+        edges = complex_.num_simplices(1)
+        chains = standard_basis_chains(complex_, 1) if edges else ChainTuple((Chain(1, ()),))
+        items.append(Item(complex_, Embedding(coords), chains, label))
     return Dataset(tuple(items), label_values.shape[0])
 
 

@@ -33,9 +33,11 @@ __all__ = [
     "Chain",
     "ChainTuple",
     "build_complex",
+    "build_complexes",
     "standard_basis_chains",
     "apply_matrix_left",
     "embedded_path",
+    "embedded_paths",
 ]
 
 
@@ -289,6 +291,52 @@ def build_complex(simplex_lists, num_vertices: int) -> SimplicialComplex:
         arrays.append(rows[np.unique(_keys(rows, num_vertices), return_index=True)[1]])
     for rows in arrays:
         rows.flags.writeable = False
+    return _complex(num_vertices, arrays)
+
+
+def build_complexes(rows, starts, num_vertices) -> list[SimplicialComplex]:
+    """One complex per item, built from every item's simplices at once.
+
+    Item i's simplices are ``rows[starts[i]:starts[i+1]]`` of the (N, k+1)
+    integer array ``rows``, in its own ids 0..num_vertices[i]-1; complex i
+    equals ``build_complex`` of them byte for byte.  One ``build_complex``
+    call builds the items' disjoint union (ids shifted past the earlier
+    items' vertices), whose arrays the complexes share as views.  A batch
+    that fails a check is built item by item, so the first malformed item
+    raises its own refusal.
+    """
+    sizes, starts = list(num_vertices), np.asarray(starts)
+    if (starts.shape != (len(sizes) + 1,) or starts.dtype.kind not in "iu" or starts[0] != 0
+            or starts[-1] != len(rows) or (np.diff(starts) < 0).any()):
+        raise ValueError(f"starts must rise from 0 to {len(rows)} in {len(sizes)} steps")
+    try:
+        if (not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.dtype.kind not in "iu"
+                or not all(_is_int(n) and n >= 0 for n in sizes)):
+            raise ValueError("simplex rows must be an (N, k+1) integer array")
+        offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        item = np.repeat(np.arange(len(sizes)), np.diff(starts))[:, None]
+        local = rows.astype(np.intp, copy=False)
+        if (local < 0).any() or (local >= np.diff(offsets)[item]).any():
+            raise ValueError("a vertex outside its item")
+        union = build_complex(local + offsets[item], int(offsets[-1]))
+    except ValueError:
+        for n, lo, hi in zip(sizes, starts[:-1], starts[1:]):
+            build_complex(rows[lo:hi], n)
+        raise
+    arrays = [[union.vertex_array(0)[:n]] for n in offsets[1:] - offsets[:-1]]
+    for k in range(1, union.dim + 1):
+        first = union.vertex_array(k)[:, :1]
+        shifted = union.vertex_array(k) - offsets[np.searchsorted(offsets, first, "right") - 1]
+        shifted.flags.writeable = False
+        blocks = np.split(shifted, np.searchsorted(first[:, 0], offsets[1:-1]))
+        for parts, block in zip(arrays, blocks):
+            if block.size:  # an item without simplices keeps dimension 0
+                parts.append(block)
+    return [_complex(len(parts[0]), parts) for parts in arrays]
+
+
+def _complex(num_vertices: int, arrays) -> SimplicialComplex:
+    """The complex of the given read-only rows per dimension, unchecked."""
     complex_ = object.__new__(SimplicialComplex)
     complex_.__dict__.update(num_vertices=num_vertices, _arrays=tuple(arrays))
     return complex_
@@ -335,8 +383,14 @@ def apply_matrix_left(matrix, beta: ChainTuple) -> ChainTuple:
 
 
 def embedded_path(points) -> tuple[SimplicialComplex, Embedding, ChainTuple]:
-    """Turn an ordered point sequence into an embedded path complex and
-    its one-chain ``ChainTuple``.
+    """The embedded path complex and one-chain ``ChainTuple`` of an
+    ordered point sequence: ``embedded_paths`` of a one-path stack."""
+    return embedded_paths(np.asarray(points, dtype=np.float64)[None])[0]
+
+
+def embedded_paths(points) -> list[tuple[SimplicialComplex, Embedding, ChainTuple]]:
+    """Turn each ordered point sequence of a (P, L, n) stack into an
+    embedded path complex and its one-chain ``ChainTuple``.
 
     Vertices are indexed canonically (points sorted lexicographically,
     ties broken by sequence position) so that a list and its reverse
@@ -345,18 +399,27 @@ def embedded_path(points) -> tuple[SimplicialComplex, Embedding, ChainTuple]:
     the steps' edges with sign +1 where the stored increasing tuple
     agrees with the traversal direction and -1 where it opposes it;
     integrating the chain therefore gives the directed path integral.
+    Paths of fewer than 2 points, or points with no coordinate, are
+    refused.  One row-wise lexsort, one row-wise argsort and one
+    ``build_complexes`` call serve the whole stack; the chain tuples share
+    one read-only ``used`` range.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 2:
+    if pts.ndim != 3 or pts.shape[1] < 2:
         raise ValueError("a path needs at least 2 points")
-    n = pts.shape[0]
-    order = np.lexsort(pts.T[::-1])  # first coordinate first; stable, so ties keep position
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    steps = np.stack([rank[:-1], rank[1:]], axis=1)
-    complex_ = build_complex(steps, n)
+    count, length, n = pts.shape
+    if not n:
+        raise ValueError("a path's points need at least one coordinate")
+    # each path by its first coordinate first; stable, so ties keep position
+    order = np.lexsort(pts.transpose(2, 0, 1)[::-1], axis=-1)
+    rank = np.argsort(order, axis=1)  # the inverse permutations
+    ends = np.sort(np.stack([rank[:, :-1], rank[:, 1:]], axis=2), axis=2)  # of each step
+    starts = np.arange(count + 1) * (length - 1)
+    complexes = build_complexes(ends.reshape(-1, 2), starts, [length] * count)
     # the complex lists the edges in key order; a step's sign goes to its edge
-    signs = np.where(steps[:, 0] < steps[:, 1], 1.0, -1.0)
-    lam = signs[np.argsort(_keys(np.sort(steps, axis=1), n))][None, :]
-    used = np.arange(n - 1, dtype=np.intp)
-    return complex_, Embedding(pts[order]), _store(object.__new__(ChainTuple), 1, used, lam)
+    signs = np.where(rank[:, :-1] < rank[:, 1:], 1.0, -1.0)
+    lam = np.take_along_axis(signs, np.argsort(ends[..., 0] * length + ends[..., 1], axis=1), 1)
+    coords = np.take_along_axis(pts, order[..., None], axis=1)
+    used = np.arange(length - 1, dtype=np.intp)
+    return [(complex_, Embedding(xy), _store(object.__new__(ChainTuple), 1, used, row[None]))
+            for complex_, xy, row in zip(complexes, coords, lam)]

@@ -462,6 +462,48 @@ class TestTuToDataset:
         with pytest.raises(DataFormatError, match="different graphs"):
             tu_to_dataset(tu)
 
+    @staticmethod
+    def broken(**fields) -> TuDataset:
+        """Two graphs of two nodes each, one edge each, with ``fields``
+        replaced."""
+        good = dict(name="BROKEN", edges=np.array([[1, 2], [3, 4]]),
+                    graph_indicator=np.array([1, 1, 2, 2]), graph_labels=np.array([0, 1]),
+                    node_attributes=np.ones((4, 2)), node_labels=None)
+        return TuDataset(**{**good, **fields})
+
+    def refusal(self, tu: TuDataset) -> str:
+        with pytest.raises(DataFormatError) as info:
+            tu_to_dataset(tu)
+        assert "\n" not in str(info.value)
+        return str(info.value)
+
+    def test_the_unbroken_references_build(self):
+        assert len(tu_to_dataset(self.broken())) == 2
+
+    def test_an_edge_id_beyond_the_nodes_is_refused(self):
+        tu = self.broken(edges=np.array([[1, 2], [3, 5]]))
+        assert self.refusal(tu) == "BROKEN: node 5 outside 1..4"
+
+    def test_an_edge_id_of_zero_is_refused(self):
+        tu = self.broken(edges=np.array([[0, 2], [3, 4]]))
+        assert self.refusal(tu) == "BROKEN: node 0 outside 1..4"
+
+    @pytest.mark.parametrize(
+        "indicator, message",
+        [
+            ([1, 1, 3, 3], "BROKEN: graph ids not contiguous from 1"),
+            ([1, 2, 3, 3], "BROKEN: 2 labels for 3 graphs"),
+        ],
+    )
+    def test_an_indicator_naming_an_unlabelled_graph_is_refused(self, indicator, message):
+        tu = self.broken(graph_indicator=np.array(indicator), edges=np.array([[3, 4]]))
+        assert self.refusal(tu) == message
+
+    @pytest.mark.parametrize("field", ["node_attributes", "node_labels"])
+    def test_too_few_node_rows_are_refused(self, field):
+        tu = self.broken(**{field: np.ones((3, 2)) if field == "node_attributes" else np.ones(3)})
+        assert self.refusal(tu) == "BROKEN: 3 rows for 4 nodes"
+
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,9 @@ from kforms.simplicial import (
     SimplicialComplex,
     apply_matrix_left,
     build_complex,
+    build_complexes,
     embedded_path,
+    embedded_paths,
     standard_basis_chains,
 )
 
@@ -151,6 +153,32 @@ UNNORMALIZED = {
         3, [(2, 0, 1), (1, 2, 0)], [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
     ),
 }
+
+
+class TestBuildComplexesArguments:
+    ROWS = np.array([[0, 1], [1, 2]])
+
+    @pytest.mark.parametrize("starts", [[0, 2], [0, 1, 1], [1, 1, 2], [0, 2, 1], [0.0, 1.0, 2.0]])
+    def test_starts_that_do_not_cut_the_rows_are_refused(self, starts):
+        with pytest.raises(ValueError, match=r"^starts must rise from 0 to 2 in 2 steps$"):
+            build_complexes(self.ROWS, starts, [3, 3])
+
+    @pytest.mark.parametrize("count", [-1, 2.0, True])
+    def test_a_vertex_count_that_is_not_a_nonnegative_int_is_refused(self, count):
+        with pytest.raises(ValueError, match="^num_vertices must be a nonnegative int"):
+            build_complexes(self.ROWS, [0, 1, 2], [3, count])
+
+    @pytest.mark.parametrize("rows", [np.array([0, 1]), np.array([[0.0, 1.0], [1.0, 2.0]])])
+    def test_rows_build_complex_refuses_are_refused_alike(self, rows):
+        with pytest.raises(ValueError, match="^simplex array of "):
+            build_complexes(rows, [0, 2], [3])
+
+    def test_rows_that_are_not_an_array_are_refused(self):
+        with pytest.raises(ValueError, match=r"^simplex rows must be an \(N, k\+1\) integer array$"):
+            build_complexes([[0, 1]], [0, 1], [2])
+
+    def test_no_items_build_no_complexes(self):
+        assert build_complexes(np.empty((0, 3), dtype=np.intp), [0], []) == []
 
 
 class TestNormalizedBuildInput:
@@ -477,6 +505,15 @@ class TestEmbeddedPath:
         for points in (np.zeros((1, 2)), np.zeros(3)):
             with pytest.raises(ValueError, match="at least 2 points"):
                 embedded_path(points)
+        with pytest.raises(ValueError, match="at least 2 points"):
+            embedded_paths(np.zeros((2, 1, 2)))
+
+    def test_points_without_coordinates_rejected(self):
+        message = "^a path's points need at least one coordinate$"
+        with pytest.raises(ValueError, match=message):
+            embedded_path(np.zeros((3, 0)))
+        with pytest.raises(ValueError, match=message):
+            embedded_paths(np.zeros((2, 3, 0)))
 
     def test_ties_keep_sequence_position(self):
         pts = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 0.5], [0.0, 1.0]])
