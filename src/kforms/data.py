@@ -89,8 +89,7 @@ def _path_template(cls: int, t: np.ndarray) -> np.ndarray:
 
 def gen_paths(spec: PathDatasetSpec) -> Dataset:
     """Sample the three templates, add pointwise Gaussian jitter and a
-    per-path uniform translation of up to 0.1, drawn path by path; then
-    embed the stacked paths with one ``embedded_paths`` call."""
+    per-path uniform translation of up to 0.1; embed them all at once."""
     rng = np.random.default_rng(spec.seed)
     t = np.linspace(0.0, 1.0, spec.points_per_path)
     points = np.empty((3, spec.samples_per_class, spec.points_per_path, 2))
@@ -297,12 +296,8 @@ def parse_tu(directory: str | os.PathLike, name: str | None = None) -> TuDataset
 
 
 def _check_references(tu: TuDataset, files: str | None = None) -> None:
-    """Raise the DataFormatError of the first cross-reference ``tu``
-    breaks: no node, graph ids not contiguous from 1, not one label per
-    graph, an edge end outside the nodes, not one attribute or label row
-    per node.  The message names ``files`` + the file's suffix, or
-    ``tu.name`` when ``files`` is None."""
-
+    """Refuse ``tu`` for its first broken cross-reference, naming the file
+    (``files`` + suffix) or, when ``files`` is None, ``tu.name``."""
     def refuse(suffix: str, message: str):
         raise DataFormatError(f"{tu.name if files is None else files + suffix}: {message}")
 
@@ -337,9 +332,9 @@ def tu_to_dataset(
     (optionally a column subset) concatenated with one-hot node labels;
     undirected deduplicated edges; chains = the standard edge basis (a
     graph with no edges gets one empty chain and a zero representation).
-    Graph labels are remapped to 0..C-1 in sorted original order.  The
-    cross-references ``parse_tu`` checks are checked first, and every
-    graph's complex is built by one ``build_complexes`` call."""
+    Graph labels are remapped to 0..C-1 in sorted original order.  Broken
+    cross-references are refused as in ``parse_tu``; one
+    ``build_complexes`` call builds every graph's complex."""
     _check_references(tu)
     blocks = []
     if tu.node_attributes is not None:
@@ -376,10 +371,10 @@ def tu_to_dataset(
     place = np.empty_like(by_graph)
     place[by_graph] = np.arange(tu.num_nodes)
     starts = np.searchsorted(tu.graph_indicator[by_graph], np.arange(1, tu.num_graphs + 2))
-    # undirected edges without self-loops in place order, grouped by graph;
-    # build_complexes takes each graph's in its own vertex ids, repeats and all
+    # undirected edges without self-loops, once each, sorted in place order
     ends = np.sort(place[edges[edges[:, 0] != edges[:, 1]]], axis=1)
-    ends = ends[np.argsort(ends[:, 0])]
+    keys = np.unique(ends[:, 0] * tu.num_nodes + ends[:, 1])
+    ends = np.stack(np.divmod(keys, tu.num_nodes), axis=1)
     edge_starts = np.searchsorted(ends[:, 0], starts)
     local = ends - np.repeat(starts[:-1], np.diff(edge_starts))[:, None]
     complexes = build_complexes(local, edge_starts, np.diff(starts).tolist())
@@ -387,8 +382,8 @@ def tu_to_dataset(
     items = []
     for complex_, coords, label in zip(complexes, np.split(feats[by_graph], starts[1:-1]),
                                        labels.tolist()):
-        edges = complex_.num_simplices(1)
-        chains = standard_basis_chains(complex_, 1) if edges else ChainTuple((Chain(1, ()),))
+        has_edges = complex_.num_simplices(1)
+        chains = standard_basis_chains(complex_, 1) if has_edges else ChainTuple((Chain(1, ()),))
         items.append(Item(complex_, Embedding(coords), chains, label))
     return Dataset(tuple(items), label_values.shape[0])
 

@@ -244,17 +244,17 @@ def _store(ct: ChainTuple, dim: int, used: np.ndarray, lam: np.ndarray | None) -
 def build_complex(simplex_lists, num_vertices: int) -> SimplicialComplex:
     """Build a complex from vertex tuples, adding every missing face.
 
-    ``simplex_lists`` is a list of tuples, in any order and any mix of
-    dimensions, or an (N, k+1) array of an integer dtype (any other dtype
-    is refused); each simplex is sorted increasing.  ``num_vertices`` is
-    a nonnegative int, a vertex id an integer (never a bool, float or
-    string).  An empty simplex, a non-integer id, a repeated vertex or one
-    outside ``0..num_vertices-1`` is refused, naming the first such
-    simplex in input order; an array is scanned for it only once the
-    whole-array check has failed.  All ``num_vertices`` vertices are
-    0-simplices.  The faces of each dimension are column selections of
-    the sorted rows, made unique and put in lexicographic order by their
-    keys; the result is valid by construction and is not checked again.
+    ``simplex_lists`` is a list of tuples, in any order and any mix of dimensions,
+    or an (N, k+1) array of an integer dtype (any other dtype is refused); each
+    simplex is sorted increasing.  ``num_vertices`` is a nonnegative int, a vertex
+    id an integer (never a bool, float or string).  An empty simplex, a
+    non-integer id, a repeated vertex or one outside ``0..num_vertices-1`` is
+    refused, naming the first such simplex in input order; an array is scanned
+    for it only once the whole-array check has failed.  All ``num_vertices``
+    vertices are 0-simplices.  The faces of each dimension are column selections
+    of the sorted rows, made unique and put in lexicographic order by their keys;
+    the result is valid by construction and is not checked again.  A dataset's
+    complexes are built with one call, by ``build_complexes``.
     """
     if not _is_int(num_vertices) or num_vertices < 0:
         raise ValueError(f"num_vertices must be a nonnegative int, got {num_vertices!r}")
@@ -295,16 +295,11 @@ def build_complex(simplex_lists, num_vertices: int) -> SimplicialComplex:
 
 
 def build_complexes(rows, starts, num_vertices) -> list[SimplicialComplex]:
-    """One complex per item, built from every item's simplices at once.
-
-    Item i's simplices are ``rows[starts[i]:starts[i+1]]`` of the (N, k+1)
-    integer array ``rows``, in its own ids 0..num_vertices[i]-1; complex i
-    equals ``build_complex`` of them byte for byte.  One ``build_complex``
+    """One complex per item: complex i is ``build_complex(rows[starts[i]:
+    starts[i+1]], num_vertices[i])`` byte for byte.  One ``build_complex``
     call builds the items' disjoint union (ids shifted past the earlier
     items' vertices), whose arrays the complexes share as views.  A batch
-    that fails a check is built item by item, so the first malformed item
-    raises its own refusal.
-    """
+    failing a check is built item by item, so the first bad item raises."""
     sizes, starts = list(num_vertices), np.asarray(starts)
     if (starts.shape != (len(sizes) + 1,) or starts.dtype.kind not in "iu" or starts[0] != 0
             or starts[-1] != len(rows) or (np.diff(starts) < 0).any()):
@@ -313,17 +308,16 @@ def build_complexes(rows, starts, num_vertices) -> list[SimplicialComplex]:
         if (not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.dtype.kind not in "iu"
                 or not all(_is_int(n) and n >= 0 for n in sizes)):
             raise ValueError("simplex rows must be an (N, k+1) integer array")
-        offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
-        item = np.repeat(np.arange(len(sizes)), np.diff(starts))[:, None]
+        offsets, counts = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))), np.diff(starts)
         local = rows.astype(np.intp, copy=False)
-        if (local < 0).any() or (local >= np.diff(offsets)[item]).any():
+        if (local < 0).any() or (local.max(axis=1, initial=-1) >= np.repeat(sizes, counts)).any():
             raise ValueError("a vertex outside its item")
-        union = build_complex(local + offsets[item], int(offsets[-1]))
+        union = build_complex(local + np.repeat(offsets[:-1], counts)[:, None], int(offsets[-1]))
     except ValueError:
         for n, lo, hi in zip(sizes, starts[:-1], starts[1:]):
             build_complex(rows[lo:hi], n)
         raise
-    arrays = [[union.vertex_array(0)[:n]] for n in offsets[1:] - offsets[:-1]]
+    arrays = [[union.vertex_array(0)[:n]] for n in sizes]
     for k in range(1, union.dim + 1):
         first = union.vertex_array(k)[:, :1]
         shifted = union.vertex_array(k) - offsets[np.searchsorted(offsets, first, "right") - 1]
@@ -401,8 +395,7 @@ def embedded_paths(points) -> list[tuple[SimplicialComplex, Embedding, ChainTupl
     integrating the chain therefore gives the directed path integral.
     Paths of fewer than 2 points, or points with no coordinate, are
     refused.  One row-wise lexsort, one row-wise argsort and one
-    ``build_complexes`` call serve the whole stack; the chain tuples share
-    one read-only ``used`` range.
+    ``build_complexes`` call serve the stack; its chains share ``used``.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 3 or pts.shape[1] < 2:
