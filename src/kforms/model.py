@@ -7,7 +7,9 @@ and best-validation checkpointing; everything is deterministic given the
 config seed.
 
 Every training and evaluation pass runs on the calling thread, in item
-order.
+order, in chunks (``kforms.quadrature``): a training chunk runs each
+item's readout, head and loss between one form-MLP forward and one
+backward pass over its items' rows, with the bits of each item's own.
 
 The embedded simplices are fixed data, so ``train`` computes the
 simplex geometry of its items once, before its first evaluation: one
@@ -15,9 +17,9 @@ simplex geometry of its items once, before its first evaluation: one
 ``ROW_BUDGET`` MLP rows, in split order, around every training pass and
 every per-epoch evaluation of the run.  Those items are found in the
 block by their objects; an evaluation chunk of consecutive items takes
-one slice of its arrays.  Items above the budget compute their geometry
-on every pass.  The arrays are released when ``train`` returns or
-raises: no classifier or result keeps them.
+one slice of its arrays, a training chunk one gather.  Items above the
+budget compute their geometry on every pass.  The arrays are released
+when ``train`` returns or raises: no classifier or result keeps them.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .nn import Mlp, make_optimizer, mlp_from_header, mlp_header, read_blob, wri
 from .quadrature import (
     DEFAULT_STEPS,
     ROW_BUDGET,
+    integration_chunks,
     integration_matrices,
     integration_matrix,
     integration_matrix_backward,
@@ -292,8 +295,10 @@ class KFormClassifier:
         for feats in self.features_each(items):
             yield feats if self.head is None else self.head.forward(feats)
 
-    def forward_cached(self, item: Item):
-        X, int_cache = integration_matrix_forward(
+    def forward_cached(self, item: Item, integrated=None):
+        """Logits of one item and the cache ``backward`` takes; the item's
+        matrix and cache are ``integrated`` in a training chunk, or alone."""
+        X, int_cache = integrated or integration_matrix_forward(
             self.form, item.complex, item.embedding, item.chains, self.steps
         )
         feats = readout_forward(self.readout, X)
@@ -303,15 +308,25 @@ class KFormClassifier:
         return logits, (int_cache, X, feats, head_cache)
 
     def backward(self, cache, d_logits: np.ndarray) -> np.ndarray:
-        """Gradient of the cached forward pass, laid out like ``params``."""
+        """Gradient of one item's cached forward pass, like ``params``: a chunk of one."""
+        return self.backward_chunk([self.backward_head(cache, d_logits)])[0]
+
+    def backward_head(self, cache, d_logits: np.ndarray) -> tuple:
+        """One item's integration cache, dLoss/dX and head gradient, for
+        ``backward_chunk``; this spends the head's cache."""
         int_cache, X, feats, head_cache = cache
         if self.head is None:
-            d_feats = d_logits
+            head_grad, d_feats = None, d_logits
         else:
             head_grad, d_feats = self.head.backward(head_cache, d_logits)
-        dX = readout_backward(self.readout, X, feats, d_feats)
-        form_grad = integration_matrix_backward(self.form, int_cache, dX)
-        return form_grad if self.head is None else np.concatenate([form_grad, head_grad])
+        return int_cache, readout_backward(self.readout, X, feats, d_feats), head_grad
+
+    def backward_chunk(self, pending: list) -> np.ndarray:
+        """Gradients (items, len(params)) of one training chunk's items from
+        their ``backward_head`` results: one backward pass over its rows."""
+        int_caches, upstreams, head_grads = zip(*pending)
+        grads = integration_matrix_backward(self.form, list(int_caches), list(upstreams))
+        return grads if self.head is None else np.concatenate([grads, head_grads], axis=1)
 
 
 def build_classifier(
@@ -333,12 +348,6 @@ def build_classifier(
             )
         head = None
     return KFormClassifier(form, head, cfg.readout, cfg.steps)
-
-
-def _large(classifier: KFormClassifier, items: list) -> list:
-    """Positions of the items above ``ROW_BUDGET`` MLP rows."""
-    rows = mlp_rows(classifier.form.k, classifier.steps)
-    return [i for i, item in enumerate(items) if item.chains.used.size * rows > ROW_BUDGET]
 
 
 @dataclass(frozen=True)
@@ -402,6 +411,29 @@ class TrainResult:
     val_indices: np.ndarray
 
 
+def _batch_gradient(classifier: KFormClassifier, batch: list, epoch: int) -> np.ndarray:
+    """Mean cross-entropy gradient over a minibatch, each item's with the
+    bits of its own pass, added in order.  Per training chunk: one form-MLP
+    pass, per item its head and loss (a non-finite one raises
+    ``TrainingDivergence`` naming ``epoch``), then one backward pass."""
+    share = 1.0 / len(batch)
+    grad = np.zeros_like(classifier.params)
+    settings = [(item.complex, item.embedding, item.chains) for item in batch]
+    done = 0  # items of the batch in earlier chunks
+    for matrices, caches in integration_chunks(classifier.form, settings, classifier.steps):
+        pending = []
+        for item, *integrated in zip(batch[done:], matrices, caches):
+            logits, cache = classifier.forward_cached(item, integrated)
+            loss, d_logits = cross_entropy(logits, item.label)
+            if not math.isfinite(loss):
+                raise TrainingDivergence(f"non-finite loss at epoch {epoch}")
+            pending.append(classifier.backward_head(cache, d_logits))
+        for item_grad in classifier.backward_chunk(pending):
+            grad += share * item_grad
+        done += len(pending)
+    return grad
+
+
 def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
     """Minibatch training with per-epoch train/val metrics (epoch 0 is
     the untrained model), lr halving on validation plateau, early
@@ -420,8 +452,9 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
     opt = make_optimizer(cfg.optimizer, classifier, cfg.lr)
     train_set, val_set = data.subset(train_idx), data.subset(val_idx)
     both = train_set.items + val_set.items
-    large = set(_large(classifier, both))
-    small = [(it.complex, it.embedding, it.chains) for i, it in enumerate(both) if i not in large]
+    rows = mlp_rows(cfg.k, cfg.steps)  # per simplex; items above ROW_BUDGET rows are not prepared
+    small = [(it.complex, it.embedding, it.chains) for it in both
+             if it.chains.used.size * rows <= ROW_BUDGET]
 
     history: list[dict] = []
 
@@ -449,14 +482,7 @@ def train(cfg: TrainConfig, data: Dataset) -> TrainResult:
             order = rng.permutation(len(train_set))
             for start in range(0, order.size, cfg.batch_size):
                 batch = [train_set.items[i] for i in order[start : start + cfg.batch_size].tolist()]
-                share = 1.0 / len(batch)
-                grad = np.zeros_like(classifier.params)
-                for item in batch:
-                    logits, cache = classifier.forward_cached(item)
-                    loss, d_logits = cross_entropy(logits, item.label)
-                    if not math.isfinite(loss):
-                        raise TrainingDivergence(f"non-finite loss at epoch {epoch}")
-                    grad += share * classifier.backward(cache, d_logits)
+                grad = _batch_gradient(classifier, batch, epoch)
                 try:
                     opt.step(grad)
                 except FloatingPointError as exc:

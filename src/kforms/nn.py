@@ -23,6 +23,8 @@ the upstream's memory layout.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import os
@@ -75,13 +77,15 @@ def _activate_grad(name: str, a: np.ndarray) -> np.ndarray:
 
 
 def _layer_views(vector: np.ndarray, dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Weight (out, in) and bias (out,) views into a flat parameter vector
-    laid out for an Mlp with layer sizes ``dims``."""
+    """Weight (..., out, in) and bias (..., out) views into a parameter
+    vector, or a stack of them, laid out for an Mlp with layer sizes
+    ``dims``."""
     weights, biases, pos = [], [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(vector[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        block = vector[..., pos : pos + fan_out * fan_in]
+        weights.append(block.reshape(vector.shape[:-1] + (fan_out, fan_in)))
         pos += fan_out * fan_in
-        biases.append(vector[pos : pos + fan_out])
+        biases.append(vector[..., pos : pos + fan_out])
         pos += fan_out
     return weights, biases
 
@@ -193,14 +197,16 @@ class Mlp:
     def num_params(self) -> int:
         return self.params.size
 
-    @property
+    @functools.cached_property  # the layer shapes never change
     def rows_independent(self) -> bool:
-        """Whether a row of a forward pass over two or more rows is known
-        to get the same bits in any batch.  With OpenBLAS 0.3.31 (SkylakeX
-        kernels, 1 or 2 threads) a row of ``a @ w.T`` depended on its
-        neighbours at fan-out 1 from fan-in 8, and at every fan-out from
-        fan-in 32; never at fan-out 2 or more with fan-in below 32."""
-        return all(w.shape[0] > 1 and w.shape[1] < 32 for w in self.weights)
+        """Whether a row of a forward pass over two or more rows, and of a
+        backward pass's ``dz @ w`` above layer 0, is known to get the same
+        bits in any batch.  With OpenBLAS 0.3.31 (SkylakeX kernels, 1 or 2
+        threads) a row of ``a @ w.T`` depended on its neighbours at fan-out
+        1 from fan-in 8 and at every fan-out from fan-in 32; of ``dz @ w``
+        (fan-in ``out``) at some fan-outs from 16, never at multiples of 8."""
+        return all(fan_out > 1 and fan_in < 32 and (l == 0 or fan_out < 16 or fan_in % 8 == 0)
+                   for l, (fan_out, fan_in) in enumerate(w.shape for w in self.weights))
 
     def forward(self, x) -> np.ndarray:
         """Evaluate at a point (d_in,) or batch (B, d_in): the output of
@@ -262,7 +268,7 @@ class Mlp:
             bias_rows[self._filled : rows] = b
         self._filled = rows
 
-    def backward(self, cache, upstream, input_grad: bool = True):
+    def backward(self, cache, upstream, input_grad: bool = True, segments=None):
         """Exact reverse-mode gradients of ``forward`` at the cached input.
 
         ``upstream`` is dLoss/d(output) with the output's shape.  Returns
@@ -273,7 +279,12 @@ class Mlp:
         computes it.  The activation derivatives are taken from the
         cached activations (the next layer's input).  A cache may be used
         any number of times until the next forward pass on this Mlp;
-        after that it raises ValueError.
+        after that it raises ValueError.  With ``segments``, row counts
+        summing to the batch's, the first is one gradient per segment of
+        consecutive rows, (len(segments), num_params), taken from its own
+        rows (stacked over equal segments in a row): a segment of other
+        than one row gets the bits of a pass over it alone while
+        ``rows_independent`` holds.
         """
         inputs, single, runs = cache
         if runs != self._runs:
@@ -284,19 +295,31 @@ class Mlp:
             raise ValueError(f"upstream shape {g.shape} does not match output {shape}")
         if single:
             g = g[None, :]
-        grad = np.zeros_like(self.params)
-        grad_w, grad_b = _layer_views(grad, self.dims)
+        if segments is None:  # one segment: every row
+            grads, parts = np.zeros_like(self.params), [(..., slice(None), None)]
+        elif sum(segments) != g.shape[0] or min(segments, default=0) < 0:
+            raise ValueError(f"segments {list(segments)} do not split {g.shape[0]} rows")
+        else:  # per run of equal segments: their gradient rows, their rows, a stack shape
+            grads, parts, first, row = np.zeros((len(segments), self.num_params)), [], 0, 0
+            for size, count in ((n, len(list(run))) for n, run in itertools.groupby(segments)):
+                parts.append((slice(first, first + count) if count > 1 else first,
+                             slice(row, row + count * size), count > 1 and (count, size)))
+                first, row = first + count, row + count * size
+        grad_w, grad_b = _layer_views(grads, self.dims)
         dz = g
         for l in range(self.num_layers - 1, -1, -1):
             if l < self.num_layers - 1:
                 dz *= _activate_grad(self.activation, inputs[l + 1])  # dz is ours: from dz @ w
-            grad_w[l] += dz.T @ inputs[l]
-            grad_b[l] += _column_sums(dz)
+            for at, rows, stack in parts:  # a run of one is a 2-D product
+                d, x = dz[rows], inputs[l][rows]
+                if stack:
+                    d, x = d.reshape(stack + d.shape[1:]), x.reshape(stack + x.shape[1:])
+                grad_w[l][at] += d.mT @ x
+                grad_b[l][at] += _column_sums(d)
             if l or input_grad:
                 dz = np.matmul(dz, self.weights[l], out=_rows(self._grad_scratch, l, dz.shape[0]))
-        if not input_grad:
-            return grad, None
-        return grad, dz[0] if single else dz
+        input_grads = (dz[0] if single else dz) if input_grad else None
+        return grads, input_grads
 
 
 def _copy_keeps_bits(w: np.ndarray) -> bool:
@@ -313,13 +336,13 @@ def _copy_keeps_bits(w: np.ndarray) -> bool:
 
 
 def _column_sums(dz: np.ndarray) -> np.ndarray:
-    """``dz.sum(axis=0)`` bit for bit, for a C-contiguous ``dz``.  Over
-    two or more columns ``einsum`` adds the rows in the same order, in a
-    third of the time; one row is its own sum, and one column is summed
-    pairwise by ``sum``, which einsum would not match."""
-    if dz.shape[0] == 1:
-        return dz[0]
-    return dz.sum(axis=0) if dz.shape[1] == 1 else np.einsum("ij->j", dz)
+    """``dz.sum(axis=-2)`` bit for bit, for a C-contiguous ``dz`` or stack
+    of them.  Over two or more columns ``einsum`` adds the rows in the
+    same order, in a third of the time; one row is its own sum, and one
+    column is summed pairwise by ``sum``, which einsum would not match."""
+    if dz.shape[-2] == 1:
+        return dz[..., 0, :]
+    return dz.sum(axis=-2) if dz.shape[-1] == 1 else np.einsum(("ij->j", "bij->bj")[dz.ndim - 2], dz)
 
 
 def _rows(buffers: list, l: int, rows: int) -> np.ndarray:

@@ -22,9 +22,11 @@ the nodes times the item's Jacobians (k, S_i * n), plus its base
 vertices, is the item's block of N * S_i rows of n coordinates, node
 first (row t * S_i + s is node t on simplex s).  The contraction step
 makes one MLP call on the pushed nodes and, per item, contracts its own
-rows with the weights, one dot of (1, N) with (N, S_i * l * C), and with
-the volumes into the per-simplex integrals, which its chain coefficients
-combine linearly.  An item whose chains are all empty uses no simplex
+rows with the weights, one product of (1, N) with (N, S_i * l * C), and
+with the volumes into the per-simplex integrals, which its chain
+coefficients combine linearly; neighbours of equal simplex count and
+``lam`` shape run as one stacked product, whose slices numpy multiplies
+one by one.  An item whose chains are all empty uses no simplex
 and adds zero rows; its coefficients times the empty table are a zero
 matrix.  Items share nothing, so an item's matrix is bit-identical
 whichever chunk it lands in while ``Mlp.rows_independent`` holds;
@@ -36,17 +38,16 @@ objects, which build them once.
 The row order differs by pass.  A forward-only pass
 (``integration_matrix``, ``integration_matrices``) runs the MLP on the
 node-first rows, so each item's block of the MLP output already is the
-(N, S_i * l * C) operand of its dot: a view, no copy.  A training pass
-(``integration_matrix_forward``, whose cache reaches ``Mlp.backward``)
-transposes its item's points to simplex-first rows (row s * N + t) and
-copies the MLP output back to node first for the dot: the weight
-gradient ``dz.T @ inputs`` sums the rows in order, and another order
-would change the gradient's bits.  An MLP without
-``Mlp.rows_independent``, where a row's bits can depend on its
-neighbours, runs every pass on simplex-first rows.  So X has the same
-bits on either pass.  The dot stays one per item: with OpenBLAS 0.3.31,
-one dot over a whole chunk, or over a strided column slice of the MLP
-output, changed bits.
+(N, S_i * l * C) operand of its product: a view, no copy.  A training
+pass (``integration_chunks``) gathers its items' points into
+simplex-first rows (row s * N + t of an item's block), item after item,
+in one ``take``, and copies the MLP output back to node first: the
+weight gradient ``dz.T @ inputs`` sums an item's rows in order, and
+another order would change its bits.  An MLP without
+``Mlp.rows_independent`` runs every pass simplex first.  So X has the
+same bits on either pass.  The product stays one per item: with
+OpenBLAS 0.3.31, one dot over a whole chunk, or over a strided column
+slice of the MLP output, changed bits.
 
 Embedded simplices are fixed data, so their geometry never changes
 while a form learns.  Inside a ``prepared_geometry(form, settings, h)``
@@ -54,12 +55,12 @@ block, the geometry step has run once over the given items, into one
 read-only array of pushed nodes and one of column volumes.  An item is
 found there by the ids of its complex, embedding and ``ChainTuple``
 objects and by the (h, n, k, C) it was prepared for; a found item skips
-its checks and the geometry step, and a chunk of found items whose
-shares follow one another in the arrays takes one slice of each, with
-no gather or concatenation.  The slices hold the bits, and the
-node-first rows, the step would compute, so a block changes only
-speed.  Any other item computes its geometry as outside a block.
-Training prepares its items this way once per run
+its checks and the geometry step.  A forward-only chunk of found items
+whose shares follow one another takes one slice of each array; a
+training chunk gathers its rows from anywhere in them.  The arrays hold
+the bits, and the node-first rows, the step would compute, so a block
+changes only speed.  Any other item computes its geometry as outside a
+block.  Training prepares its items this way once per run
 (``kforms.model.train``).
 
 The MLP always runs ``Mlp.forward_cached``, and the body returns a
@@ -67,11 +68,13 @@ cache ``(lam, weights, eps, mlp_cache)`` per item: chain coefficients
 over the used simplices (None for the identity), quadrature weights,
 column volumes per simplex and the MLP's cache, all a loss gradient
 needs to reach the MLP parameters (embeddings are fixed data and
-receive no gradient).  ``integration_matrix_forward`` returns one
-item's matrix and cache from a training pass; ``integration_matrix``
-is the same matrix from a forward-only pass, and
-``integration_matrices`` yields many items' matrices, dropping the
-caches.
+receive no gradient).  A chunk's items share the MLP cache, so their
+caches go to ``integration_matrix_backward`` together, and one
+``Mlp.backward`` takes each item's gradient from its own rows.
+``integration_chunks`` yields a training pass chunk by chunk, and
+``integration_matrix_forward`` is its one-item case; ``integration_matrix``
+is the same matrix from a forward-only pass, and ``integration_matrices``
+yields many items' matrices, dropping the caches.
 """
 
 from __future__ import annotations
@@ -93,6 +96,7 @@ __all__ = [
     "integrate_simplex",
     "integration_matrix",
     "integration_matrices",
+    "integration_chunks",
     "integration_matrix_forward",
     "integration_matrix_backward",
     "mlp_rows",
@@ -205,8 +209,7 @@ def integration_matrix_forward(
     column volume is 1, so X holds the MLP values at the vertices bit for
     bit; only a vertex coordinate of -0.0 reaches the MLP as +0.0.
     """
-    entry = _entry(form, h, complex_, embedding, chains)
-    ((X, cache),) = _integrate(form, h, [entry], cached=True)
+    (((X,), (cache,)),) = integration_chunks(form, [(complex_, embedding, chains)], h)
     return X, cache
 
 
@@ -220,16 +223,23 @@ def integration_matrix(
     """X[i, j] = integral of form j over chain i, shape (m, num_forms):
     the matrix of ``integration_matrix_forward``, bit for bit, from a
     forward-only pass."""
-    ((X, _),) = _integrate(form, h, [_entry(form, h, complex_, embedding, chains)])
-    return X
+    return _integrate(form, h, [_entry(form, h, complex_, embedding, chains)])[0][0]
 
 
 def integration_matrices(form: NeuralKForm, settings, h: int = DEFAULT_STEPS):
     """Yield ``integration_matrix(form, *setting, h)`` for each
     (complex, embedding, chains) setting in turn, bit for bit."""
     for chunk in _chunks(form, settings, h):
-        for X, _ in _integrate(form, h, chunk):
-            yield X
+        yield from _integrate(form, h, chunk)[0]
+
+
+def integration_chunks(form: NeuralKForm, settings, h: int = DEFAULT_STEPS):
+    """Yield a training pass over the (complex, embedding, chains)
+    settings chunk by chunk, in order: the items' matrices, bit for bit
+    ``integration_matrix_forward``'s, and their caches, which go to
+    ``integration_matrix_backward`` together."""
+    for chunk in _chunks(form, settings, h, cached=True):
+        yield _integrate(form, h, chunk, cached=True)
 
 
 @contextmanager
@@ -301,30 +311,23 @@ def mlp_rows(k: int, h: int) -> int:
     return len(quadrature_rule(k, h)[1])
 
 
-def _follows(before, after) -> bool:
-    """Whether an item of share ``after`` may join a chunk ending in one
-    of share ``before`` (``_entry``): both are computed in the chunk, or
-    ``after`` is the next share of the same prepared arrays."""
-    if before is None or after is None:
-        return before is after
-    return after[0] is before[0] and after[2] == before[3]
-
-
-def _chunks(form, settings, h):
+def _chunks(form, settings, h, cached: bool = False):
     """Yield the checked items of ``settings`` in order, in lists of at
     most ``ROW_BUDGET`` MLP rows whose geometry is computed together or
-    is one run of prepared shares.  An item larger than the budget is a
-    chunk of its own; so are a one-row item (BLAS gemv) and every item of
-    an MLP without ``Mlp.rows_independent``: there a row's value can
-    depend on the rows around it."""
+    prepared in one pair of arrays, as one run of shares unless ``cached``
+    (gathered).  An item above the budget is a chunk of its own; so are a
+    one-row item (BLAS gemv) and every item of an MLP without
+    ``Mlp.rows_independent``, where a row can depend on its neighbours."""
     nodes = mlp_rows(form.k, h)
     budget = ROW_BUDGET if form.psi.rows_independent else 0
     chunk, rows = [], 0
     for setting in settings:
         entry = _entry(form, h, *setting)
         size = entry[2].size * nodes
-        if chunk and (rows + size > budget or 1 in (rows, size)
-                      or not _follows(chunk[-1][4], entry[4])):
+        share, last = entry[4], chunk[-1][4] if chunk else None
+        apart = last is not share if share is None or last is None else (
+            share[0] is not last[0] or not cached and share[2] != last[3])
+        if chunk and (rows + size > budget or 1 in (rows, size) or apart):
             yield chunk
             chunk, rows = [], 0
         chunk.append(entry)
@@ -355,41 +358,41 @@ def _geometry(form, nodes, chunk):
     return points, eps
 
 
-def _integrate(form, h, chunk, cached: bool = False) -> list:
-    """(X, cache) per item of a chunk (see the module docstring).  The
-    chunk shares one MLP cache, so a cache can go to the backward pass
-    only when the chunk holds one item and ``cached`` is set: then the
-    MLP runs on simplex-first rows, the order its gradient sums them in.
-    So does every chunk of an MLP without ``Mlp.rows_independent``,
-    whose chunks hold one item or items of no rows (``_chunks``)."""
+def _integrate(form, h, chunk, cached: bool = False):
+    """The matrices of a chunk's items and, if ``cached``, their caches:
+    two lists in item order (see the module docstring).  With ``cached``
+    the MLP runs on simplex-first rows, the order its gradient sums them
+    in; so does every chunk of an MLP without ``Mlp.rows_independent``."""
     nodes, weights = quadrature_rule(form.k, h)
-    N, width = len(weights), form.psi.out_dim
-    first, last = chunk[0][4], chunk[-1][4]
-    if first is None:
-        points, eps = _geometry(form, nodes, chunk)
-    else:  # one run of prepared shares (_chunks)
-        points, eps, start, _ = first
-        points, eps = points[start * N : last[3] * N], eps[start : last[3]]
+    N, l, C = len(weights), form.num_forms, form.num_components
+    share = chunk[0][4]  # None, or the first share of one prepared pair of arrays (_chunks)
+    points, eps = _geometry(form, nodes, chunk) if share is None else share[:2]
     node_first = not cached and form.psi.rows_independent
-    if not node_first:
-        points = points.take(_transposed(N, len(eps)), axis=0)
+    if node_first and share:  # one run of shares
+        points, eps = points[share[2] * N : chunk[-1][4][3] * N], eps[share[2] :]
+    elif not node_first:  # each item's points to simplex-first rows, item after item
+        sizes = [used.size for _, _, used, _, _ in chunk]
+        offsets = list(itertools.accumulate(sizes[:-1], initial=0))
+        starts = offsets if share is None else [entry[4][2] for entry in chunk]
+        blocks = [(points[s * N : (s + S) * N].take(_transposed(N, S), 0), eps[s : s + S])
+                  for s, S in zip(starts, sizes)]
+        points, eps = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
     out, mlp_cache = form.psi.forward_cached(points)
     if not node_first:  # back to node first, in a copy
-        out = out.take(_transposed(len(eps), N), axis=0)
-    results, start = [], 0
-    for _, _, used, lam, _ in chunk:
-        S = used.size
-        stop = start + S
-        # np.tensordot(weights, scal, (0, 1)) for scal (S, N, l, C), as the
-        # one np.dot call it makes, without its per-call Python overhead;
-        # the item's node-first block of the MLP output is its operand
-        scaled = np.dot(weights.reshape(1, N), out[start * N : stop * N].reshape(N, S * width))
-        scaled = scaled.reshape(S, form.num_forms, form.num_components)
-        per_simplex = (scaled * eps[start:stop, None, :]).sum(axis=2)  # (S, l)
-        X = per_simplex if lam is None else lam @ per_simplex
-        results.append((X, (lam, weights, eps[start:stop], mlp_cache)))
+        orders = [s * N + _transposed(S, N) if s else _transposed(S, N) for s, S in zip(offsets, sizes)]
+        out = out.take(orders[0] if len(orders) == 1 else np.hstack(orders), 0)
+    matrices, caches, start = [], [], 0
+    for (S, shape), run in itertools.groupby(chunk, lambda e: (e[2].size, getattr(e[3], "shape", 0))):
+        lams = [lam for _, _, _, lam, _ in run]
+        B, stop = len(lams), start + len(lams) * S
+        scaled = np.matmul(weights[None], out[start * N : stop * N].reshape(B, N, S * l * C))
+        eps_run = eps[start:stop].reshape(B, S, C)
+        per_simplex = (scaled.reshape(B, S, l, C) * eps_run[:, :, None]).sum(axis=3)
+        matrices.extend(np.array(lams) @ per_simplex if shape else per_simplex)
+        if cached:  # a forward-only pass drops them
+            caches += [(lam, weights, eps_i, mlp_cache) for lam, eps_i in zip(lams, eps_run)]
         start = stop
-    return results
+    return matrices, caches
 
 
 @lru_cache(maxsize=None)
@@ -404,18 +407,24 @@ def _transposed(rows: int, cols: int) -> np.ndarray:
     return order
 
 
-def integration_matrix_backward(form: NeuralKForm, cache: tuple, upstream: np.ndarray) -> np.ndarray:
+def integration_matrix_backward(form: NeuralKForm, cache, upstream):
     """Gradient of sum(upstream * X) with respect to the MLP parameters,
-    laid out like ``form.psi.params``.
-
-    Geometry factors (quadrature weights, column volumes, chain
-    coefficients) are constants; the gradient flows through the MLP
-    values only.
-    """
-    lam, weights, eps, mlp_cache = cache
-    upstream = np.asarray(upstream, dtype=np.float64)
-    G = upstream if lam is None else lam.T @ upstream  # (S, l)
-    d_scal = np.einsum("n,sjc->snjc", weights, G[:, :, None] * eps[:, None, :])
-    d_flat = d_scal.reshape(G.shape[0] * len(weights), form.psi.out_dim)  # (S*N, l*C)
-    grad, _ = form.psi.backward(mlp_cache, d_flat, input_grad=False)
-    return grad
+    laid out like ``form.psi.params``; for a chunk's list of caches
+    (``integration_chunks``) and a list of one upstream per item, one
+    row per item, with the bits of the item's own pass.  Geometry factors
+    (quadrature weights, column volumes, chain coefficients) are
+    constants; the gradient flows through the MLP values only."""
+    caches, upstreams = ([cache], [upstream]) if isinstance(cache, tuple) else (cache, upstream)
+    weights, mlp_cache = caches[0][1], caches[0][3]
+    N, sizes = len(weights), [len(eps) for _, _, eps, _ in caches]
+    d_flat = np.empty((sum(sizes) * N, form.psi.out_dim))  # simplex-first rows
+    item = row = 0
+    for (S, shape), run in itertools.groupby(caches, lambda c: (len(c[2]), getattr(c[0], "shape", 0))):
+        lams, _, eps, _ = zip(*run)
+        B, U = len(lams), np.array(upstreams[item : item + len(lams)], dtype=np.float64)
+        G = np.array(lams).transpose(0, 2, 1) @ U if shape else U  # (B, S, l)
+        target = d_flat[row : row + B * S * N].reshape(B, S, N, form.num_forms, form.num_components)
+        np.einsum("n,bsjc->bsnjc", weights, G[..., None] * np.array(eps)[:, :, None, :], out=target)
+        item, row = item + B, row + B * S * N
+    grads, _ = form.psi.backward(mlp_cache, d_flat, input_grad=False, segments=[S * N for S in sizes])
+    return grads if caches is cache else grads[0]

@@ -115,13 +115,15 @@ def _is_int(value) -> bool:
     return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
-def _keys(rows: np.ndarray, num_vertices: int) -> np.ndarray:
-    """Each row read as base-``num_vertices`` digits: int64, or Python
-    ints when the largest key would not fit."""
+def _unique_rows(rows: np.ndarray, num_vertices: int) -> np.ndarray:
+    """The distinct rows of an intp array in lexicographic order: by int64 keys
+    of base-``num_vertices`` digits, or by ``np.lexsort`` where those overflow."""
     base, width = max(num_vertices, 1), rows.shape[1]
-    dtype = object if base**width > _INT64_MAX else np.int64
-    powers = np.array([base**p for p in range(width - 1, -1, -1)], dtype=dtype)
-    return rows.astype(dtype, copy=False) @ powers
+    if base**width <= _INT64_MAX:
+        powers = np.array([base**p for p in range(width - 1, -1, -1)], dtype=np.int64)
+        return rows[np.unique(rows.astype(np.int64, copy=False) @ powers, return_index=True)[1]]
+    rows = rows[np.lexsort(rows.T[::-1])]  # np.lexsort's last key is its first
+    return rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +254,7 @@ def build_complex(simplex_lists, num_vertices: int) -> SimplicialComplex:
     refused, naming the first such simplex in input order; an array is scanned
     for it only once the whole-array check has failed.  All ``num_vertices``
     vertices are 0-simplices.  The faces of each dimension are column selections
-    of the sorted rows, made unique and put in lexicographic order by their keys;
+    of the sorted rows, made unique and put in lexicographic order (``_unique_rows``);
     the result is valid by construction and is not checked again.  A dataset's
     complexes are built with one call, by ``build_complexes``.
     """
@@ -288,7 +290,7 @@ def build_complex(simplex_lists, num_vertices: int) -> SimplicialComplex:
     arrays = [np.arange(num_vertices, dtype=np.intp).reshape(-1, 1)]
     for k in range(1, max(faces, default=0) + 1):
         rows = np.concatenate(faces[k]) if len(faces[k]) > 1 else faces[k][0]
-        arrays.append(rows[np.unique(_keys(rows, num_vertices), return_index=True)[1]])
+        arrays.append(_unique_rows(rows, num_vertices))
     for rows in arrays:
         rows.flags.writeable = False
     return _complex(num_vertices, arrays)

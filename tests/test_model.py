@@ -501,13 +501,39 @@ class TestTrain:
 
     def test_non_finite_gradients_are_reported_as_divergence(self, monkeypatch):
         # a finite loss whose gradient is not: the optimizer refuses the step
-        def nan_gradient(self, cache, d_logits):
-            return np.full(self.params.size, np.nan)
+        def nan_gradients(self, pending):
+            return np.full((len(pending), self.params.size), np.nan)
 
-        monkeypatch.setattr(model.KFormClassifier, "backward", nan_gradient)
+        monkeypatch.setattr(model.KFormClassifier, "backward_chunk", nan_gradients)
         cfg = TrainConfig(max_epochs=1, hidden_dim=4, num_forms=3, use_head=False)
         with pytest.raises(TrainingDivergence, match="^non-finite gradients: training diverged$"):
             train(cfg, tiny_paths(samples=4))
+
+    def test_a_non_finite_loss_inside_a_chunk_stops_the_batch(self, monkeypatch):
+        """A NaN loss on the 7th item of the first 11-item chunk of the
+        second batch raises before that chunk's backward pass, and the
+        optimizer steps for the first batch only."""
+        chunks, steps, calls = [], [], []
+        chunked = model.integration_chunks
+
+        def recording(form, settings, h):
+            for matrices, caches in chunked(form, settings, h):
+                chunks.append(len(matrices))
+                yield matrices, caches
+
+        def poisoned(logits, label):
+            calls.append(label)
+            loss, d_logits = cross_entropy(logits, label)
+            return (math.nan if len(calls) == 16 + 7 else loss), d_logits
+
+        step = Adam.step
+        monkeypatch.setattr(model, "integration_chunks", recording)
+        monkeypatch.setattr(model, "cross_entropy", poisoned)
+        monkeypatch.setattr(Adam, "step", lambda self, grad: steps.append(1) or step(self, grad))
+        cfg = TrainConfig(max_epochs=2, num_forms=3, use_head=False)
+        with pytest.raises(TrainingDivergence, match="^non-finite loss at epoch 1$"):
+            train(cfg, gen_paths(PathDatasetSpec(samples_per_class=20)))
+        assert chunks == [11, 5, 11] and len(calls) == 23 and steps == [1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_reported(self):
@@ -640,8 +666,8 @@ class TestMixedSurfaces:
                           readout="column_l2", seed=2)
         original = model.KFormClassifier.forward_cached
 
-        def forward_cached(self, item):
-            logits, cache = original(self, item)
+        def forward_cached(self, item, integrated=None):
+            logits, cache = original(self, item, integrated)
             return (logits * np.nan if rows_of(item) > ROW_BUDGET else logits), cache
 
         monkeypatch.setattr(model.KFormClassifier, "forward_cached", forward_cached)
@@ -719,9 +745,9 @@ class TestMixedSurfaces:
         if run == "train":
             original = model.KFormClassifier.forward_cached
 
-            def forward_cached(self, item):
+            def forward_cached(self, item, integrated=None):
                 check(item)
-                return original(self, item)
+                return original(self, item, integrated)
 
             monkeypatch.setattr(model.KFormClassifier, "forward_cached", forward_cached)
             with pytest.raises(ValueError) as info:

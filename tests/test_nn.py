@@ -488,6 +488,8 @@ class TestRowIndependence:
         ([2, 1, 16, 3], False),  # a width-one hidden layer
         ([2, 64, 32, 3], False),  # fan-in 64 and 32
         ([3, 32, 16, 6], False),  # fan-in 32
+        ([3, 12, 20, 3], False),  # the backward pass's dz @ w: fan-in 20, fan-out 12
+        ([3, 16, 8, 24], True),  # dz @ w of fan-in 24 at fan-out 8
     ])
     def test_which_mlps_qualify(self, dims, expected):
         assert Mlp.init(dims, "relu", np.random.default_rng(0)).rows_independent is expected

@@ -435,13 +435,13 @@ class TestIntegrationMatrix:
         full = []
         backward = form.psi.backward
 
-        def with_input_grad(mlp_cache, upstream, input_grad=True):
-            full.append(backward(mlp_cache, upstream)[0])
-            return backward(mlp_cache, upstream, input_grad)
+        def with_input_grad(mlp_cache, upstream, input_grad=True, segments=None):
+            full.append(backward(mlp_cache, upstream, segments=segments)[0])
+            return backward(mlp_cache, upstream, input_grad, segments)
 
         monkeypatch.setattr(form.psi, "backward", with_input_grad)
         assert np.array_equal(integration_matrix_backward(form, cache, U), grads)
-        assert np.array_equal(full[0], grads)
+        assert np.array_equal(full[0][0], grads)
 
 
 class TestValidation:
