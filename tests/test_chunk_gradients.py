@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import kforms.model as model
 import kforms.quadrature as quadrature
-from kforms.model import Item, TrainConfig, build_classifier, cross_entropy
+from kforms.model import TrainConfig, build_classifier, cross_entropy
 from kforms.nn import Mlp
 from kforms.quadrature import integration_matrix_forward, prepared_geometry
 from test_evaluate_chunks import NUM_CLASSES, empty_item, graph_item, one_simplex_item
