@@ -88,7 +88,8 @@ def _det(subs: np.ndarray) -> np.ndarray:
 def epsilon_all(jacobian: np.ndarray, table: MultiIndexTable) -> np.ndarray:
     """epsilon_I for every multi-index I in the table, in table order: the
     signed volume the Jacobian columns span in the coordinate subspace I
-    selects, i.e. the determinant of the row-submatrix (1 for k = 0).
+    selects, i.e. the determinant of the row-submatrix (1 for k = 0, a
+    fresh copy of the Jacobian's one column for k = 1).
 
     ``jacobian`` is one (n, k) Jacobian or a stack (..., n, k) matching
     the table's n and k; the result is (C,) or (..., C)."""
@@ -97,6 +98,8 @@ def epsilon_all(jacobian: np.ndarray, table: MultiIndexTable) -> np.ndarray:
         raise ValueError(f"Jacobian shape {D.shape} does not end in (n, k) = {(table.n, table.k)}")
     if table.k == 0:
         return np.ones(D.shape[:-2] + (1,))
+    if table.k == 1:  # each 1 x 1 minor is its entry
+        return D[..., 0].copy()
     return _det(D[..., table.rows0, :])  # subs: (..., C, k, k)
 
 

@@ -14,26 +14,28 @@ One body computes every integration matrix.  It gathers items
 (complex, embedding, chains) in order into chunks of at most
 ``ROW_BUDGET`` MLP rows and runs each chunk in two steps.  The geometry
 step gathers the vertex coordinates (k+1, S, n) of the simplices the
-chains use, vertex first, whose differences from vertex 0 are the
-transposed affine Jacobians (k, S, n).  It makes one ``epsilon_all``
-call on a transposed view of them for the column volumes (S, C), and per
-item one GEMM pushing the quadrature nodes (N, k) into ambient space:
-the nodes times the item's Jacobians (k, S_i * n), plus its base
-vertices, is the item's block of N * S_i rows of n coordinates, node
-first (row t * S_i + s is node t on simplex s).  The contraction step
-makes one MLP call on the pushed nodes and, per item, contracts its own
-rows with the weights, one product of (1, N) with (N, S_i * l * C), and
-with the volumes into the per-simplex integrals, which its chain
-coefficients combine linearly; neighbours of equal simplex count and
-``lam`` shape run as one stacked product, whose slices numpy multiplies
-one by one.  An item whose chains are all empty uses no simplex
-and adds zero rows; its coefficients times the empty table are a zero
-matrix.  Items share nothing, so an item's matrix is bit-identical
-whichever chunk it lands in while ``Mlp.rows_independent`` holds;
-otherwise every item runs alone.  The budget is fixed: larger chunks ran
-slower per item, the MLP being memory-bound.  The used simplices, their
-coefficient matrix and the simplex vertex indices are read from the data
-objects, which build them once.
+chains use, vertex first, in one ``take`` per item (with no row
+selection when the chains use every simplex); their differences from
+vertex 0 are the transposed affine Jacobians (k, S, n).  It makes one
+``epsilon_all`` call on a transposed view of them for the column
+volumes (S, C), and per item one GEMM pushing the quadrature nodes
+(N, k) into ambient space: the nodes times the item's Jacobians
+(k, S_i * n), plus its base vertices, is the item's block of N * S_i
+rows of n coordinates, node first (row t * S_i + s is node t on
+simplex s).  The contraction step makes one MLP call on the pushed
+nodes and, per item, contracts its own rows with the weights, one
+product of (1, N) with (N, S_i * l * C), and with the volumes into the
+per-simplex integrals, which its chain coefficients combine linearly;
+neighbours of equal simplex count and ``lam`` shape run as one stacked
+product, whose slices numpy multiplies one by one, and a run of one
+item takes 2-D products.  An item whose chains are all empty uses no
+simplex and adds zero rows; its coefficients times the empty table are
+a zero matrix.  Items share nothing, so an item's matrix is
+bit-identical whichever chunk it lands in while ``Mlp.rows_independent``
+holds; otherwise every item runs alone.  The budget is fixed: larger
+chunks ran slower per item, the MLP being memory-bound.  The used
+simplices, their coefficient matrix and the simplex vertex indices are
+read from the data objects, which build them once.
 
 The row order differs by pass.  A forward-only pass
 (``integration_matrix``, ``integration_matrices``) runs the MLP on the
@@ -298,11 +300,10 @@ def _entry(form, h, complex_, embedding, chains):
     if chains.dim != k:
         raise ValueError(f"chain of dimension {chains.dim} fed to a form with k={k}")
     _check_setting(form, complex_, embedding)
-    used = chains.used
-    num_simplices = complex_.num_simplices(k)
-    if used.size and used[-1] >= num_simplices:
-        raise ValueError(f"chain references simplex {used[-1]}, complex has {num_simplices}")
-    return embedding.coords, complex_.vertex_array(k), used, chains.lam, None
+    used, simplices = chains.used, complex_.vertex_array(k)
+    if used.size and used[-1] >= len(simplices):
+        raise ValueError(f"chain references simplex {used[-1]}, complex has {len(simplices)}")
+    return embedding.coords, simplices, used, chains.lam, None
 
 
 def mlp_rows(k: int, h: int) -> int:
@@ -340,7 +341,9 @@ def _geometry(form, nodes, chunk):
     """The geometry step over the simplices of a chunk's items, in order:
     the quadrature ``nodes`` (N, k) pushed into ambient space, one
     node-first block (N * S_i, n) per item, and column volumes (S, C)."""
-    gathered = [coords[simplices[used].T] for coords, simplices, used, _, _ in chunk]
+    # used is sorted, unique and in range: as long as the simplices, it is all of them
+    gathered = [coords.take((simplices if used.size == len(simplices) else simplices[used]).T, 0)
+                for coords, simplices, used, _, _ in chunk]
     G = gathered[0] if len(gathered) == 1 else np.concatenate(gathered, axis=1)  # (k+1, S, n)
     Dt = G[1:] - G[:1]  # (k, S, n): transposed Jacobians
     eps = epsilon_all(Dt.transpose(1, 2, 0), form.table)  # (S, C)
@@ -362,7 +365,9 @@ def _integrate(form, h, chunk, cached: bool = False):
     """The matrices of a chunk's items and, if ``cached``, their caches:
     two lists in item order (see the module docstring).  With ``cached``
     the MLP runs on simplex-first rows, the order its gradient sums them
-    in; so does every chunk of an MLP without ``Mlp.rows_independent``."""
+    in; so does every chunk of an MLP without ``Mlp.rows_independent``.
+    A run of neighbours of one size contracts in stacked products, a run
+    of one in 2-D products: the same code without the stack axis."""
     nodes, weights = quadrature_rule(form.k, h)
     N, l, C = len(weights), form.num_forms, form.num_components
     share = chunk[0][4]  # None, or the first share of one prepared pair of arrays (_chunks)
@@ -385,10 +390,12 @@ def _integrate(form, h, chunk, cached: bool = False):
     for (S, shape), run in itertools.groupby(chunk, lambda e: (e[2].size, getattr(e[3], "shape", 0))):
         lams = [lam for _, _, _, lam, _ in run]
         B, stop = len(lams), start + len(lams) * S
-        scaled = np.matmul(weights[None], out[start * N : stop * N].reshape(B, N, S * l * C))
+        lead = (B,) if B > 1 else ()  # a run of one takes 2-D products
+        scaled = np.matmul(weights[None], out[start * N : stop * N].reshape(*lead, N, S * l * C))
         eps_run = eps[start:stop].reshape(B, S, C)
-        per_simplex = (scaled.reshape(B, S, l, C) * eps_run[:, :, None]).sum(axis=3)
-        matrices.extend(np.array(lams) @ per_simplex if shape else per_simplex)
+        per_simplex = (scaled.reshape(*lead, S, l, C) * eps_run.reshape(*lead, S, 1, C)).sum(-1)
+        X = (np.array(lams) if lead else lams[0]) @ per_simplex if shape else per_simplex
+        matrices.extend(X.reshape(B, -1, l))
         if cached:  # a forward-only pass drops them
             caches += [(lam, weights, eps_i, mlp_cache) for lam, eps_i in zip(lams, eps_run)]
         start = stop

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kforms.forms import (
     NeuralKForm,
+    _det,
     affine_jacobian,
     epsilon_all,
     load_form,
@@ -143,6 +146,33 @@ class TestEpsilon:
     def test_epsilon_all_k_zero(self):
         assert np.array_equal(epsilon_all(np.zeros((3, 0)), multi_indices(3, 0)), [1.0])
         assert np.array_equal(epsilon_all(np.zeros((5, 3, 0)), multi_indices(3, 0)), np.ones((5, 1)))
+
+    @given(n=st.integers(1, 5), lead=st.lists(st.integers(0, 3), max_size=2),
+           moved=st.booleans(), data=st.data())
+    def test_k_one_is_the_entries_in_a_fresh_array(self, n, lead, moved, data):
+        """At k = 1 each 1 x 1 minor is its entry: the result has the bits
+        of the generic ``_det`` of the minors, signed zeros included, for a
+        contiguous stack (..., n, 1) or a view moved from (1, ..., n) (the
+        geometry step's transposed Jacobians), and is a new writable array."""
+        values = st.one_of(st.sampled_from([0.0, -0.0]),
+                           st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
+        shape = (*lead, n, 1)
+        flat = data.draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+        D = np.array(flat, dtype=np.float64).reshape(shape)
+        if moved:
+            D = np.moveaxis(np.ascontiguousarray(np.moveaxis(D, -1, 0)), 0, -1)
+        D.setflags(write=False)
+        table = multi_indices(n, 1)
+        got = epsilon_all(D, table)
+        minors = D[..., table.rows0, :]  # (..., n, 1, 1)
+        generic = _det(minors)
+        assert got.shape == generic.shape == (*lead, n)
+        assert got.tobytes() == generic.tobytes()
+        assert got.flags.writeable and not np.shares_memory(got, D)
+        # np.linalg.det goes through log |x|: it moves a 1 x 1 determinant by
+        # up to ~|log x| ulps and drops the sign of a zero, so it agrees in value
+        det = np.linalg.det(minors) if minors.size else np.empty(minors.shape[:-2])
+        assert np.allclose(got, det, rtol=1e-12, atol=0.0)
 
 
 class TestNeuralKForm:

@@ -6,7 +6,7 @@ passes, on node-first MLP rows, give the training pass's matrix bit for
 bit."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kforms.forms import NeuralKForm
@@ -145,3 +145,61 @@ def test_forward_only_matrices_are_the_training_pass_bits(k, n, h, data):
     assert len(matrices) == len(trained)
     assert all(same_bits(Y, X) for Y, X in zip(matrices, trained))
 
+
+
+@st.composite
+def lone_items(draw, k: int, n: int):
+    """(complex, embedding, chains) of one item in R^n whose chains use
+    every k-simplex (the standard basis, or chains of random
+    coefficients over all of them), a strict subset of them (+1 chains
+    or random coefficients), or none (empty chains), or whose complex
+    has no k-simplex at all (faces below k only, for k >= 1)."""
+    kinds = ["all", "all mixed", "some", "some mixed", "none"] + ["edgeless"] * (k > 0)
+    kind = draw(st.sampled_from(kinds))
+    num_vertices = draw(st.integers(k + 1, 6))
+    size = k if kind == "edgeless" else k + 1
+    tops = draw(st.lists(st.lists(st.integers(0, num_vertices - 1), min_size=size,
+                                  max_size=size, unique=True), min_size=1, max_size=4))
+    complex_ = build_complex(tops, num_vertices)
+    count = complex_.num_simplices(k)
+    coords = draw(st.lists(st.lists(COORDS, min_size=n, max_size=n), min_size=num_vertices,
+                           max_size=num_vertices))
+    if kind in ("all", "all mixed"):
+        used = list(range(count))
+    elif kind in ("some", "some mixed"):
+        assume(count > 1)
+        used = sorted(draw(st.sets(st.integers(0, count - 1), min_size=1, max_size=count - 1)))
+    else:
+        used = []
+    if kind.endswith("mixed"):
+        rows = draw(st.integers(1, 3))
+        one_row = st.lists(COEFFS.filter(bool), min_size=len(used), max_size=len(used))
+        coeffs = draw(st.lists(one_row, min_size=rows, max_size=rows))
+        chains = [Chain(k, tuple(zip(used, row))) for row in coeffs]
+    else:
+        chains = [Chain(k, ((s, 1.0),)) for s in used] or [Chain(k, ())]
+    chains = ChainTuple(chains)
+    assert chains.used.tolist() == used and (chains.lam is None) is (kind in ("all", "some"))
+    return complex_, Embedding(np.asarray(coords, dtype=np.float64)), chains
+
+
+@settings(max_examples=80)
+@given(k=st.sampled_from([0, 1, 2, 3]), h=st.sampled_from([1, 2, 5]), data=st.data())
+def test_a_lone_item_has_the_bits_of_the_stream_and_the_training_pass(k, h, data):
+    """A lone item's ``integration_matrix`` (2-D products) against the same
+    item in an ``integration_matrices`` stream, alone and between copies of
+    itself (stacked products), and against ``integration_matrix_forward``."""
+    n = data.draw(st.integers(max(k, 1), 4))
+    setting = data.draw(lone_items(k, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    activation = data.draw(st.sampled_from(["relu", "tanh", "sigmoid"]))
+    form = NeuralKForm.init(n, k, data.draw(st.integers(1, 3)), (5, 4), activation, rng)
+    form.psi.params += 0.1 * rng.normal(size=form.psi.num_params)  # nonzero biases
+    X = integration_matrix(form, *setting, h)
+    assert X.shape == (len(setting[2]), form.num_forms)
+    if not setting[2].used.size:
+        assert not X.any()
+    others = [integration_matrix_forward(form, *setting, h)[0],
+              *integration_matrices(form, [setting], h),
+              *integration_matrices(form, [setting] * 3, h)]
+    assert all(Y.shape == X.shape and Y.tobytes() == X.tobytes() for Y in others)
